@@ -155,13 +155,16 @@ percentile(std::vector<double> &sorted, double q)
  * The deterministic mixed workload: request for (client, slot). Only
  * value-deterministic commands (no stats: its counters differ between
  * a clean and a faulted run by design), so the chaos run's responses
- * can be required bit-identical to the baseline's.
+ * can be required bit-identical to the baseline's. The trace id is
+ * pinned per (client, slot): a daemon-minted one follows arrival
+ * order, which faults and retries legitimately reshuffle.
  */
 Request
 mixedRequest(size_t client, size_t slot)
 {
     Request req;
     req.id = slot + 1;
+    req.traceId = 1 + client * 1000 + slot;
     const char *workload = ((client + slot) % 2 == 0) ? "compress"
                                                       : "li";
     switch ((client + slot) % 4) {

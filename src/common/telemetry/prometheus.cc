@@ -1,9 +1,7 @@
 #include "common/telemetry/prometheus.hh"
 
-#include <cctype>
 #include <cmath>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include "common/atomic_file.hh"
@@ -32,44 +30,6 @@ writeBucketEdge(std::ostream &os, size_t i)
     os << tmp.str();
 }
 
-/**
- * vpprofd's per-shard series are registered as `daemon.shard<N>.<x>`;
- * the exposition idiomatically wants ONE family per counter with the
- * shard as a label, so `daemon.shard3.requests` renders as
- * `vpprof_daemon_shard_requests_total{shard="3"}`. Keeping `shard` in
- * the family name (rather than labelling the plain family) is what
- * keeps the per-shard series from colliding with the unlabeled
- * process-wide `vpprof_daemon_requests_total` aggregate the daemon
- * dual-writes. Non-shard metrics pass through untouched.
- */
-struct ShardSeries
-{
-    std::string family;  ///< metric name with the shard index removed
-    std::string labels;  ///< `shard="N"` or empty
-};
-
-ShardSeries
-splitShardSeries(const std::string &name)
-{
-    static const std::string prefix = "daemon.shard";
-    ShardSeries out{name, ""};
-    if (name.rfind(prefix, 0) != 0)
-        return out;
-    size_t digits_end = prefix.size();
-    while (digits_end < name.size() &&
-           std::isdigit(static_cast<unsigned char>(name[digits_end])))
-        ++digits_end;
-    if (digits_end == prefix.size() || digits_end >= name.size() ||
-        name[digits_end] != '.')
-        return out;
-    out.family = "daemon.shard." + name.substr(digits_end + 1);
-    out.labels = "shard=\"" +
-                 name.substr(prefix.size(),
-                             digits_end - prefix.size()) +
-                 "\"";
-    return out;
-}
-
 } // namespace
 
 std::string
@@ -89,56 +49,32 @@ writePrometheusText(const MetricsSnapshot &snap, std::ostream &os)
 {
     os << "# vpprof metrics (Prometheus text format 0.0.4)\n";
 
-    // Per-shard series of one family share one TYPE line: the set
-    // remembers which families were already declared (the snapshot is
-    // name-sorted, so shard0.* and shard1.* are NOT adjacent).
-    std::set<std::string> declared;
     for (const auto &[name, value] : snap.counters) {
-        ShardSeries series = splitShardSeries(name);
-        std::string prom = prometheusName(series.family) + "_total";
-        if (declared.insert(prom).second)
-            os << "# TYPE " << prom << " counter\n";
-        os << prom;
-        if (!series.labels.empty())
-            os << '{' << series.labels << '}';
-        os << ' ' << value << '\n';
+        std::string prom = prometheusName(name) + "_total";
+        os << "# TYPE " << prom << " counter\n"
+           << prom << ' ' << value << '\n';
     }
     for (const auto &[name, value] : snap.gauges) {
-        ShardSeries series = splitShardSeries(name);
-        std::string prom = prometheusName(series.family);
-        if (declared.insert(prom).second)
-            os << "# TYPE " << prom << " gauge\n";
-        os << prom;
-        if (!series.labels.empty())
-            os << '{' << series.labels << '}';
-        os << ' ' << value << '\n';
+        std::string prom = prometheusName(name);
+        os << "# TYPE " << prom << " gauge\n"
+           << prom << ' ' << value << '\n';
     }
     for (const auto &[name, hist] : snap.histograms) {
-        ShardSeries series = splitShardSeries(name);
-        std::string prom = prometheusName(series.family);
-        if (declared.insert(prom).second)
-            os << "# TYPE " << prom << " histogram\n";
-        // A shard label composes with the bucket's own `le`.
-        std::string bucket_open =
-            series.labels.empty() ? "{le=\""
-                                  : "{" + series.labels + ",le=\"";
+        std::string prom = prometheusName(name);
+        os << "# TYPE " << prom << " histogram\n";
         // Native histogram series: cumulative counts per `le` edge
         // (bucket 0 holds values <= 1, bucket i holds (2^(i-1), 2^i]),
         // then the mandatory +Inf bucket equal to _count.
         uint64_t cumulative = 0;
         for (size_t i = 0; i < hist.buckets.size(); ++i) {
             cumulative += hist.buckets[i];
-            os << prom << "_bucket" << bucket_open;
+            os << prom << "_bucket{le=\"";
             writeBucketEdge(os, i);
             os << "\"} " << cumulative << '\n';
         }
-        std::string plain_labels =
-            series.labels.empty() ? "" : "{" + series.labels + "}";
-        os << prom << "_bucket" << bucket_open << "+Inf\"} "
-           << hist.count << '\n'
-           << prom << "_sum" << plain_labels << ' ' << hist.sum << '\n'
-           << prom << "_count" << plain_labels << ' ' << hist.count
-           << '\n';
+        os << prom << "_bucket{le=\"+Inf\"} " << hist.count << '\n'
+           << prom << "_sum " << hist.sum << '\n'
+           << prom << "_count " << hist.count << '\n';
     }
 }
 

@@ -282,45 +282,5 @@ SloTracker::writeJsonFields(std::ostream &os) const
        << ", \"error_burns\": " << errorBurns_;
 }
 
-void
-writeAggregateSloFields(std::ostream &os,
-                        const std::vector<SloTracker> &trackers)
-{
-    if (trackers.empty()) {
-        SloTracker none;
-        none.writeJsonFields(os);
-        return;
-    }
-    const SloConfig &config = trackers.front().config();
-    size_t samples = 0;
-    uint64_t observed = 0, latency_burns = 0, error_burns = 0;
-    double worst_p99 = 0, worst_error_rate = 0;
-    for (const SloTracker &t : trackers) {
-        samples += t.samples();
-        observed += t.observed();
-        latency_burns += t.latencyBurns();
-        error_burns += t.errorBurns();
-        worst_p99 = std::max(worst_p99, t.windowP99Ms());
-        worst_error_rate = std::max(worst_error_rate,
-                                    t.windowErrorRate());
-    }
-    os << "\"configured\": " << (config.configured() ? "true" : "false")
-       << ", \"objective_p99_ms\": "
-       << report::formatJsonNumber(config.p99Ms)
-       << ", \"objective_error_rate\": "
-       << report::formatJsonNumber(config.errorRate < 0
-                                       ? -1.0
-                                       : config.errorRate)
-       << ", \"window\": " << trackers.front().window()
-       << ", \"samples\": " << samples
-       << ", \"observed\": " << observed
-       << ", \"window_p99_ms\": "
-       << report::formatJsonNumber(worst_p99)
-       << ", \"window_error_rate\": "
-       << report::formatJsonNumber(worst_error_rate)
-       << ", \"latency_burns\": " << latency_burns
-       << ", \"error_burns\": " << error_burns;
-}
-
 } // namespace daemon
 } // namespace vpprof

@@ -164,9 +164,6 @@ class SloTracker
     uint64_t latencyBurns() const { return latencyBurns_; }
     uint64_t errorBurns() const { return errorBurns_; }
     uint64_t observed() const { return observed_; }
-    size_t samples() const { return samples_.size(); }
-    size_t window() const { return window_; }
-    const SloConfig &config() const { return config_; }
 
     /** Current window p99 latency (ms); 0 while under-sampled. */
     double windowP99Ms() const;
@@ -191,19 +188,6 @@ class SloTracker
     uint64_t latencyBurns_ = 0;
     uint64_t errorBurns_ = 0;
 };
-
-/**
- * Serialize the cluster-of-shards view of N per-shard trackers as the
- * same JSON members SloTracker::writeJsonFields emits for one: the
- * configuration echo comes from the first tracker (identical across
- * shards by construction), monotone counters (observed, samples,
- * burns) SUM, and the window readings (window_p99_ms,
- * window_error_rate) take the WORST shard — an aggregate SLO is only
- * as healthy as its unhealthiest shard, and averaging windows of
- * different depths would manufacture a p99 no shard ever saw.
- */
-void writeAggregateSloFields(std::ostream &os,
-                             const std::vector<SloTracker> &trackers);
 
 } // namespace daemon
 } // namespace vpprof

@@ -21,7 +21,6 @@ commandName(Command cmd)
       case Command::Subscribe: return "subscribe";
       case Command::Metrics: return "metrics";
       case Command::Journal: return "journal";
-      case Command::ClusterStats: return "cluster-stats";
     }
     return "?";
 }
@@ -39,7 +38,6 @@ parseCommand(std::string_view name)
     if (name == "subscribe") return Command::Subscribe;
     if (name == "metrics") return Command::Metrics;
     if (name == "journal") return Command::Journal;
-    if (name == "cluster-stats") return Command::ClusterStats;
     return std::nullopt;
 }
 

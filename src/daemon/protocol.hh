@@ -78,7 +78,6 @@ enum class Command
     Subscribe,///< stream telemetry events on this connection; inline
     Metrics,  ///< live metrics snapshot (json/prometheus); inline
     Journal,  ///< recent job lifecycle events; answered inline
-    ClusterStats, ///< stats summed across cooperating processes; inline
 };
 
 const char *commandName(Command cmd);

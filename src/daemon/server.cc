@@ -125,36 +125,6 @@ openTcpListener(const std::string &address, uint16_t *port_out,
 } // namespace
 
 void
-DaemonStatsSnapshot::accumulate(const DaemonStatsSnapshot &other)
-{
-    connections += other.connections;
-    disconnects += other.disconnects;
-    idleCloses += other.idleCloses;
-    acceptFailures += other.acceptFailures;
-    requests += other.requests;
-    badRequests += other.badRequests;
-    immediate += other.immediate;
-    jobsAdmitted += other.jobsAdmitted;
-    jobsCompleted += other.jobsCompleted;
-    jobsFailed += other.jobsFailed;
-    rejectedOverloaded += other.rejectedOverloaded;
-    rejectedQuota += other.rejectedQuota;
-    rejectedDraining += other.rejectedDraining;
-    writeErrors += other.writeErrors;
-    progressEvents += other.progressEvents;
-    deadlineExceeded += other.deadlineExceeded;
-    cancelled += other.cancelled;
-    slowReaderCloses += other.slowReaderCloses;
-    watchdogFlags += other.watchdogFlags;
-    subscribes += other.subscribes;
-    eventsEmitted += other.eventsEmitted;
-    eventsDropped += other.eventsDropped;
-    queued += other.queued;
-    running += other.running;
-    clients += other.clients;
-}
-
-void
 DaemonStatsSnapshot::writeJsonFields(std::ostream &os) const
 {
     bool first = true;
@@ -188,16 +158,10 @@ DaemonStatsSnapshot::writeJsonFields(std::ostream &os) const
 DaemonServer::DaemonServer(DaemonConfig config)
     : config_(std::move(config)),
       session_(config_.session),
-      dispatcher_(session_, suite_)
+      dispatcher_(session_, suite_),
+      journal_(telemetry::kEnabled ? config_.journalCap : 0)
 {
-    size_t shard_count = std::max<size_t>(1, config_.shards);
-    shards_.reserve(shard_count);
-    for (size_t i = 0; i < shard_count; ++i)
-        shards_.push_back(
-            std::make_unique<Shard>(i, shard_count, config_));
-    runningByShard_.assign(shard_count, 0);
-    cluster_.configure(config_.session.traceCacheDir,
-                       config_.clusterStaleMs);
+    slo_.configure(config_.slo, config_.sloWindow);
 }
 
 DaemonServer::~DaemonServer()
@@ -212,21 +176,17 @@ DaemonServer::~DaemonServer()
         jobCv_.notify_all();
         executor_.join();
     }
-    for (auto &shard : shards_) {
-        if (shard->thread.joinable())
-            shard->thread.join();
-        for (auto &[fd, client] : shard->clients)
-            ::close(fd);
-        if (shard->wakeRead >= 0)
-            ::close(shard->wakeRead);
-        int wfd = shard->wakeWrite.exchange(-1);
-        if (wfd >= 0)
-            ::close(wfd);
-    }
+    for (auto &[fd, client] : clients_)
+        ::close(fd);
     if (listenFd_ >= 0)
         ::close(listenFd_);
     if (tcpListenFd_ >= 0)
         ::close(tcpListenFd_);
+    if (wakeRead_ >= 0)
+        ::close(wakeRead_);
+    int wfd = wakeWrite_.exchange(-1);
+    if (wfd >= 0)
+        ::close(wfd);
     if (socketBound_)
         ::unlink(config_.socketPath.c_str());
 }
@@ -243,6 +203,12 @@ DaemonServer::start(std::string *error)
     if (config_.socketPath.empty()) {
         if (error)
             *error = "daemon needs a socket path";
+        return false;
+    }
+    if (config_.shards != 1) {
+        if (error)
+            *error = "daemon runs one event loop; shards must be 1, got " +
+                     std::to_string(config_.shards);
         return false;
     }
     sockaddr_un addr{};
@@ -279,42 +245,30 @@ DaemonServer::start(std::string *error)
             return false;
     }
 
-    for (auto &shard : shards_) {
-        int pipe_fds[2];
-        if (::pipe(pipe_fds) != 0)
-            return fail("cannot create wake pipe");
-        shard->wakeRead = pipe_fds[0];
-        shard->wakeWrite.store(pipe_fds[1]);
-        setNonBlocking(shard->wakeRead);
-        setNonBlocking(pipe_fds[1]);
-    }
+    int pipe_fds[2];
+    if (::pipe(pipe_fds) != 0)
+        return fail("cannot create wake pipe");
+    wakeRead_ = pipe_fds[0];
+    wakeWrite_.store(pipe_fds[1]);
+    setNonBlocking(wakeRead_);
+    setNonBlocking(pipe_fds[1]);
 
     executor_ = std::thread([this] { executorLoop(); });
     started_ = true;
-    // Join the shared-cache cluster: the membership file exists from
-    // the first moment a peer could aggregate us.
-    cluster_.publish(statsFields());
     return true;
 }
 
 void
 DaemonServer::requestShutdown()
 {
-    // Async-signal-safe: plain loads and one write() per shard; a
-    // full pipe already holds a pending wake.
-    for (auto &shard : shards_) {
-        int fd = shard->wakeWrite.load(std::memory_order_relaxed);
-        if (fd < 0)
-            continue;
-        char tag = 'T';
-        [[maybe_unused]] ssize_t n = ::write(fd, &tag, 1);
-    }
+    // Async-signal-safe; a full pipe already holds a pending wake.
+    wake('T');
 }
 
 void
-DaemonServer::wakeShard(Shard &shard, char tag)
+DaemonServer::wake(char tag)
 {
-    int fd = shard.wakeWrite.load(std::memory_order_relaxed);
+    int fd = wakeWrite_.load(std::memory_order_relaxed);
     if (fd < 0)
         return;
     [[maybe_unused]] ssize_t n = ::write(fd, &tag, 1);
@@ -354,14 +308,12 @@ DaemonServer::executorLoop()
                 else
                     batch.push_back(std::move(job));
             }
-            for (const Job &job : batch)
-                ++runningByShard_[job.shard];
+            runningJobs_ += batch.size();
         }
-        std::vector<bool> involved(shards_.size(), false);
         if (telemetry::kEnabled && !batch.empty()) {
-            // Started notices cross to each job's OWNING shard (which
-            // owns the journal and the subscriber fan-out for that
-            // job's client) like completions do.
+            // Started notices cross to the event loop (which owns the
+            // journal and the subscriber fan-out) like completions do.
+            std::lock_guard<std::mutex> lock(startedMutex_);
             for (const Job &job : batch) {
                 JobEvent event;
                 event.tsNs = telemetry::nowNs();
@@ -371,44 +323,36 @@ DaemonServer::executorLoop()
                 event.clientSerial = job.clientSerial;
                 event.cmd = job.req.cmd;
                 event.workload = job.req.workload;
-                Shard &shard = *shards_[job.shard];
-                std::lock_guard<std::mutex> lock(shard.startedMutex);
-                shard.startedEvents.push_back(std::move(event));
+                startedEvents_.push_back(std::move(event));
             }
         }
-        for (Job &job : expired) {
-            JobOutcome outcome;
-            outcome.ok = false;
-            outcome.code = ErrorCode::DeadlineExceeded;
-            outcome.error = "deadline exceeded while queued";
-            Shard &shard = *shards_[job.shard];
-            {
-                std::lock_guard<std::mutex> lock(shard.completionMutex);
-                shard.completions.push_back(
-                    {job.shard, job.clientSerial, job.req.id,
-                     job.req.cmd, std::move(outcome), job.admitNs,
-                     job.deadlineNs, job.traceId, job.req.workload});
+        if (!expired.empty()) {
+            std::lock_guard<std::mutex> lock(completionMutex_);
+            for (Job &job : expired) {
+                JobOutcome outcome;
+                outcome.ok = false;
+                outcome.code = ErrorCode::DeadlineExceeded;
+                outcome.error = "deadline exceeded while queued";
+                completions_.push_back({job.clientSerial, job.req.id,
+                                        job.req.cmd,
+                                        std::move(outcome),
+                                        job.admitNs, job.deadlineNs,
+                                        job.traceId,
+                                        job.req.workload});
             }
-            involved[job.shard] = true;
         }
         if (batch.empty()) {
-            for (size_t i = 0; i < shards_.size(); ++i)
-                if (involved[i])
-                    wakeShard(*shards_[i], 'C');
+            wake('C');
             continue;
         }
 
         execBatchSeq_.fetch_add(1, std::memory_order_relaxed);
         execBatchStartNs_.store(nowNs(), std::memory_order_relaxed);
-        // Nudge the shards this batch belongs to (Started events) and
-        // shard 0 (its watchdog deadline only enters computeTimeoutMs
-        // once its loop spins again).
-        for (const Job &job : batch)
-            involved[job.shard] = true;
-        involved[0] = true;
-        for (size_t i = 0; i < shards_.size(); ++i)
-            if (involved[i])
-                wakeShard(*shards_[i], 'C');
+        // Nudge the event loop: it may already be blocked in poll()
+        // with a timeout computed before this batch existed, and the
+        // watchdog deadline only enters computeTimeoutMs once the
+        // loop spins again.
+        wake('C');
         std::vector<JobOutcome> outcomes(batch.size());
         session_.runner().forEach(batch.size(), [&](size_t i) {
             // Every span recorded while this job runs — vm.interpret,
@@ -430,31 +374,31 @@ DaemonServer::executorLoop()
         });
         execBatchStartNs_.store(0, std::memory_order_relaxed);
 
-        // Completions post BEFORE running drops, so a shard that sees
-        // running == 0 under jobMutex_ cannot miss a completion that
-        // is still in flight (shardDrainComplete checks in that order).
-        for (size_t i = 0; i < batch.size(); ++i) {
-            Shard &shard = *shards_[batch[i].shard];
-            std::lock_guard<std::mutex> lock(shard.completionMutex);
-            shard.completions.push_back(
-                {batch[i].shard, batch[i].clientSerial, batch[i].req.id,
-                 batch[i].req.cmd, std::move(outcomes[i]),
-                 batch[i].admitNs, batch[i].deadlineNs,
-                 batch[i].traceId, batch[i].req.workload});
+        // Completions post BEFORE running drops, so a loop that sees
+        // runningJobs_ == 0 under jobMutex_ cannot miss a completion
+        // still in flight (drainComplete checks in that order).
+        {
+            std::lock_guard<std::mutex> lock(completionMutex_);
+            for (size_t i = 0; i < batch.size(); ++i)
+                completions_.push_back({batch[i].clientSerial,
+                                        batch[i].req.id,
+                                        batch[i].req.cmd,
+                                        std::move(outcomes[i]),
+                                        batch[i].admitNs,
+                                        batch[i].deadlineNs,
+                                        batch[i].traceId,
+                                        batch[i].req.workload});
         }
         {
             std::lock_guard<std::mutex> lock(jobMutex_);
-            for (const Job &job : batch)
-                --runningByShard_[job.shard];
+            runningJobs_ -= batch.size();
         }
-        for (size_t i = 0; i < shards_.size(); ++i)
-            if (involved[i])
-                wakeShard(*shards_[i], 'C');
+        wake('C');
     }
 }
 
 // ---------------------------------------------------------------- //
-//                         event loops                              //
+//                         event loop                               //
 // ---------------------------------------------------------------- //
 
 int
@@ -463,16 +407,99 @@ DaemonServer::run()
     if (!started_)
         vpprof_panic("DaemonServer::run() before start()");
 
-    for (size_t i = 1; i < shards_.size(); ++i) {
-        Shard *shard = shards_[i].get();
-        shard->thread = std::thread([this, shard] { shardLoop(*shard); });
-    }
-    shardLoop(*shards_[0]);
-    for (size_t i = 1; i < shards_.size(); ++i)
-        shards_[i]->thread.join();
+    std::vector<pollfd> fds;
+    std::vector<int> client_fds;
+    while (true) {
+        fds.clear();
+        client_fds.clear();
+        fds.push_back({wakeRead_, POLLIN, 0});
+        size_t unix_idx = SIZE_MAX, tcp_idx = SIZE_MAX;
+        if (!draining_) {
+            if (listenFd_ >= 0) {
+                unix_idx = fds.size();
+                fds.push_back({listenFd_, POLLIN, 0});
+            }
+            if (tcpListenFd_ >= 0) {
+                tcp_idx = fds.size();
+                fds.push_back({tcpListenFd_, POLLIN, 0});
+            }
+        }
+        size_t clients_base = fds.size();
+        for (auto &[fd, client] : clients_) {
+            short events = POLLIN;
+            if (client.outOff < client.outBuf.size())
+                events |= POLLOUT;
+            fds.push_back({fd, events, 0});
+            client_fds.push_back(fd);
+        }
 
-    // Every shard quiesced: every admitted job was answered (or its
-    // client vanished) and every buffer AND subscriber ring flushed.
+        uint64_t now = nowNs();
+        int rc = ::poll(fds.data(),
+                        static_cast<nfds_t>(fds.size()),
+                        computeTimeoutMs(now));
+        if (rc < 0 && errno != EINTR)
+            vpprof_panic("poll failed: ", std::strerror(errno));
+        now = nowNs();
+
+        if (fds[0].revents & POLLIN) {
+            char buf[64];
+            ssize_t n;
+            bool drain_requested = false;
+            while ((n = ::read(wakeRead_, buf, sizeof(buf))) > 0)
+                for (ssize_t i = 0; i < n; ++i)
+                    drain_requested |= buf[i] == 'T';
+            if (drain_requested)
+                beginDrain();
+        }
+
+        drainStartedEvents();
+        drainCompletions();
+        pollRecoveryEvents();
+
+        if (unix_idx != SIZE_MAX && (fds[unix_idx].revents & POLLIN))
+            acceptClients(listenFd_);
+        if (tcp_idx != SIZE_MAX && (fds[tcp_idx].revents & POLLIN))
+            acceptClients(tcpListenFd_);
+
+        for (size_t i = 0; i < client_fds.size(); ++i) {
+            int fd = client_fds[i];
+            short revents = fds[clients_base + i].revents;
+            if (revents == 0 || !clients_.count(fd))
+                continue;
+            if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
+                // POLLHUP with readable data still delivers POLLIN
+                // first on Linux; by the time HUP arrives alone the
+                // peer is gone for good.
+                if (!(revents & POLLIN)) {
+                    closeClient(fd);
+                    continue;
+                }
+            }
+            if (revents & POLLOUT) {
+                flushClient(clients_.at(fd));
+                // Freed backlog may admit pending telemetry lines.
+                if (clients_.count(fd))
+                    pumpSubscriber(clients_.at(fd));
+            }
+            if (clients_.count(fd) && (revents & POLLIN))
+                readClient(fd);
+        }
+
+        handleTimers(now);
+
+        if (draining_) {
+            // Keep forcing pending subscriber lines toward the socket
+            // while quiescing: the drain contract includes the rings.
+            flushSubscriberRings();
+            if (drainComplete())
+                break;
+        }
+    }
+
+    // Quiesced: every admitted job was answered (or its client
+    // vanished) and every buffer AND subscriber ring flushed.
+    while (!clients_.empty())
+        closeClient(clients_.begin()->first);
     {
         std::lock_guard<std::mutex> lock(jobMutex_);
         executorStop_ = true;
@@ -491,160 +518,53 @@ DaemonServer::run()
         ::unlink(config_.socketPath.c_str());
         socketBound_ = false;
     }
-    // A final heartbeat with the drained totals: a peer's
-    // cluster-stats keeps counting this process until the stamp ages
-    // out, exactly long enough for a post-mortem aggregate.
-    cluster_.publish(statsFields());
     // The whole point of a *graceful* drain: a SIGTERM-initiated exit
     // still writes complete --metrics-out / --trace-json files even
     // though no atexit handler will run before _exit in some
-    // embeddings. Once, after the LAST shard's counters stopped
-    // moving — flushing when shard 0 alone quiesced would snapshot
-    // other shards mid-drain.
+    // embeddings.
     telemetry::flushOutputs();
     return 0;
 }
 
 void
-DaemonServer::shardLoop(Shard &shard)
+DaemonServer::beginDrain()
 {
-    std::vector<pollfd> fds;
-    std::vector<int> client_fds;
-    while (true) {
-        fds.clear();
-        client_fds.clear();
-        fds.push_back({shard.wakeRead, POLLIN, 0});
-        size_t unix_idx = SIZE_MAX, tcp_idx = SIZE_MAX;
-        if (shard.index == 0 && !shard.draining) {
-            if (listenFd_ >= 0) {
-                unix_idx = fds.size();
-                fds.push_back({listenFd_, POLLIN, 0});
-            }
-            if (tcpListenFd_ >= 0) {
-                tcp_idx = fds.size();
-                fds.push_back({tcpListenFd_, POLLIN, 0});
-            }
-        }
-        size_t clients_base = fds.size();
-        for (auto &[fd, client] : shard.clients) {
-            short events = POLLIN;
-            if (client.outOff < client.outBuf.size())
-                events |= POLLOUT;
-            fds.push_back({fd, events, 0});
-            client_fds.push_back(fd);
-        }
-
-        uint64_t now = nowNs();
-        int rc = ::poll(fds.data(),
-                        static_cast<nfds_t>(fds.size()),
-                        computeTimeoutMs(shard, now));
-        if (rc < 0 && errno != EINTR)
-            vpprof_panic("poll failed: ", std::strerror(errno));
-        now = nowNs();
-
-        if (fds[0].revents & POLLIN) {
-            char buf[64];
-            ssize_t n;
-            bool drain_requested = false;
-            while ((n = ::read(shard.wakeRead, buf, sizeof(buf))) > 0)
-                for (ssize_t i = 0; i < n; ++i)
-                    drain_requested |= buf[i] == 'T';
-            if (drain_requested)
-                beginDrain(shard);
-        }
-
-        adoptHandoff(shard);
-        drainStartedEvents(shard);
-        drainCompletions(shard);
-        if (shard.index == 0)
-            pollRecoveryEvents(shard);
-
-        if (unix_idx != SIZE_MAX && (fds[unix_idx].revents & POLLIN))
-            acceptClients(shard, listenFd_);
-        if (tcp_idx != SIZE_MAX && (fds[tcp_idx].revents & POLLIN))
-            acceptClients(shard, tcpListenFd_);
-
-        for (size_t i = 0; i < client_fds.size(); ++i) {
-            int fd = client_fds[i];
-            short revents = fds[clients_base + i].revents;
-            if (revents == 0 || !shard.clients.count(fd))
-                continue;
-            if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-                // POLLHUP with readable data still delivers POLLIN
-                // first on Linux; by the time HUP arrives alone the
-                // peer is gone for good.
-                if (!(revents & POLLIN)) {
-                    closeClient(shard, fd);
-                    continue;
-                }
-            }
-            if (revents & POLLOUT) {
-                flushClient(shard, shard.clients.at(fd));
-                // Freed backlog may admit pending telemetry lines.
-                if (shard.clients.count(fd))
-                    pumpSubscriber(shard, shard.clients.at(fd));
-            }
-            if (shard.clients.count(fd) && (revents & POLLIN))
-                readClient(shard, fd);
-        }
-
-        handleTimers(shard, now);
-
-        if (shard.draining) {
-            // Keep forcing pending subscriber lines toward the socket
-            // while quiescing: the drain contract includes the rings.
-            flushSubscriberRings(shard);
-            if (shardDrainComplete(shard))
-                break;
-        }
-    }
-
-    while (!shard.clients.empty())
-        closeClient(shard, shard.clients.begin()->first);
-}
-
-void
-DaemonServer::beginDrain(Shard &shard)
-{
-    if (shard.draining)
+    if (draining_)
         return;
-    shard.draining = true;
-    if (shard.index == 0) {
-        size_t queued;
-        {
-            std::lock_guard<std::mutex> lock(jobMutex_);
-            queued = jobQueue_.size();
-        }
-        vpprof_inform("vpprofd: draining (", queued, " queued jobs, ",
-                      shards_.size(), " shards)");
-        // Refuse new connections immediately: close + unlink so fresh
-        // connects fail fast instead of queueing in the backlog.
-        if (listenFd_ >= 0) {
-            ::close(listenFd_);
-            listenFd_ = -1;
-        }
-        if (tcpListenFd_ >= 0) {
-            ::close(tcpListenFd_);
-            tcpListenFd_ = -1;
-        }
-        if (socketBound_) {
-            ::unlink(config_.socketPath.c_str());
-            socketBound_ = false;
-        }
+    draining_ = true;
+    size_t queued;
+    {
+        std::lock_guard<std::mutex> lock(jobMutex_);
+        queued = jobQueue_.size();
     }
-    flushSubscriberRings(shard);
+    vpprof_inform("vpprofd: draining (", queued, " queued jobs)");
+    // Refuse new connections immediately: close + unlink so fresh
+    // connects fail fast instead of queueing in the backlog.
+    if (listenFd_ >= 0) {
+        ::close(listenFd_);
+        listenFd_ = -1;
+    }
+    if (tcpListenFd_ >= 0) {
+        ::close(tcpListenFd_);
+        tcpListenFd_ = -1;
+    }
+    if (socketBound_) {
+        ::unlink(config_.socketPath.c_str());
+        socketBound_ = false;
+    }
+    flushSubscriberRings();
 }
 
 void
-DaemonServer::flushSubscriberRings(Shard &shard)
+DaemonServer::flushSubscriberRings()
 {
     std::vector<int> fds;
-    for (auto &[fd, client] : shard.clients)
+    for (auto &[fd, client] : clients_)
         if (client.sub && !client.sub->ring.empty())
             fds.push_back(fd);
     for (int fd : fds) {
-        auto it = shard.clients.find(fd);
-        if (it == shard.clients.end())
+        auto it = clients_.find(fd);
+        if (it == clients_.end())
             continue;  // a previous flush dropped this client
         Client &client = it->second;
         // Unlike pumpSubscriber, ignore the backlog bound: the ring
@@ -656,32 +576,29 @@ DaemonServer::flushSubscriberRings(Shard &shard)
             ++client.sub->delivered;
             client.sub->ring.pop_front();
         }
-        flushClient(shard, client);
+        flushClient(client);
     }
 }
 
 bool
-DaemonServer::shardDrainComplete(Shard &shard)
+DaemonServer::drainComplete() const
 {
     {
         std::lock_guard<std::mutex> lock(jobMutex_);
-        if (runningByShard_[shard.index] != 0)
-            return false;
-        for (const Job &job : jobQueue_)
-            if (job.shard == shard.index)
-                return false;
-    }
-    {
-        std::lock_guard<std::mutex> lock(shard.completionMutex);
-        if (!shard.completions.empty())
+        if (runningJobs_ != 0 || !jobQueue_.empty())
             return false;
     }
     {
-        std::lock_guard<std::mutex> lock(shard.startedMutex);
-        if (!shard.startedEvents.empty())
+        std::lock_guard<std::mutex> lock(completionMutex_);
+        if (!completions_.empty())
             return false;
     }
-    for (const auto &[fd, client] : shard.clients) {
+    {
+        std::lock_guard<std::mutex> lock(startedMutex_);
+        if (!startedEvents_.empty())
+            return false;
+    }
+    for (const auto &[fd, client] : clients_) {
         if (client.outOff < client.outBuf.size())
             return false;
         if (client.sub && !client.sub->ring.empty())
@@ -691,16 +608,16 @@ DaemonServer::shardDrainComplete(Shard &shard)
 }
 
 int
-DaemonServer::computeTimeoutMs(Shard &shard, uint64_t now_ns)
+DaemonServer::computeTimeoutMs(uint64_t now_ns) const
 {
     // While draining, completions and writability drive the loop; a
     // short tick only backstops the final quiescence check.
-    if (shard.draining)
+    if (draining_)
         return 20;
 
     uint64_t next = UINT64_MAX;
     bool progress_wanted = false;
-    for (const auto &[fd, client] : shard.clients) {
+    for (const auto &[fd, client] : clients_) {
         if (!client.progressIds.empty())
             progress_wanted = true;
         // Span/metrics subscribers are driven off the same tick.
@@ -712,35 +629,25 @@ DaemonServer::computeTimeoutMs(Shard &shard, uint64_t now_ns)
                                       config_.idleTimeoutMs * 1'000'000);
     }
     if (progress_wanted)
-        next = std::min(next, shard.lastProgressTickNs +
+        next = std::min(next, lastProgressTickNs_ +
                                   config_.progressIntervalMs * 1'000'000);
     {
         // Queued deadlines must wake the loop even when no socket is
-        // readable — an expired job is answered by the timer sweep of
-        // its OWNING shard.
+        // readable — an expired job is answered by the timer sweep.
         std::lock_guard<std::mutex> lock(jobMutex_);
         for (const Job &job : jobQueue_)
-            if (job.shard == shard.index && job.deadlineNs != 0)
+            if (job.deadlineNs != 0)
                 next = std::min(next, job.deadlineNs);
     }
-    if (shard.index == 0) {
-        if (config_.watchdogMs > 0) {
-            uint64_t start =
-                execBatchStartNs_.load(std::memory_order_relaxed);
-            if (start != 0)
-                next = std::min(next,
-                                start + config_.watchdogMs * 1'000'000);
-        }
-        if (telemetry::kEnabled && !config_.metricsListenPath.empty())
-            next = std::min(next,
-                            shard.lastMetricsExportNs +
-                                config_.metricsListenIntervalMs *
-                                    1'000'000);
-        if (cluster_.enabled())
-            next = std::min(next,
-                            shard.lastClusterPublishNs +
-                                config_.clusterHeartbeatMs * 1'000'000);
+    if (config_.watchdogMs > 0) {
+        uint64_t start = execBatchStartNs_.load(std::memory_order_relaxed);
+        if (start != 0)
+            next = std::min(next, start + config_.watchdogMs * 1'000'000);
     }
+    if (telemetry::kEnabled && !config_.metricsListenPath.empty())
+        next = std::min(next, lastMetricsExportNs_ +
+                                  config_.metricsListenIntervalMs *
+                                      1'000'000);
     if (next == UINT64_MAX)
         return -1;
     if (next <= now_ns)
@@ -750,34 +657,7 @@ DaemonServer::computeTimeoutMs(Shard &shard, uint64_t now_ns)
 }
 
 void
-DaemonServer::adoptHandoff(Shard &shard)
-{
-    std::vector<int> adopted;
-    {
-        std::lock_guard<std::mutex> lock(shard.handoffMutex);
-        adopted.swap(shard.handoff);
-    }
-    for (int fd : adopted)
-        adoptClient(shard, fd);
-}
-
-void
-DaemonServer::adoptClient(Shard &shard, int fd)
-{
-    Client client;
-    client.fd = fd;
-    client.serial = shard.nextClientSerial;
-    shard.nextClientSerial += shards_.size();
-    client.lastActivityNs = nowNs();
-    shard.clientFdBySerial[client.serial] = fd;
-    shard.clients.emplace(fd, std::move(client));
-    shard.clientCount.store(shard.clients.size(),
-                            std::memory_order_relaxed);
-    shard.counters.connections.add();
-}
-
-void
-DaemonServer::acceptClients(Shard &shard, int listen_fd)
+DaemonServer::acceptClients(int listen_fd)
 {
     for (;;) {
         int fd = ::accept(listen_fd, nullptr, nullptr);
@@ -785,7 +665,7 @@ DaemonServer::acceptClients(Shard &shard, int listen_fd)
             if (errno == EAGAIN || errno == EWOULDBLOCK ||
                 errno == ECONNABORTED)
                 break;
-            shard.counters.acceptFailures.add();
+            counters_.acceptFailures.add();
             vpprof_warn_limited(4, "vpprofd: accept failed: ",
                                 std::strerror(errno));
             break;
@@ -794,37 +674,30 @@ DaemonServer::acceptClients(Shard &shard, int listen_fd)
         // accepted but the daemon could not adopt.
         if (FailpointRegistry::instance().fire("daemon.accept") !=
             FailpointAction::None) {
-            shard.counters.acceptFailures.add();
+            counters_.acceptFailures.add();
             ::close(fd);
             continue;
         }
         if (!setNonBlocking(fd)) {
-            shard.counters.acceptFailures.add();
+            counters_.acceptFailures.add();
             ::close(fd);
             continue;
         }
-        // Round-robin handoff: connection k lands on shard k % N, a
-        // deterministic placement the shard tests rely on. The target
-        // shard adopts the fd on its own thread; only the mailbox is
-        // shared.
-        size_t target = rrNext_++ % shards_.size();
-        if (target == shard.index) {
-            adoptClient(shard, fd);
-        } else {
-            Shard &dest = *shards_[target];
-            {
-                std::lock_guard<std::mutex> lock(dest.handoffMutex);
-                dest.handoff.push_back(fd);
-            }
-            wakeShard(dest, 'H');
-        }
+        Client client;
+        client.fd = fd;
+        client.serial = nextClientSerial_++;
+        client.lastActivityNs = nowNs();
+        clientFdBySerial_[client.serial] = fd;
+        clients_.emplace(fd, std::move(client));
+        clientCount_.store(clients_.size(), std::memory_order_relaxed);
+        counters_.connections.add();
     }
 }
 
 void
-DaemonServer::readClient(Shard &shard, int fd)
+DaemonServer::readClient(int fd)
 {
-    Client &client = shard.clients.at(fd);
+    Client &client = clients_.at(fd);
     char buf[4096];
     for (;;) {
         ssize_t n = ::read(fd, buf, sizeof(buf));
@@ -836,14 +709,14 @@ DaemonServer::readClient(Shard &shard, int fd)
             continue;
         }
         if (n == 0) {
-            closeClient(shard, fd);
+            closeClient(fd);
             return;
         }
         if (errno == EAGAIN || errno == EWOULDBLOCK)
             break;
         if (errno == EINTR)
             continue;
-        closeClient(shard, fd);
+        closeClient(fd);
         return;
     }
 
@@ -851,7 +724,7 @@ DaemonServer::readClient(Shard &shard, int fd)
     // protocol violation answered, then the connection is dropped.
     size_t start = 0;
     for (;;) {
-        if (!shard.clients.count(fd))
+        if (!clients_.count(fd))
             return;  // handleLine drained into a close
         size_t nl = client.inBuf.find('\n', start);
         if (nl == std::string::npos)
@@ -863,87 +736,77 @@ DaemonServer::readClient(Shard &shard, int fd)
         if (line.empty())
             continue;
         if (line.size() > config_.maxLineBytes) {
-            shard.counters.badRequests.add();
-            sendLine(shard, client,
+            counters_.badRequests.add();
+            sendLine(client,
                      errorResponseLine(0, ErrorCode::BadRequest,
                                        "request line too long"));
-            closeClient(shard, fd);
+            closeClient(fd);
             return;
         }
-        handleLine(shard, client, line);
+        handleLine(client, line);
     }
     client.inBuf.erase(0, start);
     if (client.inBuf.size() > config_.maxLineBytes) {
-        shard.counters.badRequests.add();
-        sendLine(shard, client,
+        counters_.badRequests.add();
+        sendLine(client,
                  errorResponseLine(0, ErrorCode::BadRequest,
                                    "request line too long"));
-        closeClient(shard, fd);
+        closeClient(fd);
     }
 }
 
 void
-DaemonServer::handleLine(Shard &shard, Client &client,
-                         const std::string &line)
+DaemonServer::handleLine(Client &client, const std::string &line)
 {
-    shard.counters.requests.add();
+    counters_.requests.add();
     std::string error;
     uint64_t id = 0;
     std::optional<Request> req = parseRequest(line, &error, &id);
     if (!req) {
-        shard.counters.badRequests.add();
-        sendLine(shard, client,
+        counters_.badRequests.add();
+        sendLine(client,
                  errorResponseLine(id, ErrorCode::BadRequest, error));
         return;
     }
 
     // Every request carries a trace id from here on: the client's own
-    // if it sent one, a shard-minted (striped, daemon-unique) one
-    // otherwise. It is echoed on every line emitted for this request
-    // and tags the job's spans.
-    if (req->traceId == 0) {
-        req->traceId = shard.nextTraceId;
-        shard.nextTraceId += shards_.size();
-    }
+    // if it sent one, a daemon-minted one otherwise. It is echoed on
+    // every line emitted for this request and tags the job's spans.
+    if (req->traceId == 0)
+        req->traceId = nextTraceId_++;
 
     if (!commandIsJob(req->cmd)) {
-        shard.counters.immediate.add();
+        counters_.immediate.add();
         switch (req->cmd) {
           case Command::Ping:
-            sendLine(shard, client,
+            sendLine(client,
                      okResponseLine(req->id, req->cmd, "",
                                     req->traceId));
             break;
           case Command::Stats:
-            sendLine(shard, client,
+            sendLine(client,
                      okResponseLine(req->id, req->cmd, statsFields(),
                                     req->traceId));
             break;
-          case Command::ClusterStats:
-            handleClusterStats(shard, client, *req);
-            break;
           case Command::Shutdown:
-            sendLine(shard, client,
+            sendLine(client,
                      okResponseLine(req->id, req->cmd, "",
                                     req->traceId));
-            // THIS shard drains synchronously — a job pipelined
-            // behind `shutdown` in the same read burst must already
-            // see `draining` — and the broadcast wake byte carries
-            // the drain to every other shard.
-            beginDrain(shard);
-            requestShutdown();
+            // Drain synchronously: a job pipelined behind `shutdown`
+            // in the same read burst must already see `draining`.
+            beginDrain();
             break;
           case Command::Cancel:
-            handleCancel(shard, client, *req);
+            handleCancel(client, *req);
             break;
           case Command::Subscribe:
-            handleSubscribe(shard, client, *req);
+            handleSubscribe(client, *req);
             break;
           case Command::Metrics:
-            handleMetrics(shard, client, *req);
+            handleMetrics(client, *req);
             break;
           case Command::Journal:
-            handleJournal(shard, client, *req);
+            handleJournal(client, *req);
             break;
           default:
             break;
@@ -959,32 +822,29 @@ DaemonServer::handleLine(Shard &shard, Client &client,
         event.clientSerial = client.serial;
         event.cmd = req->cmd;
         event.workload = req->workload;
-        recordJobEvent(shard, std::move(event));
+        recordJobEvent(std::move(event));
     }
-    handleJobRequest(shard, client, *req);
+    handleJobRequest(client, *req);
 }
 
 void
-DaemonServer::rejectShedding(Shard &shard, Client &client,
-                             const Request &req, ErrorCode code,
-                             const std::string &detail)
+DaemonServer::rejectShedding(Client &client, const Request &req,
+                             ErrorCode code, const std::string &detail)
 {
     size_t queued;
     {
         std::lock_guard<std::mutex> lock(jobMutex_);
-        queued = jobQueue_.size();
-        for (size_t running : runningByShard_)
-            queued += running;
+        queued = jobQueue_.size() + runningJobs_;
     }
     switch (code) {
       case ErrorCode::Overloaded:
-        shard.counters.rejectedOverloaded.add();
+        counters_.rejectedOverloaded.add();
         break;
       case ErrorCode::Quota:
-        shard.counters.rejectedQuota.add();
+        counters_.rejectedQuota.add();
         break;
       case ErrorCode::Draining:
-        shard.counters.rejectedDraining.add();
+        counters_.rejectedDraining.add();
         break;
       default:
         break;
@@ -999,12 +859,12 @@ DaemonServer::rejectShedding(Shard &shard, Client &client,
         event.workload = req.workload;
         event.detail = errorCodeName(code);
         event.queued = queued;
-        recordJobEvent(shard, std::move(event));
+        recordJobEvent(std::move(event));
     }
     // The hint scales with the backlog the daemon can actually see:
     // an empty queue says "come right back", a deep one says wait.
     uint64_t hint = config_.retryHintMs + 2 * queued;
-    sendLine(shard, client,
+    sendLine(client,
              rejectionResponseLine(
                  req.id, code,
                  detail + " (" + std::to_string(queued) +
@@ -1013,8 +873,7 @@ DaemonServer::rejectShedding(Shard &shard, Client &client,
 }
 
 void
-DaemonServer::handleCancel(Shard &shard, Client &client,
-                           const Request &req)
+DaemonServer::handleCancel(Client &client, const Request &req)
 {
     // Only the caller's own QUEUED job is cancellable; a running job
     // finishes (its completion still settles quota/progress state).
@@ -1032,25 +891,24 @@ DaemonServer::handleCancel(Shard &shard, Client &client,
     }
     // Answer the cancel FIRST: a synchronous client is waiting for
     // this id, and the cancelled target's error line follows it.
-    sendLine(shard, client,
+    sendLine(client,
              okResponseLine(req.id, req.cmd,
                             removed ? "\"cancelled\": true"
                                     : "\"cancelled\": false",
                             req.traceId));
     if (removed)
-        settleDeadJob(shard, *removed, ErrorCode::Cancelled,
+        settleDeadJob(*removed, ErrorCode::Cancelled,
                       "cancelled by client");
 }
 
 void
-DaemonServer::handleSubscribe(Shard &shard, Client &client,
-                              const Request &req)
+DaemonServer::handleSubscribe(Client &client, const Request &req)
 {
     if (!telemetry::kEnabled) {
         // Degraded mode (VPPROF_TELEMETRY=OFF): the command still
         // parses and answers — explicitly not subscribed, so clients
         // can tell "no events will ever come" from a hang.
-        sendLine(shard, client,
+        sendLine(client,
                  okResponseLine(req.id, req.cmd,
                                 "\"subscribed\": false, "
                                 "\"degraded\": true",
@@ -1061,8 +919,8 @@ DaemonServer::handleSubscribe(Shard &shard, Client &client,
     std::optional<SubscriberFilter> filter =
         parseEventFilter(req.subEvents, &error);
     if (!filter) {
-        shard.counters.badRequests.add();
-        sendLine(shard, client,
+        counters_.badRequests.add();
+        sendLine(client,
                  errorResponseLine(req.id, ErrorCode::BadRequest, error,
                                    req.traceId));
         return;
@@ -1071,7 +929,7 @@ DaemonServer::handleSubscribe(Shard &shard, Client &client,
     Subscription sub;
     sub.filter = *filter;
     client.sub.emplace(std::move(sub));
-    shard.counters.subscribes.add();
+    counters_.subscribes.add();
     // Span streaming needs the tracer recording; arm it on demand.
     // It stays armed after the subscriber leaves (recording is cheap
     // and --trace-json may want the events anyway).
@@ -1081,17 +939,15 @@ DaemonServer::handleSubscribe(Shard &shard, Client &client,
     os << "\"subscribed\": true, \"events\": \"" << filter->spec()
        << "\", \"sample_rate\": "
        << report::formatJsonNumber(filter->sampleRate)
-       << ", \"ring\": " << config_.subscriberRingCap
-       << ", \"shard\": " << shard.index;
-    sendLine(shard, client,
+       << ", \"ring\": " << config_.subscriberRingCap;
+    sendLine(client,
              okResponseLine(req.id, req.cmd, os.str(), req.traceId));
 }
 
 void
-DaemonServer::handleMetrics(Shard &shard, Client &client,
-                            const Request &req)
+DaemonServer::handleMetrics(Client &client, const Request &req)
 {
-    // A live snapshot: merged across every thread's shards, never
+    // A live snapshot: merged across every thread's slots, never
     // flushed or reset — scraping is free of observable side effects.
     std::ostringstream os;
     os << "\"telemetry_enabled\": "
@@ -1105,59 +961,35 @@ DaemonServer::handleMetrics(Shard &shard, Client &client,
         os << "\"metrics\": ";
         telemetry::snapshotMetrics().writeJson(os);
     }
-    sendLine(shard, client,
+    sendLine(client,
              okResponseLine(req.id, req.cmd, os.str(), req.traceId));
 }
 
 void
-DaemonServer::handleJournal(Shard &shard, Client &client,
-                            const Request &req)
+DaemonServer::handleJournal(Client &client, const Request &req)
 {
-    // The journal is SHARD-LOCAL by design (no cross-shard locking on
-    // the serving path): a connection reads the lifecycle history of
-    // the shard it landed on; the `shard` member says which that is.
     std::ostringstream os;
     if (!telemetry::kEnabled) {
-        os << "\"degraded\": true, \"shard\": " << shard.index
-           << ", \"total\": 0, \"retained\": 0, \"events\": []";
+        os << "\"degraded\": true, \"total\": 0, \"retained\": 0, "
+              "\"events\": []";
     } else {
-        os << "\"shard\": " << shard.index
-           << ", \"total\": " << shard.journal.totalPushed()
-           << ", \"retained\": " << shard.journal.size()
-           << ", \"events\": "
-           << shard.journal.renderJsonArray(req.limit);
+        os << "\"total\": " << journal_.totalPushed()
+           << ", \"retained\": " << journal_.size()
+           << ", \"events\": " << journal_.renderJsonArray(req.limit);
     }
-    sendLine(shard, client,
+    sendLine(client,
              okResponseLine(req.id, req.cmd, os.str(), req.traceId));
 }
 
 void
-DaemonServer::handleClusterStats(Shard &shard, Client &client,
-                                 const Request &req)
-{
-    // Publish-then-aggregate: our own member file is refreshed first,
-    // so two processes cross-querying each other both see current
-    // numbers. ClusterBoard writes via atomic rename and scans via
-    // directory read, both safe against the shard-0 heartbeat running
-    // concurrently on another thread.
-    std::string self = statsFields();
-    cluster_.publish(self);
-    sendLine(shard, client,
-             okResponseLine(req.id, req.cmd,
-                            cluster_.aggregateFields(self),
-                            req.traceId));
-}
-
-void
-DaemonServer::recordJobEvent(Shard &shard, JobEvent event)
+DaemonServer::recordJobEvent(JobEvent event)
 {
     if (!telemetry::kEnabled)
         return;
-    event.seq = shard.eventSeq;
-    shard.eventSeq += shards_.size();
+    event.seq = eventSeq_++;
     if (event.tsNs == 0)
         event.tsNs = telemetry::nowNs();
-    shard.counters.eventsEmitted.add();
+    counters_.eventsEmitted.add();
     // Mirror into the Perfetto trace as an instant event when tracing
     // is armed: the job's lifecycle markers sit on the same time axis
     // as its executor spans, joined by trace_id.
@@ -1166,7 +998,7 @@ DaemonServer::recordJobEvent(Shard &shard, JobEvent event)
             std::string("job.") + jobEventKindName(event.kind),
             event.tsNs, event.traceId);
     bool have_subscriber = false;
-    for (const auto &[fd, c] : shard.clients) {
+    for (const auto &[fd, c] : clients_) {
         if (c.sub && c.sub->filter.lifecycle) {
             have_subscriber = true;
             break;
@@ -1175,39 +1007,38 @@ DaemonServer::recordJobEvent(Shard &shard, JobEvent event)
     std::string line;
     if (have_subscriber)
         line = jobEventJson(event);  // rendered ONCE, shared by all
-    shard.journal.push(std::move(event));
+    journal_.push(std::move(event));
     if (have_subscriber)
-        fanToSubscribers(shard, line, [](const Subscription &sub) {
+        fanToSubscribers(line, [](const Subscription &sub) {
             return sub.filter.lifecycle;
         });
 }
 
 void
-DaemonServer::drainStartedEvents(Shard &shard)
+DaemonServer::drainStartedEvents()
 {
     if (!telemetry::kEnabled)
         return;
     std::deque<JobEvent> started;
     {
-        std::lock_guard<std::mutex> lock(shard.startedMutex);
-        started.swap(shard.startedEvents);
+        std::lock_guard<std::mutex> lock(startedMutex_);
+        started.swap(startedEvents_);
     }
     for (JobEvent &event : started)
-        recordJobEvent(shard, std::move(event));
+        recordJobEvent(std::move(event));
 }
 
 template <typename Pick>
 void
-DaemonServer::fanToSubscribers(Shard &shard, const std::string &line,
-                               Pick pick)
+DaemonServer::fanToSubscribers(const std::string &line, Pick pick)
 {
     std::vector<int> fds;
-    for (const auto &[fd, c] : shard.clients)
+    for (const auto &[fd, c] : clients_)
         if (c.sub && pick(*c.sub))
             fds.push_back(fd);
     for (int fd : fds) {
-        auto it = shard.clients.find(fd);
-        if (it == shard.clients.end())
+        auto it = clients_.find(fd);
+        if (it == clients_.end())
             continue;  // a previous push's flush dropped this client
         Subscription &sub = *it->second.sub;
         // Deterministic downsampling: the accumulator gains
@@ -1217,13 +1048,12 @@ DaemonServer::fanToSubscribers(Shard &shard, const std::string &line,
         if (sub.sampleAcc < 1.0)
             continue;
         sub.sampleAcc -= 1.0;
-        pushToSubscriber(shard, it->second, line);
+        pushToSubscriber(it->second, line);
     }
 }
 
 void
-DaemonServer::pushToSubscriber(Shard &shard, Client &client,
-                               const std::string &line)
+DaemonServer::pushToSubscriber(Client &client, const std::string &line)
 {
     Subscription &sub = *client.sub;
     if (sub.ring.size() >= config_.subscriberRingCap) {
@@ -1232,14 +1062,14 @@ DaemonServer::pushToSubscriber(Shard &shard, Client &client,
         // `dropped`), never a stalled daemon or unbounded memory.
         sub.ring.pop_front();
         ++sub.dropped;
-        shard.counters.eventsDropped.add();
+        counters_.eventsDropped.add();
     }
     sub.ring.push_back(line);
-    pumpSubscriber(shard, client);
+    pumpSubscriber(client);
 }
 
 void
-DaemonServer::pumpSubscriber(Shard &shard, Client &client)
+DaemonServer::pumpSubscriber(Client &client)
 {
     if (!client.sub)
         return;
@@ -1261,26 +1091,26 @@ DaemonServer::pumpSubscriber(Shard &shard, Client &client)
         appended = true;
     }
     if (appended)
-        flushClient(shard, client);
+        flushClient(client);
 }
 
 bool
-DaemonServer::haveSpanSubscriber(const Shard &shard) const
+DaemonServer::haveSpanSubscriber() const
 {
-    for (const auto &[fd, c] : shard.clients)
+    for (const auto &[fd, c] : clients_)
         if (c.sub && c.sub->filter.spans)
             return true;
     return false;
 }
 
 void
-DaemonServer::streamSpans(Shard &shard)
+DaemonServer::streamSpans()
 {
-    if (!telemetry::kEnabled || !haveSpanSubscriber(shard))
+    if (!telemetry::kEnabled || !haveSpanSubscriber())
         return;
     std::vector<telemetry::SpanTracer::StreamedEvent> events;
-    telemetry::SpanTracer::instance().collectNew(shard.spanCursors,
-                                                 events, 512);
+    telemetry::SpanTracer::instance().collectNew(spanCursors_, events,
+                                                 512);
     for (const auto &e : events) {
         std::ostringstream os;
         os << "{\"event\": \"telemetry\", \"kind\": \"span\", "
@@ -1294,47 +1124,44 @@ DaemonServer::streamSpans(Shard &shard)
             os << ", \"instant\": true";
         os << "}";
         std::string line = os.str();
-        fanToSubscribers(shard, line, [](const Subscription &sub) {
+        fanToSubscribers(line, [](const Subscription &sub) {
             return sub.filter.spans;
         });
     }
 }
 
 void
-DaemonServer::pollRecoveryEvents(Shard &shard)
+DaemonServer::pollRecoveryEvents()
 {
     if (!telemetry::kEnabled)
         return;
     // Trace-cache self-healing (PR 3's quarantine + regeneration)
     // becomes visible in the event stream: any counter movement since
-    // the last look is narrated as one Recovery event. Shard 0 only —
-    // the repository counters are session-wide, and one narrator
-    // means one event per healing episode, not one per shard.
+    // the last look is narrated as one Recovery event.
     TraceRepoStats stats = session_.traces().stats();
-    if (stats.regenerations == shard.lastRegenerations &&
-        stats.corruptQuarantined == shard.lastQuarantined)
+    if (stats.regenerations == lastRegenerations_ &&
+        stats.corruptQuarantined == lastQuarantined_)
         return;
     JobEvent event;
     event.kind = JobEventKind::Recovery;
     std::ostringstream os;
-    os << "regenerations+"
-       << (stats.regenerations - shard.lastRegenerations)
+    os << "regenerations+" << (stats.regenerations - lastRegenerations_)
        << " quarantined+"
-       << (stats.corruptQuarantined - shard.lastQuarantined);
+       << (stats.corruptQuarantined - lastQuarantined_);
     event.detail = os.str();
-    shard.lastRegenerations = stats.regenerations;
-    shard.lastQuarantined = stats.corruptQuarantined;
-    recordJobEvent(shard, std::move(event));
+    lastRegenerations_ = stats.regenerations;
+    lastQuarantined_ = stats.corruptQuarantined;
+    recordJobEvent(std::move(event));
 }
 
 void
-DaemonServer::settleDeadJob(Shard &shard, const Job &job,
-                            ErrorCode code, const std::string &detail)
+DaemonServer::settleDeadJob(const Job &job, ErrorCode code,
+                            const std::string &detail)
 {
     if (code == ErrorCode::Cancelled)
-        shard.counters.cancelled.add();
+        counters_.cancelled.add();
     else if (code == ErrorCode::DeadlineExceeded)
-        shard.counters.deadlineExceeded.add();
+        counters_.deadlineExceeded.add();
     {
         JobEvent event;
         event.kind = code == ErrorCode::Cancelled
@@ -1346,30 +1173,29 @@ DaemonServer::settleDeadJob(Shard &shard, const Job &job,
         event.cmd = job.req.cmd;
         event.workload = job.req.workload;
         event.detail = detail;
-        recordJobEvent(shard, std::move(event));
+        recordJobEvent(std::move(event));
     }
-    auto it = shard.clientFdBySerial.find(job.clientSerial);
-    if (it == shard.clientFdBySerial.end())
+    auto it = clientFdBySerial_.find(job.clientSerial);
+    if (it == clientFdBySerial_.end())
         return;
-    Client &client = shard.clients.at(it->second);
+    Client &client = clients_.at(it->second);
     if (client.inflight > 0)
         --client.inflight;
     client.progressIds.erase(job.req.id);
-    sendLine(shard, client,
+    sendLine(client,
              errorResponseLine(job.req.id, code, detail, job.traceId));
 }
 
 void
-DaemonServer::handleJobRequest(Shard &shard, Client &client,
-                               const Request &req)
+DaemonServer::handleJobRequest(Client &client, const Request &req)
 {
-    if (shard.draining) {
-        rejectShedding(shard, client, req, ErrorCode::Draining,
+    if (draining_) {
+        rejectShedding(client, req, ErrorCode::Draining,
                        "daemon is shutting down");
         return;
     }
     if (client.inflight >= config_.maxInflightPerClient) {
-        rejectShedding(shard, client, req, ErrorCode::Quota,
+        rejectShedding(client, req, ErrorCode::Quota,
                        "client in-flight quota reached (" +
                            std::to_string(
                                config_.maxInflightPerClient) +
@@ -1381,29 +1207,27 @@ DaemonServer::handleJobRequest(Shard &shard, Client &client,
     uint64_t now = nowNs();
     {
         std::lock_guard<std::mutex> lock(jobMutex_);
-        admitted = jobQueue_.size();
-        for (size_t running : runningByShard_)
-            admitted += running;
+        admitted = jobQueue_.size() + runningJobs_;
         if (admitted < config_.maxQueue) {
             uint64_t deadline =
                 req.deadlineMs > 0
                     ? now + req.deadlineMs * 1'000'000
                     : 0;
-            jobQueue_.push_back({shard.index, client.serial, req, now,
-                                 deadline, req.traceId});
+            jobQueue_.push_back({client.serial, req, now, deadline,
+                                 req.traceId});
             ++admitted;
             enqueued = true;
         }
     }
     if (!enqueued) {
-        rejectShedding(shard, client, req, ErrorCode::Overloaded,
+        rejectShedding(client, req, ErrorCode::Overloaded,
                        "admission queue full (" +
                            std::to_string(config_.maxQueue) +
                            " jobs)");
         return;
     }
     ++client.inflight;
-    shard.counters.jobsAdmitted.add();
+    counters_.jobsAdmitted.add();
     {
         JobEvent event;
         event.kind = JobEventKind::Admitted;
@@ -1413,25 +1237,25 @@ DaemonServer::handleJobRequest(Shard &shard, Client &client,
         event.cmd = req.cmd;
         event.workload = req.workload;
         event.queued = admitted;
-        recordJobEvent(shard, std::move(event));
+        recordJobEvent(std::move(event));
     }
     if (req.progress) {
         client.progressIds.insert(req.id);
         std::ostringstream os;
         os << "\"queued\": " << admitted;
-        sendLine(shard, client,
+        sendLine(client,
                  eventLine(req.id, "accepted", os.str(), req.traceId));
     }
     jobCv_.notify_one();
 }
 
 void
-DaemonServer::drainCompletions(Shard &shard)
+DaemonServer::drainCompletions()
 {
     std::deque<Completion> done;
     {
-        std::lock_guard<std::mutex> lock(shard.completionMutex);
-        done.swap(shard.completions);
+        std::lock_guard<std::mutex> lock(completionMutex_);
+        done.swap(completions_);
     }
     for (Completion &c : done) {
         // A result arriving past its deadline is not served late: the
@@ -1446,28 +1270,25 @@ DaemonServer::drainCompletions(Shard &shard)
             c.outcome.resultFields.clear();
         }
         if (c.outcome.ok)
-            shard.counters.jobsCompleted.add();
+            counters_.jobsCompleted.add();
         else if (c.outcome.code == ErrorCode::DeadlineExceeded)
-            shard.counters.deadlineExceeded.add();
+            counters_.deadlineExceeded.add();
         else
-            shard.counters.jobsFailed.add();
+            counters_.jobsFailed.add();
         uint64_t latency_ns = nowNs() - c.admitNs;
-        shard.counters.observeJobLatencyUs(latency_ns / 1000);
+        counters_.jobLatencyUs.observe(latency_ns / 1000);
         if (telemetry::kEnabled) {
             // Mirror burn increments into the registry so a
             // Prometheus scrape can alert on them; the tracker's own
-            // counters stay the `stats` source of truth. The lock
-            // only fences off statsFields() aggregating from another
-            // shard's thread.
-            std::lock_guard<std::mutex> lock(shard.sloMutex);
-            uint64_t lat0 = shard.slo.latencyBurns();
-            uint64_t err0 = shard.slo.errorBurns();
-            shard.slo.observe(static_cast<double>(latency_ns) / 1e6,
-                              c.outcome.ok);
-            if (uint64_t d = shard.slo.latencyBurns() - lat0)
-                shard.counters.sloLatencyBurns.add(d);
-            if (uint64_t d = shard.slo.errorBurns() - err0)
-                shard.counters.sloErrorBurns.add(d);
+            // counters stay the `stats` source of truth.
+            uint64_t lat0 = slo_.latencyBurns();
+            uint64_t err0 = slo_.errorBurns();
+            slo_.observe(static_cast<double>(latency_ns) / 1e6,
+                         c.outcome.ok);
+            if (uint64_t d = slo_.latencyBurns() - lat0)
+                counters_.sloLatencyBurns.add(d);
+            if (uint64_t d = slo_.errorBurns() - err0)
+                counters_.sloErrorBurns.add(d);
         }
         {
             JobEvent event;
@@ -1484,41 +1305,38 @@ DaemonServer::drainCompletions(Shard &shard)
             event.workload = c.workload;
             if (!c.outcome.ok)
                 event.detail = c.outcome.error;
-            recordJobEvent(shard, std::move(event));
+            recordJobEvent(std::move(event));
         }
 
-        auto it = shard.clientFdBySerial.find(c.clientSerial);
-        if (it == shard.clientFdBySerial.end())
+        auto it = clientFdBySerial_.find(c.clientSerial);
+        if (it == clientFdBySerial_.end())
             continue;  // client vanished; the job still ran to completion
-        Client &client = shard.clients.at(it->second);
+        Client &client = clients_.at(it->second);
         if (client.inflight > 0)
             --client.inflight;
         client.progressIds.erase(c.requestId);
         if (c.outcome.ok)
-            sendLine(shard, client,
+            sendLine(client,
                      okResponseLine(c.requestId, c.cmd,
                                     c.outcome.resultFields, c.traceId));
         else
-            sendLine(shard, client,
+            sendLine(client,
                      errorResponseLine(c.requestId, c.outcome.code,
                                        c.outcome.error, c.traceId));
     }
 }
 
 void
-DaemonServer::expireQueuedJobs(Shard &shard, uint64_t now_ns)
+DaemonServer::expireQueuedJobs(uint64_t now_ns)
 {
-    // Deadline sweep over the admission queue: this shard's expired
-    // jobs are answered deadline_exceeded HERE, before they ever
-    // reach the executor — an expired request must not consume a
-    // runner lane. Each shard sweeps only its own jobs (settlement
-    // touches the owning shard's client maps).
+    // Deadline sweep over the admission queue: expired jobs are
+    // answered deadline_exceeded HERE, before they ever reach the
+    // executor — an expired request must not consume a runner lane.
     std::vector<Job> expired;
     {
         std::lock_guard<std::mutex> lock(jobMutex_);
         for (auto it = jobQueue_.begin(); it != jobQueue_.end();) {
-            if (it->shard == shard.index && it->deadlineNs != 0 &&
-                now_ns >= it->deadlineNs) {
+            if (it->deadlineNs != 0 && now_ns >= it->deadlineNs) {
                 expired.push_back(std::move(*it));
                 it = jobQueue_.erase(it);
             } else {
@@ -1527,70 +1345,50 @@ DaemonServer::expireQueuedJobs(Shard &shard, uint64_t now_ns)
         }
     }
     for (const Job &job : expired)
-        settleDeadJob(shard, job, ErrorCode::DeadlineExceeded,
+        settleDeadJob(job, ErrorCode::DeadlineExceeded,
                       "deadline exceeded while queued (" +
                           std::to_string(job.req.deadlineMs) + " ms)");
 }
 
 void
-DaemonServer::handleTimers(Shard &shard, uint64_t now_ns)
+DaemonServer::handleTimers(uint64_t now_ns)
 {
-    expireQueuedJobs(shard, now_ns);
+    expireQueuedJobs(now_ns);
 
-    if (shard.index == 0) {
-        // Watchdog: flag an executor batch that has been running
-        // longer than watchdogMs — once per batch, so a genuinely
-        // stuck job shows up in telemetry without spamming the log
-        // every tick. One flagger (shard 0), one flag per batch.
-        if (config_.watchdogMs > 0) {
-            uint64_t start =
-                execBatchStartNs_.load(std::memory_order_relaxed);
-            uint64_t seq =
-                execBatchSeq_.load(std::memory_order_relaxed);
-            if (start != 0 && seq != shard.watchdogFlaggedSeq &&
-                now_ns > start &&
-                now_ns - start > config_.watchdogMs * 1'000'000) {
-                shard.watchdogFlaggedSeq = seq;
-                shard.counters.watchdogFlags.add();
-                vpprof_warn("vpprofd: executor batch ", seq,
-                            " running > ", config_.watchdogMs,
-                            " ms (stuck job?)");
-            }
-        }
-
-        // Periodic Prometheus export (vpprofd --metrics-listen): a
-        // point-in-time file any scraper can collect, committed
-        // atomically so a concurrent read never sees a torn
-        // exposition.
-        if (telemetry::kEnabled &&
-            !config_.metricsListenPath.empty() &&
-            now_ns - shard.lastMetricsExportNs >=
-                config_.metricsListenIntervalMs * 1'000'000) {
-            shard.lastMetricsExportNs = now_ns;
-            telemetry::writePrometheusFile(config_.metricsListenPath);
-        }
-
-        // Cluster heartbeat: refresh this process's stats file in the
-        // shared trace cache so peers' cluster-stats keep counting us.
-        if (cluster_.enabled() &&
-            now_ns - shard.lastClusterPublishNs >=
-                config_.clusterHeartbeatMs * 1'000'000) {
-            shard.lastClusterPublishNs = now_ns;
-            cluster_.publish(statsFields());
+    // Watchdog: flag an executor batch that has been running longer
+    // than watchdogMs — once per batch, so a genuinely stuck job shows
+    // up in telemetry without spamming the log every tick.
+    if (config_.watchdogMs > 0) {
+        uint64_t start = execBatchStartNs_.load(std::memory_order_relaxed);
+        uint64_t seq = execBatchSeq_.load(std::memory_order_relaxed);
+        if (start != 0 && seq != watchdogFlaggedSeq_ && now_ns > start &&
+            now_ns - start > config_.watchdogMs * 1'000'000) {
+            watchdogFlaggedSeq_ = seq;
+            counters_.watchdogFlags.add();
+            vpprof_warn("vpprofd: executor batch ", seq, " running > ",
+                        config_.watchdogMs, " ms (stuck job?)");
         }
     }
 
+    // Periodic Prometheus export (vpprofd --metrics-listen): a
+    // point-in-time file any scraper can collect, committed atomically
+    // so a concurrent read never sees a torn exposition.
+    if (telemetry::kEnabled && !config_.metricsListenPath.empty() &&
+        now_ns - lastMetricsExportNs_ >=
+            config_.metricsListenIntervalMs * 1'000'000) {
+        lastMetricsExportNs_ = now_ns;
+        telemetry::writePrometheusFile(config_.metricsListenPath);
+    }
+
     // Progress events for subscribed jobs, at the configured cadence.
-    if (now_ns - shard.lastProgressTickNs >=
+    if (now_ns - lastProgressTickNs_ >=
         config_.progressIntervalMs * 1'000'000) {
-        shard.lastProgressTickNs = now_ns;
+        lastProgressTickNs_ = now_ns;
         size_t queued, running;
         {
             std::lock_guard<std::mutex> lock(jobMutex_);
             queued = jobQueue_.size();
-            running = 0;
-            for (size_t r : runningByShard_)
-                running += r;
+            running = runningJobs_;
         }
         if (queued + running > 0) {
             TraceRepoStats st = session_.traces().stats();
@@ -1600,19 +1398,19 @@ DaemonServer::handleTimers(Shard &shard, uint64_t now_ns)
             st.writeJsonFields(os);
             std::string fields = os.str();
             std::vector<int> to_notify;
-            for (auto &[fd, client] : shard.clients)
+            for (auto &[fd, client] : clients_)
                 if (!client.progressIds.empty())
                     to_notify.push_back(fd);
             for (int fd : to_notify) {
-                if (!shard.clients.count(fd))
+                if (!clients_.count(fd))
                     continue;
-                Client &client = shard.clients.at(fd);
+                Client &client = clients_.at(fd);
                 std::set<uint64_t> ids = client.progressIds;
                 for (uint64_t id : ids) {
-                    if (!shard.clients.count(fd))
+                    if (!clients_.count(fd))
                         break;
-                    shard.counters.progressEvents.add();
-                    sendLine(shard, shard.clients.at(fd),
+                    counters_.progressEvents.add();
+                    sendLine(clients_.at(fd),
                              eventLine(id, "progress", fields));
                 }
             }
@@ -1621,10 +1419,10 @@ DaemonServer::handleTimers(Shard &shard, uint64_t now_ns)
         // Telemetry streaming rides the same tick: newly recorded
         // spans to span subscribers, a live snapshot to metrics
         // subscribers.
-        streamSpans(shard);
+        streamSpans();
         if (telemetry::kEnabled) {
             bool want_metrics = false;
-            for (const auto &[fd, client] : shard.clients) {
+            for (const auto &[fd, client] : clients_) {
                 if (client.sub && client.sub->filter.metrics) {
                     want_metrics = true;
                     break;
@@ -1638,10 +1436,9 @@ DaemonServer::handleTimers(Shard &shard, uint64_t now_ns)
                 telemetry::snapshotMetrics().writeJson(os);
                 os << "}";
                 std::string line = os.str();
-                fanToSubscribers(shard, line,
-                                 [](const Subscription &sub) {
-                                     return sub.filter.metrics;
-                                 });
+                fanToSubscribers(line, [](const Subscription &sub) {
+                    return sub.filter.metrics;
+                });
             }
         }
     }
@@ -1650,7 +1447,7 @@ DaemonServer::handleTimers(Shard &shard, uint64_t now_ns)
     if (config_.idleTimeoutMs == 0)
         return;
     std::vector<int> idle;
-    for (auto &[fd, client] : shard.clients) {
+    for (auto &[fd, client] : clients_) {
         // A subscriber is a deliberate long-lived listener, never
         // idle; lastActivityNs can postdate now_ns (accepted after
         // this loop iteration captured the clock): not idle.
@@ -1662,28 +1459,27 @@ DaemonServer::handleTimers(Shard &shard, uint64_t now_ns)
             idle.push_back(fd);
     }
     for (int fd : idle)
-        closeClient(shard, fd, /*counted_idle=*/true);
+        closeClient(fd, /*counted_idle=*/true);
 }
 
 void
-DaemonServer::sendLine(Shard &shard, Client &client,
-                       const std::string &line)
+DaemonServer::sendLine(Client &client, const std::string &line)
 {
     client.outBuf += line;
     client.outBuf += '\n';
-    flushClient(shard, client);
+    flushClient(client);
 }
 
 void
-DaemonServer::flushClient(Shard &shard, Client &client)
+DaemonServer::flushClient(Client &client)
 {
     int fd = client.fd;
     while (client.outOff < client.outBuf.size()) {
         // Deterministic socket-level write fault.
         if (FailpointRegistry::instance().fire("daemon.write") !=
             FailpointAction::None) {
-            shard.counters.writeErrors.add();
-            closeClient(shard, fd);
+            counters_.writeErrors.add();
+            closeClient(fd);
             return;
         }
         ssize_t n = ::write(fd, client.outBuf.data() + client.outOff,
@@ -1698,20 +1494,20 @@ DaemonServer::flushClient(Shard &shard, Client &client)
             // grows daemon memory at the reader's pace — drop it.
             if (client.outBuf.size() - client.outOff >
                 config_.maxClientOutBufBytes) {
-                shard.counters.slowReaderCloses.add();
+                counters_.slowReaderCloses.add();
                 vpprof_warn_limited(
                     4, "vpprofd: dropping slow reader (",
                     client.outBuf.size() - client.outOff,
                     " bytes unflushed)");
-                closeClient(shard, fd);
+                closeClient(fd);
                 return;
             }
             return;  // wait for POLLOUT
         }
         if (n < 0 && errno == EINTR)
             continue;
-        shard.counters.writeErrors.add();
-        closeClient(shard, fd);
+        counters_.writeErrors.add();
+        closeClient(fd);
         return;
     }
     client.outBuf.clear();
@@ -1719,27 +1515,24 @@ DaemonServer::flushClient(Shard &shard, Client &client)
 }
 
 void
-DaemonServer::closeClient(Shard &shard, int fd, bool counted_idle)
+DaemonServer::closeClient(int fd, bool counted_idle)
 {
-    auto it = shard.clients.find(fd);
-    if (it == shard.clients.end())
+    auto it = clients_.find(fd);
+    if (it == clients_.end())
         return;
     uint64_t serial = it->second.serial;
-    shard.clientFdBySerial.erase(serial);
+    clientFdBySerial_.erase(serial);
     ::close(fd);
-    shard.clients.erase(it);
-    shard.clientCount.store(shard.clients.size(),
-                            std::memory_order_relaxed);
-    shard.counters.disconnects.add();
+    clients_.erase(it);
+    clientCount_.store(clients_.size(), std::memory_order_relaxed);
+    counters_.disconnects.add();
     if (counted_idle)
-        shard.counters.idleCloses.add();
+        counters_.idleCloses.add();
 
     // Cancel the departed client's QUEUED jobs: nobody is left to
     // read the answers, so running them only burns executor lanes
     // other clients are waiting for. Running jobs finish (the
     // executor owns them); their completions are dropped on arrival.
-    // Serials are daemon-unique (striped), so matching by serial only
-    // ever removes this shard's jobs.
     std::vector<Job> purged;
     {
         std::lock_guard<std::mutex> lock(jobMutex_);
@@ -1753,7 +1546,7 @@ DaemonServer::closeClient(Shard &shard, int fd, bool counted_idle)
         }
     }
     for (const Job &job : purged) {
-        shard.counters.cancelled.add();
+        counters_.cancelled.add();
         JobEvent event;
         event.kind = JobEventKind::Cancelled;
         event.requestId = job.req.id;
@@ -1762,82 +1555,59 @@ DaemonServer::closeClient(Shard &shard, int fd, bool counted_idle)
         event.cmd = job.req.cmd;
         event.workload = job.req.workload;
         event.detail = "client disconnected";
-        recordJobEvent(shard, std::move(event));
+        recordJobEvent(std::move(event));
     }
-}
-
-DaemonStatsSnapshot
-DaemonServer::shardStatsSnapshot(size_t shard_index) const
-{
-    const Shard &shard = *shards_.at(shard_index);
-    const ShardCounters &c = shard.counters;
-    DaemonStatsSnapshot st;
-    st.connections = c.connections.value();
-    st.disconnects = c.disconnects.value();
-    st.idleCloses = c.idleCloses.value();
-    st.acceptFailures = c.acceptFailures.value();
-    st.requests = c.requests.value();
-    st.badRequests = c.badRequests.value();
-    st.immediate = c.immediate.value();
-    st.jobsAdmitted = c.jobsAdmitted.value();
-    st.jobsCompleted = c.jobsCompleted.value();
-    st.jobsFailed = c.jobsFailed.value();
-    st.rejectedOverloaded = c.rejectedOverloaded.value();
-    st.rejectedQuota = c.rejectedQuota.value();
-    st.rejectedDraining = c.rejectedDraining.value();
-    st.writeErrors = c.writeErrors.value();
-    st.progressEvents = c.progressEvents.value();
-    st.deadlineExceeded = c.deadlineExceeded.value();
-    st.cancelled = c.cancelled.value();
-    st.slowReaderCloses = c.slowReaderCloses.value();
-    st.watchdogFlags = c.watchdogFlags.value();
-    st.subscribes = c.subscribes.value();
-    st.eventsEmitted = c.eventsEmitted.value();
-    st.eventsDropped = c.eventsDropped.value();
-    {
-        std::lock_guard<std::mutex> lock(jobMutex_);
-        for (const Job &job : jobQueue_)
-            if (job.shard == shard_index)
-                ++st.queued;
-        st.running = runningByShard_[shard_index];
-    }
-    st.clients = shard.clientCount.load(std::memory_order_relaxed);
-    return st;
 }
 
 DaemonStatsSnapshot
 DaemonServer::statsSnapshot() const
 {
-    DaemonStatsSnapshot total;
-    for (size_t i = 0; i < shards_.size(); ++i)
-        total.accumulate(shardStatsSnapshot(i));
-    return total;
+    DaemonStatsSnapshot st;
+    st.connections = counters_.connections.value();
+    st.disconnects = counters_.disconnects.value();
+    st.idleCloses = counters_.idleCloses.value();
+    st.acceptFailures = counters_.acceptFailures.value();
+    st.requests = counters_.requests.value();
+    st.badRequests = counters_.badRequests.value();
+    st.immediate = counters_.immediate.value();
+    st.jobsAdmitted = counters_.jobsAdmitted.value();
+    st.jobsCompleted = counters_.jobsCompleted.value();
+    st.jobsFailed = counters_.jobsFailed.value();
+    st.rejectedOverloaded = counters_.rejectedOverloaded.value();
+    st.rejectedQuota = counters_.rejectedQuota.value();
+    st.rejectedDraining = counters_.rejectedDraining.value();
+    st.writeErrors = counters_.writeErrors.value();
+    st.progressEvents = counters_.progressEvents.value();
+    st.deadlineExceeded = counters_.deadlineExceeded.value();
+    st.cancelled = counters_.cancelled.value();
+    st.slowReaderCloses = counters_.slowReaderCloses.value();
+    st.watchdogFlags = counters_.watchdogFlags.value();
+    st.subscribes = counters_.subscribes.value();
+    st.eventsEmitted = counters_.eventsEmitted.value();
+    st.eventsDropped = counters_.eventsDropped.value();
+    {
+        std::lock_guard<std::mutex> lock(jobMutex_);
+        st.queued = jobQueue_.size();
+        st.running = runningJobs_;
+    }
+    st.clients = clientCount_.load(std::memory_order_relaxed);
+    return st;
 }
 
 std::string
 DaemonServer::statsFields()
 {
     // ONE serializer for every stats surface: the daemon block uses
-    // DaemonStatsSnapshot::writeJsonFields over the accumulated
-    // per-shard snapshots, the trace block reuses
+    // DaemonStatsSnapshot::writeJsonFields, the trace block reuses
     // TraceRepoStats::writeJsonFields — exactly what --stats-json and
-    // BENCH_session.json print. The slo block aggregates the
-    // per-shard trackers (copied under their locks) the same way
-    // cluster-stats later aggregates processes: sums for monotone
-    // counters, worst-shard for window readings.
+    // BENCH_session.json print.
     DaemonStatsSnapshot daemon_stats = statsSnapshot();
     TraceRepoStats repo_stats = session_.traces().stats();
-    std::vector<SloTracker> slos;
-    slos.reserve(shards_.size());
-    for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->sloMutex);
-        slos.push_back(shard->slo);
-    }
     std::ostringstream os;
-    os << "\"shards\": " << shards_.size() << ", \"daemon\": {";
+    os << "\"daemon\": {";
     daemon_stats.writeJsonFields(os);
     os << "}, \"slo\": {";
-    writeAggregateSloFields(os, slos);
+    slo_.writeJsonFields(os);
     os << "}, \"log\": {\"warnings_emitted\": " << warningsEmitted()
        << ", \"warnings_suppressed\": " << warningsSuppressed()
        << "}, \"trace\": " << repoStatsJson(repo_stats);

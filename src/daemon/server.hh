@@ -1,29 +1,22 @@
 /**
  * @file
- * vpprofd's serving core: N sharded poll() event loops over a Unix
- * domain stream socket (plus an optional TCP front-end), multiplexing
- * profile/evaluate/verify jobs from many concurrent clients onto ONE
- * shared Session (one trace-once repository, one memoized profile
- * cache, one flock-serialized persistent trace cache) through the
- * existing ExperimentRunner thread pool.
+ * vpprofd's serving core: a single-threaded poll() event loop over a
+ * Unix domain stream socket (plus an optional TCP front-end),
+ * multiplexing profile/evaluate/verify jobs from many concurrent
+ * clients onto ONE shared Session (one trace-once repository, one
+ * memoized profile cache, one flock-serialized persistent trace
+ * cache) through the existing ExperimentRunner thread pool.
  *
- * Threading model (DESIGN.md §13, §15):
- *  - each SHARD's event-loop thread owns that shard's sockets, client
- *    buffers, subscriber rings, journal, SLO window and admission
- *    bookkeeping — no locks on a shard's serving path. Shard 0
- *    additionally owns the listeners and hands accepted connections
- *    to shards round-robin through a tiny per-shard mailbox (the only
- *    shard-to-shard channel), so a connection's whole life happens on
- *    exactly one shard;
- *  - one EXECUTOR thread pulls admitted jobs from the shared queue in
- *    batches and fans them across the runner with forEach (the runner
- *    is not re-entrant across threads, so exactly one thread drives
- *    it); every job remembers its shard, and its Started notice and
- *    completion post back to that shard's queues + wake pipe;
- *  - per-shard serving counters are dual-written: a per-shard
- *    `daemon.shard<i>.*` registry series (Prometheus exposition
- *    rewrites it to a `shard="<i>"` label) plus the process-wide
- *    `daemon.*` aggregate every existing consumer reads.
+ * Threading model (DESIGN.md §13):
+ *  - the EVENT LOOP thread owns every socket, every client buffer,
+ *    the subscriber rings, the journal, the SLO window and all
+ *    admission state — no locks on the serving path;
+ *  - one EXECUTOR thread pulls admitted jobs in batches and fans them
+ *    across the runner with forEach (the runner is not re-entrant
+ *    across threads, so exactly one thread drives it);
+ *  - Started notices and completions post back through mutex-guarded
+ *    queues plus a self-pipe byte, the only executor -> event-loop
+ *    channel.
  *
  * Robustness is first-class:
  *  - admission control: a bounded queue (maxQueue admitted jobs) with
@@ -50,16 +43,15 @@
  *  - idle/read timeouts: a connection with no complete request and no
  *    job in flight for idleTimeoutMs is closed;
  *  - graceful drain: SIGTERM (via requestShutdown()) or the protocol
- *    `shutdown` command reaches EVERY shard (one wake byte each),
- *    stops accepting connections and admitting jobs (`draining`
- *    rejections), finishes every admitted job, flushes every shard's
- *    client buffers AND subscriber rings (a pending lifecycle event
- *    is delivered, not dropped at teardown), then flushes the
- *    telemetry outputs once after the last shard quiesces;
- *  - multi-process cooperation: M daemons sharing one trace cache
- *    stay correct through the repository's advisory flock, and stay
- *    observable through ClusterBoard heartbeats + the `cluster-stats`
- *    command (daemon/cluster.hh);
+ *    `shutdown` command stops accepting connections and admitting
+ *    jobs (`draining` rejections), finishes every admitted job,
+ *    flushes every client buffer AND subscriber ring (a pending
+ *    lifecycle event is delivered, not dropped at teardown), then
+ *    flushes the telemetry outputs (--metrics-out / --trace-json
+ *    survive a signal-initiated exit);
+ *  - several daemons on one trace cache stay correct through the
+ *    repository's advisory flock: a trace is captured once and every
+ *    other process loads it (DESIGN.md §15);
  *  - fault injection: `daemon.accept` and `daemon.write` failpoints
  *    make socket-level faults deterministic, and the trace-cache
  *    failpoint matrix applies unchanged under the daemon — a corrupt
@@ -75,7 +67,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -85,7 +76,6 @@
 #include "common/telemetry/metrics.hh"
 #include "common/telemetry/span.hh"
 #include "core/session.hh"
-#include "daemon/cluster.hh"
 #include "daemon/dispatch.hh"
 #include "daemon/observe.hh"
 #include "daemon/protocol.hh"
@@ -105,22 +95,13 @@ struct DaemonConfig
     /** The shared Session underneath (jobs, trace cache, budget). */
     SessionConfig session;
 
-    /** Event-loop shards: independent poll() loops fed round-robin
-     *  from the shared listener. 1 = the classic single loop. */
+    /** Event loops: must be 1 (start() fails otherwise). Kept only
+     *  for callers that still assign it. */
     size_t shards = 1;
 
     /** Optional TCP front-end, "host:port" (port 0 picks a free one;
      *  tcpPort() reports the bound port). Empty = Unix socket only. */
     std::string listenAddress;
-
-    /** Cadence of ClusterBoard stats heartbeats into the shared trace
-     *  cache (multi-process cooperation); only meaningful when the
-     *  session has a trace cache directory. */
-    uint64_t clusterHeartbeatMs = 1'000;
-
-    /** A cluster member whose heartbeat is older than this is skipped
-     *  by `cluster-stats` aggregation. */
-    uint64_t clusterStaleMs = 60'000;
 
     /** Admission bound: queued + running jobs; beyond it requests are
      *  rejected `overloaded`. */
@@ -151,8 +132,8 @@ struct DaemonConfig
      *  hint scales with the backlog (base + 2*queued). */
     uint64_t retryHintMs = 25;
 
-    /** Retained job lifecycle events (the `journal` command) PER
-     *  SHARD; 0 disables the journal. */
+    /** Retained job lifecycle events (the `journal` command); 0
+     *  disables the journal. */
     size_t journalCap = 256;
 
     /** Per-subscriber pending-event ring bound: a subscriber whose
@@ -162,11 +143,10 @@ struct DaemonConfig
     size_t subscriberRingCap = 256;
 
     /** Declarative objectives evaluated over a sliding window of
-     *  answered jobs (vpprofd --slo); tracked per shard, reported
-     *  aggregated. */
+     *  answered jobs (vpprofd --slo). */
     SloConfig slo;
 
-    /** SLO evaluation window (answered jobs) per shard. */
+    /** SLO evaluation window (answered jobs). */
     size_t sloWindow = 256;
 
     /** When non-empty, periodically export the live metrics snapshot
@@ -182,10 +162,7 @@ struct DaemonConfig
  * analogue of TraceRepoStats): live values are telemetry-backed
  * `daemon.*` counters, so the protocol `stats` command, vpprofd
  * --stats, --metrics-out and the load bench all read one source of
- * truth through one serializer (writeJsonFields). With shards, one
- * snapshot describes one shard and accumulate() folds shards together
- * — plain per-field addition, so the merge is associative and
- * order-independent (daemon_shard_test locks this in).
+ * truth through one serializer (writeJsonFields).
  */
 struct DaemonStatsSnapshot
 {
@@ -217,10 +194,6 @@ struct DaemonStatsSnapshot
     uint64_t running = 0;  ///< jobs on runner lanes now
     uint64_t clients = 0;  ///< open connections
 
-    /** Fold `other` into this snapshot (field-wise addition; levels
-     *  sum too — a level is a per-shard occupancy). */
-    void accumulate(const DaemonStatsSnapshot &other);
-
     /** The counters as JSON object members (no braces), snake_case. */
     void writeJsonFields(std::ostream &os) const;
 };
@@ -236,32 +209,24 @@ class DaemonServer
 
     /**
      * Bind + listen on the socket(s) and start the executor thread.
-     * False (with a diagnostic) when a socket cannot be created.
+     * False (with a diagnostic) when a socket cannot be created or
+     * the config asks for more than one event loop.
      */
     bool start(std::string *error);
 
     /**
-     * The event loops: shard 0 runs on the calling thread, shards
-     * 1..N-1 on their own threads; serves until a graceful drain
-     * completes on every shard. Returns 0 after a clean drain (the
-     * only way it returns).
+     * The event loop: serves until a graceful drain completes.
+     * Returns 0 after a clean drain (the only way it returns).
      */
     int run();
 
     /**
-     * Begin a graceful drain on EVERY shard. Async-signal-safe (one
-     * write() per shard wake pipe): SIGTERM handlers call this.
-     * Idempotent.
+     * Begin a graceful drain. Async-signal-safe (one write() to the
+     * self-pipe): SIGTERM handlers call this. Idempotent.
      */
     void requestShutdown();
 
-    /** Whole-daemon counters: every shard's snapshot accumulated. */
     DaemonStatsSnapshot statsSnapshot() const;
-
-    /** One shard's counters (aggregation tests / per-shard probes). */
-    DaemonStatsSnapshot shardStatsSnapshot(size_t shard) const;
-
-    size_t shardCount() const { return shards_.size(); }
 
     /** The TCP front-end's bound port (0 when --listen is off). */
     uint16_t tcpPort() const { return tcpPort_; }
@@ -299,7 +264,6 @@ class DaemonServer
 
     struct Job
     {
-        size_t shard = 0;          ///< owning shard (completion routing)
         uint64_t clientSerial = 0;
         Request req;
         uint64_t admitNs = 0;
@@ -309,7 +273,6 @@ class DaemonServer
 
     struct Completion
     {
-        size_t shard = 0;
         uint64_t clientSerial = 0;
         uint64_t requestId = 0;
         Command cmd = Command::Ping;
@@ -320,279 +283,169 @@ class DaemonServer
         std::string workload;
     };
 
-    /** One serving counter, dual-written: the per-shard registry
-     *  series (`daemon.shard<i>.<base>`, whose local value backs this
-     *  shard's snapshot) plus the process-wide `daemon.<base>`
-     *  aggregate that pre-shard consumers (CI smokes, goldens,
-     *  --metrics-out assertions) keep reading. */
-    struct DualCounter
-    {
-        DualCounter(const std::string &shard_prefix, const char *base)
-            : shard(shard_prefix + base),
-              aggregate(std::string("daemon.") + base)
-        {
-        }
-
-        void add(uint64_t delta = 1)
-        {
-            shard.add(delta);
-            aggregate.add(delta);
-        }
-
-        uint64_t value() const { return shard.value(); }
-
-        telemetry::ScopedCounter shard;
-        telemetry::Counter aggregate;
-    };
-
-    /** Live serving counters for ONE shard (the TraceRepository::
-     *  Counters idiom, dual-written per DualCounter). */
-    struct ShardCounters
-    {
-        explicit ShardCounters(const std::string &p)
-            : connections(p, "connections"),
-              disconnects(p, "disconnects"),
-              idleCloses(p, "idle_closes"),
-              acceptFailures(p, "accept_failures"),
-              requests(p, "requests"),
-              badRequests(p, "bad_requests"),
-              immediate(p, "immediate"),
-              jobsAdmitted(p, "jobs_admitted"),
-              jobsCompleted(p, "jobs_completed"),
-              jobsFailed(p, "jobs_failed"),
-              rejectedOverloaded(p, "rejected_overloaded"),
-              rejectedQuota(p, "rejected_quota"),
-              rejectedDraining(p, "rejected_draining"),
-              writeErrors(p, "write_errors"),
-              progressEvents(p, "progress_events"),
-              deadlineExceeded(p, "deadline_exceeded"),
-              cancelled(p, "cancelled"),
-              slowReaderCloses(p, "slow_reader_closes"),
-              watchdogFlags(p, "watchdog_flags"),
-              subscribes(p, "subscribes"),
-              eventsEmitted(p, "events_emitted"),
-              eventsDropped(p, "events_dropped"),
-              sloLatencyBurns(p, "slo_latency_burns"),
-              sloErrorBurns(p, "slo_error_burns"),
-              shardJobLatencyUs(p + "job_latency.us"),
-              jobLatencyUs("daemon.job_latency.us")
-        {
-        }
-
-        DualCounter connections;
-        DualCounter disconnects;
-        DualCounter idleCloses;
-        DualCounter acceptFailures;
-        DualCounter requests;
-        DualCounter badRequests;
-        DualCounter immediate;
-        DualCounter jobsAdmitted;
-        DualCounter jobsCompleted;
-        DualCounter jobsFailed;
-        DualCounter rejectedOverloaded;
-        DualCounter rejectedQuota;
-        DualCounter rejectedDraining;
-        DualCounter writeErrors;
-        DualCounter progressEvents;
-        DualCounter deadlineExceeded;
-        DualCounter cancelled;
-        DualCounter slowReaderCloses;
-        DualCounter watchdogFlags;
-        DualCounter subscribes;
-        DualCounter eventsEmitted;
-        DualCounter eventsDropped;
-        DualCounter sloLatencyBurns;
-        DualCounter sloErrorBurns;
-
-        void observeJobLatencyUs(uint64_t us)
-        {
-            shardJobLatencyUs.observe(us);
-            jobLatencyUs.observe(us);
-        }
-
-        telemetry::HistogramMetric shardJobLatencyUs;
-        telemetry::HistogramMetric jobLatencyUs;
-    };
-
-    /**
-     * One event-loop shard: everything the single-loop daemon used to
-     * own per process, now owned per shard by exactly one thread.
-     * Cross-thread members (mailbox, completion/started queues, wake
-     * pipe write end, atomic levels, the SLO tracker guarded for
-     * aggregate reads) are each individually synchronized; everything
-     * else is touched only by the shard's loop.
-     */
-    struct Shard
-    {
-        Shard(size_t idx, size_t shard_count, const DaemonConfig &cfg)
-            : index(idx),
-              nextClientSerial(idx + 1),
-              nextTraceId(idx + 1),
-              eventSeq(idx + 1),
-              journal(telemetry::kEnabled ? cfg.journalCap : 0),
-              counters("daemon.shard" + std::to_string(idx) + ".")
-        {
-            (void)shard_count;
-            slo.configure(cfg.slo, cfg.sloWindow);
-        }
-
-        const size_t index;
-
-        int wakeRead = -1;
-        std::atomic<int> wakeWrite{-1};
-        bool draining = false;
-
-        std::map<int, Client> clients;            ///< by fd
-        std::map<uint64_t, int> clientFdBySerial;
-        std::atomic<uint64_t> clientCount{0};     ///< cross-shard reads
-
-        // Striped id spaces: shard i mints index+1, index+1+N, ... so
-        // serials, trace ids and event seqs stay daemon-unique without
-        // shared counters (and identical to pre-shard ids at N = 1).
-        uint64_t nextClientSerial;
-        uint64_t nextTraceId;
-        uint64_t eventSeq;
-
-        uint64_t lastProgressTickNs = 0;
-        uint64_t lastMetricsExportNs = 0;   ///< shard 0 only
-        uint64_t lastClusterPublishNs = 0;  ///< shard 0 only
-        uint64_t watchdogFlaggedSeq = 0;    ///< shard 0 only
-
-        /** Listener -> shard connection mailbox (shard 0 produces,
-         *  this shard adopts). */
-        std::mutex handoffMutex;
-        std::vector<int> handoff;
-
-        std::mutex completionMutex;
-        std::deque<Completion> completions;
-
-        /** Executor -> this shard: jobs pulled onto runner lanes, so
-         *  the loop can record Started events (the journal and the
-         *  subscriber fan-out are shard-loop-only state). */
-        std::mutex startedMutex;
-        std::deque<JobEvent> startedEvents;
-
-        EventJournal journal;
-
-        /** Guards slo for the cross-shard aggregate in statsFields();
-         *  uncontended on the observe path. */
-        std::mutex sloMutex;
-        SloTracker slo;
-
-        uint64_t lastRegenerations = 0;  ///< shard 0 only (recovery)
-        uint64_t lastQuarantined = 0;    ///< shard 0 only
-
-        /** Span-streaming cursor into the tracer's thread buffers
-         *  (each shard is an independent consumer: its span
-         *  subscribers see every span). */
-        std::vector<size_t> spanCursors;
-
-        ShardCounters counters;
-
-        std::thread thread;  ///< shards 1..N-1 (shard 0 runs inline)
-    };
-
-    // --- shard event loop (that shard's thread only) ---------------
-    void shardLoop(Shard &shard);
-    void adoptHandoff(Shard &shard);
-    void adoptClient(Shard &shard, int fd);
-    void acceptClients(Shard &shard, int listen_fd);
-    void readClient(Shard &shard, int fd);
-    void handleLine(Shard &shard, Client &client,
-                    const std::string &line);
-    void handleJobRequest(Shard &shard, Client &client,
-                          const Request &req);
-    void handleCancel(Shard &shard, Client &client, const Request &req);
-    void handleSubscribe(Shard &shard, Client &client,
-                         const Request &req);
-    void handleMetrics(Shard &shard, Client &client, const Request &req);
-    void handleJournal(Shard &shard, Client &client, const Request &req);
-    void handleClusterStats(Shard &shard, Client &client,
-                            const Request &req);
+    // --- event-loop internals (event-loop thread only) -------------
+    void acceptClients(int listen_fd);
+    void readClient(int fd);
+    void handleLine(Client &client, const std::string &line);
+    void handleJobRequest(Client &client, const Request &req);
+    void handleCancel(Client &client, const Request &req);
+    void handleSubscribe(Client &client, const Request &req);
+    void handleMetrics(Client &client, const Request &req);
+    void handleJournal(Client &client, const Request &req);
     /** ONE serializer for load-shedding rejections: counts the
      *  matching counter, includes the backlog depth and a
      *  retry_after_ms hint in the response. */
-    void rejectShedding(Shard &shard, Client &client, const Request &req,
+    void rejectShedding(Client &client, const Request &req,
                         ErrorCode code, const std::string &detail);
     /** Answer + settle one job that will never reach the executor
      *  (deadline expiry / cancel): decrement inflight, drop progress
      *  subscription, send the error line. */
-    void settleDeadJob(Shard &shard, const Job &job, ErrorCode code,
+    void settleDeadJob(const Job &job, ErrorCode code,
                        const std::string &detail);
-    /** Remove this shard's queued jobs past their deadline. */
-    void expireQueuedJobs(Shard &shard, uint64_t now_ns);
-    void sendLine(Shard &shard, Client &client, const std::string &line);
-    void flushClient(Shard &shard, Client &client);
-    void closeClient(Shard &shard, int fd, bool counted_idle = false);
-    void drainCompletions(Shard &shard);
-    void handleTimers(Shard &shard, uint64_t now_ns);
-    void beginDrain(Shard &shard);
+    /** Remove queued jobs past their deadline (timer sweep). */
+    void expireQueuedJobs(uint64_t now_ns);
+    void sendLine(Client &client, const std::string &line);
+    void flushClient(Client &client);
+    void closeClient(int fd, bool counted_idle = false);
+    void drainCompletions();
+    void handleTimers(uint64_t now_ns);
+    void beginDrain();
     /** Drain-path ring flush: move EVERY pending subscriber line into
      *  the client's outBuf (the rings are bounded, so this cannot grow
-     *  past ringCap lines) — a shard may not quiesce while a delivered
-     *  event still sits undeliverable in a ring. */
-    void flushSubscriberRings(Shard &shard);
-    bool shardDrainComplete(Shard &shard);
-    int computeTimeoutMs(Shard &shard, uint64_t now_ns);
+     *  past ringCap lines) — the loop may not quiesce while a
+     *  delivered event still sits undeliverable in a ring. */
+    void flushSubscriberRings();
+    bool drainComplete() const;
+    int computeTimeoutMs(uint64_t now_ns) const;
     std::string statsFields();
 
-    // --- observability plane (shard thread only) -------------------
+    // --- observability plane (event-loop thread only) --------------
     /** Record one job lifecycle event: stamp seq + telemetry clock,
      *  journal it, mirror it as a Perfetto instant when tracing is
-     *  armed, and fan it out to this shard's lifecycle subscribers. */
-    void recordJobEvent(Shard &shard, JobEvent event);
+     *  armed, and fan it out to lifecycle subscribers. */
+    void recordJobEvent(JobEvent event);
     /** Drain executor-posted Started notices into recordJobEvent. */
-    void drainStartedEvents(Shard &shard);
+    void drainStartedEvents();
     /** Enqueue one rendered line into a subscriber's ring (dropping
      *  the oldest pending line on overflow) and pump it. */
-    void pushToSubscriber(Shard &shard, Client &client,
-                          const std::string &line);
+    void pushToSubscriber(Client &client, const std::string &line);
     /** Move pending ring lines into outBuf while the backlog stays
      *  under maxClientOutBufBytes, then flush. */
-    void pumpSubscriber(Shard &shard, Client &client);
+    void pumpSubscriber(Client &client);
     /** Fan one rendered line to every subscriber passing `pick`. */
     template <typename Pick>
-    void fanToSubscribers(Shard &shard, const std::string &line,
-                          Pick pick);
-    /** Stream newly recorded spans to this shard's span subscribers. */
-    void streamSpans(Shard &shard);
-    /** Emit Recovery events for trace-cache healing (shard 0). */
-    void pollRecoveryEvents(Shard &shard);
-    /** True when any of the shard's connections subscribes to spans. */
-    bool haveSpanSubscriber(const Shard &shard) const;
+    void fanToSubscribers(const std::string &line, Pick pick);
+    /** Stream newly recorded spans to span subscribers. */
+    void streamSpans();
+    /** Emit Recovery events for trace-cache healing since last check. */
+    void pollRecoveryEvents();
+    /** True when any open connection subscribes to `spans`. */
+    bool haveSpanSubscriber() const;
 
     // --- executor thread -------------------------------------------
     void executorLoop();
-    void wakeShard(Shard &shard, char tag);
+    void wake(char tag);
 
     DaemonConfig config_;
     WorkloadSuite suite_;
     Session session_;
     Dispatcher dispatcher_;
-    ClusterBoard cluster_;
 
-    int listenFd_ = -1;     ///< Unix listener (shard 0 polls it)
+    int listenFd_ = -1;     ///< Unix listener
     int tcpListenFd_ = -1;  ///< TCP front-end listener (--listen)
     uint16_t tcpPort_ = 0;
+    int wakeRead_ = -1;
+    std::atomic<int> wakeWrite_{-1};
     bool started_ = false;
+    bool draining_ = false;
     bool socketBound_ = false;
-    size_t rrNext_ = 0;  ///< round-robin handoff cursor (shard 0)
 
-    std::vector<std::unique_ptr<Shard>> shards_;
+    std::map<int, Client> clients_;            ///< by fd
+    std::map<uint64_t, int> clientFdBySerial_;
+    std::atomic<uint64_t> clientCount_{0};     ///< statsSnapshot() reads
+    uint64_t nextClientSerial_ = 1;
+    uint64_t lastProgressTickNs_ = 0;
 
     std::thread executor_;
     mutable std::mutex jobMutex_;
     std::condition_variable jobCv_;
     std::deque<Job> jobQueue_;
-    std::vector<size_t> runningByShard_;  ///< guarded by jobMutex_
+    size_t runningJobs_ = 0;
     bool executorStop_ = false;
+
+    mutable std::mutex completionMutex_;
+    std::deque<Completion> completions_;
+
+    /** Executor -> event loop: jobs pulled onto runner lanes, so the
+     *  loop can record Started events (the journal and subscriber
+     *  fan-out are event-loop-only state). */
+    mutable std::mutex startedMutex_;
+    std::deque<JobEvent> startedEvents_;
+
+    // --- observability state (event-loop thread only) --------------
+    EventJournal journal_;
+    SloTracker slo_;
+    uint64_t nextTraceId_ = 1;
+    uint64_t eventSeq_ = 1;
+    uint64_t lastRegenerations_ = 0;
+    uint64_t lastQuarantined_ = 0;
+    uint64_t lastMetricsExportNs_ = 0;
+    /** Span-streaming cursor into the tracer's thread buffers (one
+     *  consumer: the event loop fans collected spans to every span
+     *  subscriber). */
+    std::vector<size_t> spanCursors_;
 
     /** Watchdog view of the executor: when a batch is running,
      *  execBatchStartNs_ holds its start (0 between batches) and
-     *  execBatchSeq_ its ordinal, so shard 0 flags one stuck batch
-     *  exactly once. */
+     *  execBatchSeq_ its ordinal, so the event loop flags one stuck
+     *  batch exactly once. */
     std::atomic<uint64_t> execBatchStartNs_{0};
     std::atomic<uint64_t> execBatchSeq_{0};
+    uint64_t watchdogFlaggedSeq_ = 0;
+
+    /** Live serving counters mirrored into the telemetry registry
+     *  under `daemon.*` (the TraceRepository::Counters idiom). */
+    struct Counters
+    {
+        telemetry::ScopedCounter connections{"daemon.connections"};
+        telemetry::ScopedCounter disconnects{"daemon.disconnects"};
+        telemetry::ScopedCounter idleCloses{"daemon.idle_closes"};
+        telemetry::ScopedCounter acceptFailures{
+            "daemon.accept_failures"};
+        telemetry::ScopedCounter requests{"daemon.requests"};
+        telemetry::ScopedCounter badRequests{"daemon.bad_requests"};
+        telemetry::ScopedCounter immediate{"daemon.immediate"};
+        telemetry::ScopedCounter jobsAdmitted{"daemon.jobs_admitted"};
+        telemetry::ScopedCounter jobsCompleted{"daemon.jobs_completed"};
+        telemetry::ScopedCounter jobsFailed{"daemon.jobs_failed"};
+        telemetry::ScopedCounter rejectedOverloaded{
+            "daemon.rejected_overloaded"};
+        telemetry::ScopedCounter rejectedQuota{"daemon.rejected_quota"};
+        telemetry::ScopedCounter rejectedDraining{
+            "daemon.rejected_draining"};
+        telemetry::ScopedCounter writeErrors{"daemon.write_errors"};
+        telemetry::ScopedCounter progressEvents{
+            "daemon.progress_events"};
+        telemetry::ScopedCounter deadlineExceeded{
+            "daemon.deadline_exceeded"};
+        telemetry::ScopedCounter cancelled{"daemon.cancelled"};
+        telemetry::ScopedCounter slowReaderCloses{
+            "daemon.slow_reader_closes"};
+        telemetry::ScopedCounter watchdogFlags{
+            "daemon.watchdog_flags"};
+        telemetry::ScopedCounter subscribes{"daemon.subscribes"};
+        telemetry::ScopedCounter eventsEmitted{
+            "daemon.events_emitted"};
+        telemetry::ScopedCounter eventsDropped{
+            "daemon.events_dropped"};
+        telemetry::ScopedCounter sloLatencyBurns{
+            "daemon.slo_latency_burns"};
+        telemetry::ScopedCounter sloErrorBurns{
+            "daemon.slo_error_burns"};
+        telemetry::HistogramMetric jobLatencyUs{
+            "daemon.job_latency.us"};
+    };
+    Counters counters_;
 };
 
 } // namespace daemon

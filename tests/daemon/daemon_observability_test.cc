@@ -3,14 +3,17 @@
  * The daemon's observability plane over a real socket (DESIGN.md §14):
  * trace-id echo and minting, journal ordering, the subscribe round
  * trip (ack spec, event stream, deterministic sampling), the
- * slow-subscriber shed contract, SLO burn accounting, the metrics
- * command in both formats, and the acceptance-criteria property that
- * one request's span tree is reconstructible from the Perfetto trace
- * by trace id alone.
+ * slow-subscriber shed contract, the drain delivering a pending
+ * lifecycle event before EOF, SLO burn accounting, the metrics
+ * command in both formats, the lint-clean Prometheus exposition
+ * grammar, and the acceptance-criteria property that one request's
+ * span tree is reconstructible from the Perfetto trace by trace id
+ * alone.
  */
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -331,6 +334,94 @@ TEST_F(DaemonObservabilityTest, MetricsCommandServesBothFormats)
         EXPECT_NE(text.find("vpprof_daemon_requests_total"),
                   std::string::npos)
             << text;
+}
+
+TEST_F(DaemonObservabilityTest, PrometheusExpositionFollowsTextGrammar)
+{
+    if (!telemetry::kEnabled)
+        GTEST_SKIP() << "telemetry disabled at build time";
+    startServer(baseConfig());
+    DaemonClient driver = connectedClient();
+    DaemonClient scraper = connectedClient();
+
+    // One finished job, so the daemon's job-latency histogram exists.
+    Request job;
+    job.id = 1;
+    job.cmd = Command::Profile;
+    job.workload = "compress";
+    ASSERT_TRUE(rawCall(driver, job).ok);
+
+    Request req;
+    req.id = 2;
+    req.cmd = Command::Metrics;
+    req.format = "prometheus";
+    CallResult prom = rawCall(scraper, req);
+    ASSERT_TRUE(prom.ok) << prom.error;
+    std::string text =
+        prom.response.get("result")->stringOr("text", "");
+    ASSERT_FALSE(text.empty());
+
+    // Histogram series carry an `le` label and close with +Inf.
+    EXPECT_NE(text.find("vpprof_daemon_job_us_bucket{le=\""),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("vpprof_daemon_job_us_bucket{le=\"+Inf\"} "),
+              std::string::npos);
+
+    // Every line satisfies the same exposition grammar the CI lint
+    // enforces over the --metrics-listen file.
+    const std::regex line_re(
+        R"(^(#.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})?)"
+        R"( [0-9eE.+-]+(\s[0-9]+)?))");
+    std::istringstream lines(text);
+    std::string line;
+    size_t checked = 0;
+    while (std::getline(lines, line)) {
+        if (line.empty())
+            continue;
+        EXPECT_TRUE(std::regex_match(line, line_re))
+            << "lint-breaking line: " << line;
+        ++checked;
+    }
+    EXPECT_GT(checked, 10u);
+}
+
+TEST_F(DaemonObservabilityTest, DrainDeliversPendingCompletedEventBeforeEof)
+{
+    if (!telemetry::kEnabled)
+        GTEST_SKIP() << "telemetry disabled at build time";
+    startServer(baseConfig());
+
+    DaemonClient sub = connectedClient();
+    CallResult ack = sub.call(
+        R"({"id": 1, "cmd": "subscribe", "events": "lifecycle"})", 1,
+        5000);
+    ASSERT_TRUE(ack.ok) << ack.error;
+
+    // progress=true: the `accepted` event proves ADMISSION before the
+    // drain begins (a drain-rejected job would void the test).
+    DaemonClient job = connectedClient();
+    ASSERT_TRUE(job.sendLine(
+        R"({"id": 2, "cmd": "verify", "workload": "li", "input": 0,)"
+        R"( "progress": true})"));
+    std::optional<std::string> accepted = job.readLine(30'000);
+    ASSERT_TRUE(accepted) << job.lastError();
+    EXPECT_NE(accepted->find("\"accepted\""), std::string::npos)
+        << *accepted;
+
+    // Drain mid-flight: the admitted job completes, and the subscriber
+    // receives its completed lifecycle event before a clean EOF.
+    server_->requestShutdown();
+    bool saw_completed = false;
+    while (auto line = sub.readLine(120'000)) {
+        if (line->find("\"completed\"") != std::string::npos)
+            saw_completed = true;
+    }
+    EXPECT_TRUE(saw_completed)
+        << "subscriber missed the completed event; last error: "
+        << sub.lastError();
+    EXPECT_EQ(sub.lastReason(), CallReason::Eof);
+    EXPECT_EQ(stopServer(), 0);
 }
 
 #if VPPROF_TELEMETRY_ENABLED

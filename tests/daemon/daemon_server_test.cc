@@ -483,6 +483,100 @@ TEST_F(DaemonServerTest, ManyClientsShareOneTraceRepository)
     EXPECT_EQ(server_->session().traces().vmRuns(), 1u);
 }
 
+TEST_F(DaemonServerTest, StartRejectsMoreThanOneEventLoop)
+{
+    // DaemonConfig::shards survives only for callers that assign 1;
+    // any other value is a configuration error, not a silent fallback.
+    for (size_t shards : {size_t{0}, size_t{2}}) {
+        DaemonConfig cfg = baseConfig();
+        cfg.shards = shards;
+        DaemonServer server(cfg);
+        std::string error;
+        EXPECT_FALSE(server.start(&error)) << "shards=" << shards;
+        EXPECT_NE(error.find("shards must be 1"), std::string::npos)
+            << error;
+        EXPECT_FALSE(fs::exists(cfg.socketPath));
+    }
+}
+
+TEST_F(DaemonServerTest, TcpFrontEndAnswersByteIdenticalToUnixSocket)
+{
+    DaemonConfig cfg = baseConfig();
+    cfg.listenAddress = "127.0.0.1:0";
+    startServer(cfg);
+    ASSERT_NE(server_->tcpPort(), 0);
+
+    DaemonClient unix_client = connectedClient();
+    DaemonClient tcp_client;
+    std::string error;
+    ASSERT_TRUE(tcp_client.connect(
+        "127.0.0.1:" + std::to_string(server_->tcpPort()), &error))
+        << error;
+
+    // A fixed trace_id pins every daemon-chosen field, so the full
+    // response LINES must match byte for byte across transports.
+    const std::string req =
+        R"({"id": 7, "cmd": "verify", "workload": "li", "input": 0,)"
+        R"( "trace_id": 42})";
+    CallResult via_unix = unix_client.call(req, 7, 120'000);
+    CallResult via_tcp = tcp_client.call(req, 7, 120'000);
+    ASSERT_TRUE(via_unix.ok) << via_unix.error;
+    ASSERT_TRUE(via_tcp.ok) << via_tcp.error;
+    EXPECT_EQ(via_unix.raw, via_tcp.raw);
+}
+
+TEST_F(DaemonServerTest, TwoDaemonsOnOneCacheCaptureEachTraceOnce)
+{
+    std::string cache = "/tmp/vpd_cache_" + std::to_string(::getpid());
+    fs::remove_all(cache);
+    fs::create_directories(cache);
+
+    DaemonConfig cfg_a = baseConfig();
+    cfg_a.session.traceCacheDir = cache;
+    DaemonConfig cfg_b = baseConfig();
+    cfg_b.session.traceCacheDir = cache;
+    startServer(cfg_a);
+    DaemonServer server_b(cfg_b);
+    std::string error;
+    ASSERT_TRUE(server_b.start(&error)) << error;
+    std::thread thread_b([&server_b] { server_b.run(); });
+
+    // One (workload, input) profiled from BOTH processes: profile
+    // replays through the trace repository, so the shared cache and
+    // its flock must make the second daemon load A's capture instead
+    // of interpreting again.
+    DaemonClient client_a = connectedClient();
+    DaemonClient client_b;
+    ASSERT_TRUE(client_b.connect(cfg_b.socketPath, &error)) << error;
+    CallResult job_a = client_a.call(1, Command::Profile, "li", 0, 0,
+                                     false, 120'000);
+    ASSERT_TRUE(job_a.ok) << job_a.error;
+    CallResult job_b = client_b.call(2, Command::Profile, "li", 0, 0,
+                                     false, 120'000);
+    ASSERT_TRUE(job_b.ok) << job_b.error;
+    EXPECT_EQ(job_a.response.get("result")->numberOr("digest", -1),
+              job_b.response.get("result")->numberOr("digest", -2));
+
+    // Each daemon's own `stats`: one VM run between them, and B got
+    // its trace from the disk A wrote.
+    double vm_runs = 0;
+    for (DaemonClient *client : {&client_a, &client_b}) {
+        CallResult stats = client->call(3, Command::Stats, "", 0, 0,
+                                        false, 5000);
+        ASSERT_TRUE(stats.ok) << stats.error;
+        vm_runs += stats.response.get("result")
+                       ->get("trace")
+                       ->numberOr("vm_runs", -1);
+    }
+    EXPECT_EQ(vm_runs, 1.0);
+    EXPECT_GE(server_b.session().traces().stats().diskLoads, 1u);
+
+    server_b.requestShutdown();
+    thread_b.join();
+    stopServer();
+    fs::remove_all(cache);
+}
+
 } // namespace
 } // namespace daemon
 } // namespace vpprof

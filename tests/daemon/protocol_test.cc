@@ -57,6 +57,8 @@ TEST(Protocol, RejectsMalformedDocuments)
     EXPECT_FALSE(parseRequest(R"({"id": "x", "cmd": "ping"})", &error));
     EXPECT_FALSE(parseRequest(R"({"id": 1, "cmd": "launch"})", &error));
     EXPECT_FALSE(
+        parseRequest(R"({"id": 1, "cmd": "cluster-stats"})", &error));
+    EXPECT_FALSE(
         parseRequest(R"({"id": 1, "cmd": 7})", &error));
 }
 

@@ -41,11 +41,22 @@ runAlu(Opcode op, int64_t a, int64_t b2)
     return m.reg(R(3));
 }
 
+/** One ALU case. ctest names each case after the param's raw bytes,
+ *  so the struct must have no padding (its bytes would be whatever
+ *  the stack or heap held, and the names would change per build):
+ *  the opcode is widened to a full word, zero above its low byte. */
 struct AluCase
 {
-    Opcode op;
+    AluCase(Opcode o, int64_t a_, int64_t b_, int64_t expected_)
+        : op(static_cast<uint64_t>(o)), a(a_), b(b_), expected(expected_)
+    {
+    }
+
+    uint64_t op;
     int64_t a, b, expected;
 };
+static_assert(sizeof(AluCase) == 4 * sizeof(int64_t),
+              "AluCase must have no padding bytes");
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {
@@ -54,7 +65,7 @@ class AluSemantics : public ::testing::TestWithParam<AluCase>
 TEST_P(AluSemantics, ComputesExpectedValue)
 {
     const AluCase &c = GetParam();
-    EXPECT_EQ(runAlu(c.op, c.a, c.b), c.expected);
+    EXPECT_EQ(runAlu(static_cast<Opcode>(c.op), c.a, c.b), c.expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

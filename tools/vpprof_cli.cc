@@ -36,6 +36,8 @@
  * verification failed; structured fatals (exit 1) for setup errors.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -165,10 +167,7 @@ usage()
                  "           cmd: ping | profile | evaluate | verify | "
                  "stats | shutdown\n"
                  "                | cancel <target-id> | metrics | "
-                 "journal | subscribe\n"
-                 "                | cluster-stats (stats summed across "
-                 "daemons sharing\n"
-                 "                  the trace cache);\n"
+                 "journal | subscribe;\n"
                  "           prints the daemon's JSON response line on "
                  "stdout\n"
                  "           (subscribe then streams telemetry event "
@@ -567,9 +566,14 @@ parseUintFlag(const char *flag, const char *value)
 {
     if (!value || !*value)
         vpprof_fatal(flag, " requires an unsigned integer value");
+    // strtoull skips leading whitespace and accepts a sign (" -1"
+    // wraps to 2^64-1), and saturates out-of-range values: demand a
+    // leading digit and reject ERANGE.
     char *end = nullptr;
+    errno = 0;
     unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (*end != '\0' || value[0] == '-')
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE)
         vpprof_fatal(flag, ": '", value,
                      "' is not an unsigned integer");
     return static_cast<uint64_t>(parsed);
@@ -674,7 +678,7 @@ cmdDaemonClient(const DaemonClientOptions &opt, int nrest, char **rest)
         vpprof_fatal("daemon-client requires a command "
                      "(ping | profile | evaluate | verify | stats | "
                      "shutdown | cancel | metrics | journal | "
-                     "subscribe | cluster-stats)");
+                     "subscribe)");
     std::optional<daemon::Command> cmd = daemon::parseCommand(rest[1]);
     if (!cmd)
         vpprof_fatal("unknown daemon command '", rest[1], "'");
@@ -860,7 +864,7 @@ main(int argc, char **argv)
         } else if (flag == "--trace-id") {
             // Pin the response's trace id instead of letting the
             // daemon mint one: responses become byte-comparable
-            // across daemons (shard stripes mint different ids).
+            // across daemons and connections.
             daemon_opts.traceId =
                 parseUintFlag("--trace-id", value);
         } else if (flag == "--max-events") {

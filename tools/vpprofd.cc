@@ -14,6 +14,8 @@
  */
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -38,20 +40,12 @@ usage()
         stderr,
         "usage: vpprofd --socket PATH [flags]\n"
         "  --socket PATH        Unix-domain socket to serve (required)\n"
-        "  --shards N           event-loop shards fed round-robin from "
-        "the\n"
-        "                       listener (default 1)\n"
         "  --listen HOST:PORT   additionally serve the protocol over "
         "TCP\n"
         "                       (port 0 picks a free one)\n"
         "  --port-file FILE     write the bound TCP port to FILE "
         "(atomic);\n"
         "                       pairs with --listen 127.0.0.1:0\n"
-        "  --cluster-heartbeat-ms N  cadence of shared-cache stats\n"
-        "                       heartbeats for `cluster-stats` "
-        "(default 1000)\n"
-        "  --cluster-stale-ms N ignore cluster members older than N ms\n"
-        "                       (default 60000)\n"
         "  --jobs N             runner lanes (0 = all cores; default 2)\n"
         "  --trace-cache DIR    persistent trace cache shared with the "
         "CLI\n"
@@ -102,9 +96,14 @@ parseUintFlag(const char *flag, const char *value)
 {
     if (!value || !*value)
         vpprof_fatal(flag, " requires an unsigned integer value");
+    // strtoull skips leading whitespace and accepts a sign (" -1"
+    // wraps to 2^64-1), and saturates out-of-range values: demand a
+    // leading digit and reject ERANGE.
     char *end = nullptr;
+    errno = 0;
     unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (*end != '\0' || value[0] == '-')
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE)
         vpprof_fatal(flag, ": '", value,
                      "' is not an unsigned integer");
     return static_cast<uint64_t>(parsed);
@@ -142,11 +141,6 @@ main(int argc, char **argv)
             if (!value)
                 vpprof_fatal("--socket requires a path");
             cfg.socketPath = value;
-        } else if (flag == "--shards") {
-            cfg.shards = static_cast<size_t>(
-                parseUintFlag("--shards", value));
-            if (cfg.shards == 0)
-                vpprof_fatal("--shards must be >= 1 (got 0)");
         } else if (flag == "--listen") {
             if (!value)
                 vpprof_fatal("--listen requires host:port");
@@ -155,15 +149,6 @@ main(int argc, char **argv)
             if (!value)
                 vpprof_fatal("--port-file requires a file path");
             port_file_path = value;
-        } else if (flag == "--cluster-heartbeat-ms") {
-            cfg.clusterHeartbeatMs = parseUintFlag(
-                "--cluster-heartbeat-ms", value);
-            if (cfg.clusterHeartbeatMs == 0)
-                vpprof_fatal("--cluster-heartbeat-ms must be >= 1 "
-                             "(got 0)");
-        } else if (flag == "--cluster-stale-ms") {
-            cfg.clusterStaleMs = parseUintFlag(
-                "--cluster-stale-ms", value);
         } else if (flag == "--jobs") {
             cfg.session.jobs = static_cast<unsigned>(
                 parseUintFlag("--jobs", value));
@@ -274,8 +259,7 @@ main(int argc, char **argv)
                       ? std::string()
                       : " + tcp port " + std::to_string(
                             server.tcpPort()),
-                  " (", server.shardCount(), " shard",
-                  server.shardCount() == 1 ? "" : "s", ", ",
+                  " (",
                   cfg.session.jobs == 0 ? std::string("all-core")
                                         : std::to_string(
                                               cfg.session.jobs),
