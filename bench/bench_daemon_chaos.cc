@@ -17,8 +17,9 @@
  *     dispatch path (injected latency) and the trace-cache read path.
  *     Every client calls through callWithRetry (reconnect + seeded
  *     backoff). Gates: ZERO unanswered requests, every response line
- *     BIT-IDENTICAL to the baseline, and the recovery p99 rides the
- *     perf gate (BENCH_chaos.json vs golden/perf/BENCH_chaos.json).
+ *     BIT-IDENTICAL to the baseline, at least one trace-read fault
+ *     actually fired, and the recovery p99 rides the perf gate
+ *     (BENCH_chaos.json vs golden/perf/BENCH_chaos.json).
  *
  *  3. SHED — a deliberately tiny daemon (queue 2, quota 1) with
  *     injected dispatch latency. A fixed, no-retry client pipelining
@@ -306,7 +307,7 @@ main(int argc, char **argv)
     // ---- Chaos phase ---------------------------------------------
     std::printf("chaos: same workload, faults %s\n", scale.faults);
     std::vector<PhaseOutcome> per_client(scale.chaosClients);
-    uint64_t chaos_faults = 0;
+    uint64_t chaos_faults = 0, chaos_read_faults = 0;
     {
         RunningDaemon chaos(cfg);
         {
@@ -356,6 +357,8 @@ main(int argc, char **argv)
              {"daemon.accept", "daemon.write", "daemon.dispatch",
               "trace_io.read"})
             chaos_faults += FailpointRegistry::instance().triggered(site);
+        chaos_read_faults =
+            FailpointRegistry::instance().triggered("trace_io.read");
         FailpointRegistry::instance().reset();
         if (chaos.stop() != 0)
             vpprof_panic("chaos daemon did not drain cleanly");
@@ -376,11 +379,12 @@ main(int argc, char **argv)
     double chaos_p99 = percentile(chaos_latencies, 0.99);
     const uint64_t chaos_requests =
         scale.chaosClients * scale.requestsPerClient;
-    std::printf("chaos: %llu requests, %llu faults injected, "
-                "p99 %.2f ms, unanswered %llu, errors %llu, "
-                "mismatched %llu\n\n",
+    std::printf("chaos: %llu requests, %llu faults injected (%llu "
+                "trace reads), p99 %.2f ms, unanswered %llu, errors "
+                "%llu, mismatched %llu\n\n",
                 static_cast<unsigned long long>(chaos_requests),
                 static_cast<unsigned long long>(chaos_faults),
+                static_cast<unsigned long long>(chaos_read_faults),
                 chaos_p99,
                 static_cast<unsigned long long>(chaos_unanswered),
                 static_cast<unsigned long long>(chaos_errors),
@@ -565,6 +569,11 @@ main(int argc, char **argv)
     if (chaos_faults == 0) {
         std::printf("FAIL: the chaos run injected no faults — the "
                     "drill proved nothing\n");
+        ok = false;
+    }
+    if (chaos_read_faults == 0) {
+        std::printf("FAIL: no trace_io.read fault fired — the daemon's "
+                    "replays never met the trace-cache read path\n");
         ok = false;
     }
     if (shed_fixed_rejected == 0) {

@@ -141,12 +141,18 @@ main()
     uint64_t decoded_records = 0, decoded_blocks = 0;
     for (int pass = 0; pass < 2; ++pass) {
         CountingBlockSink counts;
+        TraceBlockScratch scratch;
         double ms = wallMsOf([&] {
             for (const auto &w : suite().all()) {
                 TraceFileReader reader(dirV3 + "/" +
                                        std::string(w->name()) +
                                        ".in0.trace");
-                reader.replayBlocks(&counts);
+                uint64_t delivered = 0, blocks = 0;
+                if (replayTraceSpan(reader.span(), 0, scratch, &counts,
+                                    &delivered, &blocks) !=
+                    TraceIoStatus::Ok)
+                    vpprof_panic("v3 bench trace failed to decode: ",
+                                 w->name());
             }
         });
         if (pass == 1) {
@@ -168,8 +174,9 @@ main()
 
     // --- Gate 3: batched vs serial replay, 16 evaluators on li. ----
     // Serial leg: the pre-v3 sweep shape — every evaluator streams the
-    // v2 cache file from disk on its own (budget 0 forces the disk
-    // path). Batch leg: one EvaluatorBank pass over the v3 file.
+    // v2 cache file from disk on its own, through a TraceFileReader (a
+    // Session would transcode the file to v3 on adoption). Batch leg:
+    // one EvaluatorBank pass over the mapped v3 file.
     constexpr size_t kEvaluators = 16;
     const Workload &li = *suite().find("li");
     auto geometry = [](size_t i) {
@@ -186,27 +193,30 @@ main()
         batch_evals.emplace_back(VpPolicy::Fsm, geometry(i));
     }
 
-    SessionConfig diskCfg;
-    diskCfg.residentRecordBudget = 0;  // every replay streams from disk
-
     double serial_ms = 0.0;
     {
-        SessionConfig cfg = diskCfg;
-        cfg.traceCacheDir = dirV2;
-        Session v2session(cfg);
+        const std::string v2file = dirV2 + "/li.in0.trace";
+        auto open = [&](TraceVerify verify) {
+            auto reader = TraceFileReader::tryOpen(v2file, nullptr, verify);
+            if (!reader)
+                vpprof_panic("cannot open the v2 bench trace ", v2file);
+            return reader;
+        };
         {
-            CountingTraceSink warm;  // adoption + page-cache warm-up
-            v2session.runTrace(li, 0, &warm);
+            // Full verification once + page-cache warm-up; later
+            // opens trust the proven file, as a cache reader does.
+            CountingTraceSink warm;
+            open(TraceVerify::Full)->replay(&warm);
         }
         serial_ms = wallMsOf([&] {
             for (FiniteTableEvaluator &eval : serial_evals)
-                v2session.runTrace(li, 0, &eval);
+                open(TraceVerify::HeaderOnly)->replay(&eval);
         });
     }
 
     double batch_ms = 0.0;
     {
-        SessionConfig cfg = diskCfg;
+        SessionConfig cfg;
         cfg.traceCacheDir = dirV3;
         Session v3session(cfg);
         {

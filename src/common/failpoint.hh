@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic fault injection: named failpoints compiled into
- * I/O-sensitive sites (trace file writes, reads, commits, spills)
+ * I/O-sensitive sites (trace file writes, reads, commits)
  * that tests and operators can arm to simulate the failures a real
  * deployment sees — full disks, torn writes, files shrinking under a
  * reader — without needing a hostile filesystem.
@@ -11,7 +11,7 @@
  * rule. Sites are armed programmatically (tests) or through the
  * VPPROF_FAILPOINTS environment variable (CLI runs, CI):
  *
- *     VPPROF_FAILPOINTS="trace_io.write:fail@3,spill:enospc"
+ *     VPPROF_FAILPOINTS="trace_io.write:fail@3,trace_io.commit:enospc"
  *
  * Spec grammar: `action[=MS][%PROB[@SEED]][@HIT]`
  *
@@ -117,6 +117,16 @@ class FailpointRegistry
      * This is the call instrumented sites make.
      */
     FailpointAction fire(const std::string &site);
+
+    /**
+     * Whether any site is armed: lets a site that fires per item
+     * check once per batch and skip fire() entirely when unarmed.
+     */
+    bool
+    anyArmed() const
+    {
+        return armedCount_.load(std::memory_order_relaxed) != 0;
+    }
 
     /** Hits recorded while `site` was armed. */
     uint64_t hits(const std::string &site) const;

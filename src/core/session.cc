@@ -3,9 +3,7 @@
 #include <filesystem>
 #include <optional>
 #include <sstream>
-#include <unistd.h>
 
-#include "common/failpoint.hh"
 #include "common/file_lock.hh"
 #include "common/logging.hh"
 #include "common/telemetry/telemetry.hh"
@@ -28,29 +26,14 @@ struct TraceRepository::Entry
 
     // Immutable once `produced` is set (release-published): replays
     // read these concurrently without locks.
-    ColumnarTrace columnar;  ///< resident encoded form
-    bool resident = false;   ///< columnar holds the trace
-    bool onDisk = false;
-    bool tempFile = false;  ///< spill file we own (delete at teardown)
-    /**
-     * Degraded mode: the trace fits neither the resident budget nor
-     * the disk (spill failed, e.g. ENOSPC). Replays re-interpret the
-     * workload instead — slower, never wrong.
-     */
-    bool reinterpret = false;
-    std::string path;
+    /** The whole trace as encoded blocks, owned by `file` or `buffer`. */
+    ColumnarSpan span;
+    /** The committed v3 file at `path` whose mapping holds the span. */
+    std::unique_ptr<TraceFileReader> file;
+    /** The capture when no v3 file could be committed. */
+    ColumnarTrace buffer;
+    std::string path;  ///< empty unless `file` is set
     RunResult result;
-
-    /**
-     * Whether `path` has passed a Full (checksummed) validation in
-     * this process — set when we adopted it, wrote it ourselves, or a
-     * replay fully verified it. Later replays open HeaderOnly: the
-     * per-replay payload re-hash was measured at ~3x replay cost
-     * (bench_cache_robustness), and a file we just proved gains
-     * nothing from being re-proved. Cleared whenever a replay has to
-     * fall back to the VM, so the next attempt re-verifies in full.
-     */
-    std::atomic<bool> fileVerified{false};
 };
 
 namespace
@@ -96,25 +79,32 @@ TraceRepository::TraceRepository(const SessionConfig &config)
     }
 }
 
-TraceRepository::~TraceRepository()
-{
-    if (!tempDir_.empty()) {
-        std::error_code ec;
-        fs::remove_all(tempDir_, ec);  // best-effort temp cleanup
-    }
-}
+TraceRepository::~TraceRepository() = default;
 
 TraceRepository::Entry &
-TraceRepository::entryFor(const Workload &workload, size_t input_idx)
+TraceRepository::producedEntry(const Workload &workload,
+                               size_t input_idx)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto key = std::make_pair(std::string(workload.name()), input_idx);
-    auto [it, inserted] = entries_.try_emplace(key);
-    if (inserted) {
-        it->second = std::make_unique<Entry>();
-        counters_.uniqueTraces.add();
+    Entry *entry = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto key =
+            std::make_pair(std::string(workload.name()), input_idx);
+        auto [it, inserted] = entries_.try_emplace(key);
+        if (inserted) {
+            it->second = std::make_unique<Entry>();
+            counters_.uniqueTraces.add();
+        }
+        entry = it->second.get();
     }
-    return *it->second;
+    if (!entry->produced.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(entry->produceMutex);
+        if (!entry->produced.load(std::memory_order_relaxed)) {
+            produce(*entry, workload, input_idx);
+            entry->produced.store(true, std::memory_order_release);
+        }
+    }
+    return *entry;
 }
 
 void
@@ -157,57 +147,37 @@ TraceRepository::adoptCacheFile(Entry &entry, const std::string &path)
     }
 
     uint64_t count = reader->recordCount();
-    bool resident = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        resident = static_cast<uint64_t>(
-                       counters_.residentRecords.value()) +
-                       count <=
-                   config_.residentRecordBudget;
-        if (resident)
-            counters_.residentRecords.add(
-                static_cast<int64_t>(count));
-    }
-
-    entry.fileVerified.store(true, std::memory_order_relaxed);
-    if (resident) {
-        if (reader->readColumnar(entry.columnar)) {
-            // v3: the file payload IS the resident form — one buffer
-            // copy, no decode.
-            entry.resident = true;
-        } else {
-            // v1/v2: transcode the record stream into the columnar
-            // resident form — this is also how a legacy cache
-            // migrates into a v3 session transparently.
-            ColumnarTraceBuilder builder;
-            TraceRecord rec;
-            while (reader->next(rec))
-                builder.record(rec);
-            if (reader->status() != TraceIoStatus::Ok ||
-                reader->recordsRead() != count) {
-                // The file shrank between validate() and the bulk
-                // read: un-reserve the budget and treat it like any
-                // corruption.
-                counters_.residentRecords.add(
-                    -static_cast<int64_t>(count));
-                quarantine(path, reader->status());
-                return AdoptOutcome::Quarantined;
-            }
-            entry.columnar = builder.take();
-            entry.resident = true;
-        }
-    } else {
-        entry.onDisk = true;
-    }
     counters_.v3BytesMapped.add(reader->mappedBytes());
+    if (reader->version() == '3') {
+        // The verified mapping IS the replay source: no copy.
+        entry.span = reader->span();
+        entry.file = std::move(reader);
+        entry.path = path;
+    } else {
+        // v1/v2: transcode the record stream to columnar blocks and
+        // commit it over the legacy name (under the caller's flock),
+        // so a legacy cache migrates to v3 on first use.
+        ColumnarTraceBuilder builder;
+        TraceRecord rec;
+        while (reader->next(rec))
+            builder.record(rec);
+        if (reader->status() != TraceIoStatus::Ok ||
+            reader->recordsRead() != count) {
+            // The file shrank between validate() and the read: treat
+            // it like any corruption.
+            quarantine(path, reader->status());
+            return AdoptOutcome::Quarantined;
+        }
+        reader.reset();
+        install(entry, defaultTraceFormat() == TraceFormat::V3
+                           ? path
+                           : std::string(),
+                builder.take());
+    }
 
     entry.result.instructionsExecuted = count;
     entry.result.halted = true;
-    entry.path = path;
     counters_.diskLoads.add();
-    if (!resident)
-        counters_.spilledTraces.add();
-    entry.produced.store(true, std::memory_order_release);
     return AdoptOutcome::Adopted;
 }
 
@@ -215,14 +185,14 @@ bool
 TraceRepository::writeTraceFile(const std::string &path,
                                 const ColumnarTrace &trace)
 {
-    VPPROF_TIMED_SPAN("trace.spill");
+    VPPROF_TIMED_SPAN("trace.commit");
     TraceIoStatus st;
     if (defaultTraceFormat() == TraceFormat::V3) {
         // The capture is already encoded: persisting is a framed
         // buffer write, not a second per-record encode.
         st = writeColumnarTraceFile(path, trace);
     } else {
-        // Pinned to v2 (VPPROF_TRACE_FORMAT=2): decode the resident
+        // Pinned to v2 (VPPROF_TRACE_FORMAT=2): decode the captured
         // blocks back into records for the fixed-width writer.
         TraceFileWriter writer(path, TraceFormat::V2);
         TraceBlockScratch scratch;
@@ -239,26 +209,24 @@ TraceRepository::writeTraceFile(const std::string &path,
     return false;
 }
 
-std::string
-TraceRepository::spillPathFor(const std::string &name, size_t input_idx)
+void
+TraceRepository::install(Entry &entry, const std::string &path,
+                         ColumnarTrace trace)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (tempDir_.empty()) {
-        std::string dir = (fs::temp_directory_path() /
-                           ("vpprof-traces-" +
-                            std::to_string(::getpid())))
-                              .string();
-        std::error_code ec;
-        fs::create_directories(dir, ec);
-        if (ec) {
-            vpprof_warn_limited(4, "cannot create trace spill "
-                                "directory '", dir, "': ",
-                                ec.message());
-            return {};
+    if (!path.empty() && writeTraceFile(path, trace)) {
+        // We produced those bytes through the checksumming writer:
+        // the framing walk is proof enough for this process.
+        auto file = TraceFileReader::tryOpen(path, nullptr,
+                                             TraceVerify::HeaderOnly);
+        if (file && file->version() == '3') {
+            entry.span = file->span();
+            entry.file = std::move(file);
+            entry.path = path;
+            return;  // `trace` is freed: the mapping serves replays
         }
-        tempDir_ = dir;
     }
-    return tempDir_ + "/" + traceFileName(name, input_idx);
+    entry.buffer = std::move(trace);
+    entry.span = entry.buffer.span();
 }
 
 void
@@ -302,179 +270,79 @@ TraceRepository::produce(Entry &entry, const Workload &workload,
                                   workload.input(input_idx), &builder,
                                   workload.maxInstructions());
     }
-    ColumnarTrace trace = builder.take();
-
-    if (!cachePath.empty() && writeTraceFile(cachePath, trace)) {
-        entry.path = cachePath;
-        // We produced those bytes through the checksumming writer:
-        // they are proved for this process without a re-read.
-        entry.fileVerified.store(true, std::memory_order_relaxed);
-    }
-
     counters_.vmRuns.add();
     if (quarantined)
         counters_.regenerations.add();
-    bool fits = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        fits = static_cast<uint64_t>(
-                   counters_.residentRecords.value()) +
-                   trace.records <=
-               config_.residentRecordBudget;
-        if (fits)
-            counters_.residentRecords.add(
-                static_cast<int64_t>(trace.records));
-    }
-
-    if (fits) {
-        entry.columnar = std::move(trace);
-        entry.resident = true;
-    } else {
-        // Over budget: this trace lives on disk. Reuse the persistent
-        // cache file when we just wrote one; otherwise spill into a
-        // private temp directory.
-        if (entry.path.empty()) {
-            std::string spillPath = spillPathFor(name, input_idx);
-            bool spilled = false;
-            if (!spillPath.empty()) {
-                switch (FailpointRegistry::instance().fire("spill")) {
-                  case FailpointAction::Fail:
-                  case FailpointAction::NoSpace:
-                    counters_.spillFailures.add();
-                    vpprof_warn_limited(8, "cannot persist trace to ",
-                                        spillPath, " (injected spill "
-                                        "failure); continuing without "
-                                        "the file");
-                    break;
-                  default:
-                    spilled = writeTraceFile(spillPath, trace);
-                    break;
-                }
-            }
-            if (spilled) {
-                entry.path = spillPath;
-                entry.tempFile = true;
-                entry.fileVerified.store(true,
-                                         std::memory_order_relaxed);
-            }
-        }
-        if (!entry.path.empty()) {
-            entry.onDisk = true;
-            counters_.spilledTraces.add();
-        } else {
-            // Nowhere to put it: neither memory (budget) nor disk
-            // (spill failed, e.g. ENOSPC). Degrade to re-interpreting
-            // the workload on every replay — the experiment still
-            // completes, bit-identical, just without the cache.
-            entry.reinterpret = true;
-            vpprof_warn_limited(4, "trace for ", name, ".in",
-                                input_idx, " fits neither memory nor "
-                                "disk; degrading to re-interpretation "
-                                "per replay");
-        }
-    }
-    entry.produced.store(true, std::memory_order_release);
+    install(entry, cachePath, builder.take());
 }
 
 void
-TraceRepository::replayFromDisk(Entry &entry, const Workload &workload,
-                                size_t input_idx, TraceSink *sink)
+TraceRepository::replaySpan(Entry &entry, const Workload &workload,
+                            size_t input_idx, TraceBlockSink *sink)
 {
-    // Streams `entry.path` into `sink`. The sink cannot un-consume
-    // records, so every recovery step below resumes exactly past the
-    // `delivered` prefix — consumers see one contiguous, bit-exact
-    // trace no matter how many attempts it took.
-    VPPROF_TIMED_SPAN("trace.replay.disk");
-    uint64_t delivered = 0;
-    auto stream = [&](TraceFileReader &reader) {
-        TraceRecord rec;
-        while (reader.next(rec)) {
-            sink->record(rec);
-            ++delivered;
+    // The sink cannot un-consume records, so every recovery step
+    // below resumes exactly past the `delivered` prefix — consumers
+    // see one contiguous, bit-exact trace however many attempts it
+    // took.
+    VPPROF_TIMED_SPAN("trace.replay");
+    TraceBlockScratch scratch;
+    uint64_t delivered = 0, blocks = 0;
+    TraceIoStatus status = replayTraceSpan(entry.span, 0, scratch, sink,
+                                           &delivered, &blocks);
+    counters_.v3BlocksDecoded.add(blocks);
+    if (status == TraceIoStatus::Ok)
+        return;
+
+    // Mid-replay failure: the mapped bytes stopped decoding (or an
+    // injected fault fired). Retry once from a fresh, fully verified
+    // mapping of the file, skipping the prefix the sink already has...
+    if (!entry.path.empty()) {
+        counters_.readRetries.add();
+        vpprof_warn_limited(8, "trace replay of ", entry.path,
+                            " failed (", traceIoStatusName(status),
+                            ") after ", delivered,
+                            " records; retrying from disk");
+        auto retry = TraceFileReader::tryOpen(entry.path, &status,
+                                              TraceVerify::Full);
+        if (retry && retry->version() == '3') {
+            blocks = 0;
+            status = replayTraceSpan(retry->span(), delivered, scratch,
+                                     sink, &delivered, &blocks);
+            counters_.v3BlocksDecoded.add(blocks);
+            if (status == TraceIoStatus::Ok)
+                return;
         }
-        counters_.v3BlocksDecoded.add(reader.blocksDecoded());
-        counters_.v3BytesMapped.add(reader.mappedBytes());
-        return reader.status() == TraceIoStatus::Ok &&
-               delivered == reader.recordCount();
-    };
-
-    // A file already proved this process (adopted, self-written, or
-    // fully verified by an earlier replay) opens HeaderOnly; anything
-    // else pays the Full checksum pass exactly once.
-    bool verified = entry.fileVerified.load(std::memory_order_acquire);
-    TraceIoStatus status = TraceIoStatus::Ok;
-    auto reader = TraceFileReader::tryOpen(
-        entry.path, &status,
-        verified ? TraceVerify::HeaderOnly : TraceVerify::Full);
-    if (reader && !verified)
-        entry.fileVerified.store(true, std::memory_order_release);
-    if (reader && stream(*reader))
-        return;
-    if (reader)
-        status = reader->status();
-
-    // Mid-replay failure: the file changed underneath us (or an
-    // injected fault fired) after it validated at open. Retry once
-    // from disk, skipping the prefix the sink already has...
-    counters_.readRetries.add();
-    vpprof_warn_limited(8, "trace replay of ", entry.path,
-                        " failed (", traceIoStatusName(status),
-                        ") after ", delivered,
-                        " records; retrying from disk");
-    // The retry always re-verifies in full: the failure says the file
-    // is not what the earlier proof was about.
-    auto retry =
-        TraceFileReader::tryOpen(entry.path, &status, TraceVerify::Full);
-    if (retry && retry->skip(delivered) && stream(*retry))
-        return;
-    entry.fileVerified.store(false, std::memory_order_release);
+    }
 
     // ...then regenerate via the VM. Interpretation is deterministic,
     // so the regenerated records past `delivered` are the records the
-    // file would have held.
+    // span would have held.
     counters_.regenerations.add();
-    vpprof_warn_limited(8, "trace file ", entry.path,
-                        " is unreadable; regenerating the replay "
-                        "via the VM");
+    vpprof_warn_limited(8, "trace for ", workload.name(), ".in",
+                        input_idx, " is unreadable (",
+                        traceIoStatusName(status),
+                        "); regenerating the replay via the VM");
     VPPROF_TIMED_SPAN("trace.regenerate");
+    BlockAssembler assembler(sink);
     uint64_t seen = 0;
     CallbackTraceSink skipper([&](const TraceRecord &rec) {
         if (seen++ >= delivered)
-            sink->record(rec);
+            assembler.record(rec);
     });
     runProgram(workload.program(), workload.input(input_idx), &skipper,
                workload.maxInstructions());
+    assembler.flush();
 }
 
 RunResult
 TraceRepository::replay(const Workload &workload, size_t input_idx,
                         TraceSink *sink)
 {
-    Entry &entry = entryFor(workload, input_idx);
-    if (!entry.produced.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(entry.produceMutex);
-        if (!entry.produced.load(std::memory_order_relaxed))
-            produce(entry, workload, input_idx);
-    }
-
+    Entry &entry = producedEntry(workload, input_idx);
     if (sink) {
-        VPPROF_TIMED_SPAN("trace.replay");
-        if (entry.reinterpret) {
-            // Degraded mode (spill failed): re-interpret per replay.
-            VPPROF_TIMED_SPAN("trace.regenerate");
-            runProgram(workload.program(), workload.input(input_idx),
-                       sink, workload.maxInstructions());
-            counters_.regenerations.add();
-        } else if (entry.onDisk) {
-            replayFromDisk(entry, workload, input_idx, sink);
-        } else {
-            TraceBlockScratch scratch;
-            RecordFanBlockSink fan(sink);
-            replayColumnarTrace(entry.columnar, scratch, &fan);
-            counters_.v3BlocksDecoded.add(entry.columnar.blocks);
-        }
+        RecordFanBlockSink fan(sink);
+        replaySpan(entry, workload, input_idx, &fan);
     }
-
     counters_.replays.add();
     return entry.result;
 }
@@ -483,41 +351,8 @@ RunResult
 TraceRepository::replayBatch(const Workload &workload, size_t input_idx,
                              EvaluatorBank &bank)
 {
-    Entry &entry = entryFor(workload, input_idx);
-    if (!entry.produced.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(entry.produceMutex);
-        if (!entry.produced.load(std::memory_order_relaxed))
-            produce(entry, workload, input_idx);
-    }
-
-    {
-        VPPROF_TIMED_SPAN("trace.replay");
-        if (entry.reinterpret) {
-            // Degraded mode (spill failed): re-interpret per replay,
-            // regrouping the fresh record stream into blocks so the
-            // bank sees the same column-batch interface.
-            VPPROF_TIMED_SPAN("trace.regenerate");
-            BlockAssembler assembler(&bank);
-            runProgram(workload.program(), workload.input(input_idx),
-                       &assembler, workload.maxInstructions());
-            assembler.flush();
-            counters_.regenerations.add();
-        } else if (entry.onDisk) {
-            // Route through the record-level disk path so the full
-            // retry -> regenerate recovery ladder (and its resume-
-            // exactly-past-the-prefix guarantee) applies unchanged.
-            BlockAssembler assembler(&bank);
-            replayFromDisk(entry, workload, input_idx, &assembler);
-            assembler.flush();
-        } else {
-            // Hot path: decode each resident block once; the bank
-            // fans it to every registered evaluator.
-            TraceBlockScratch scratch;
-            replayColumnarTrace(entry.columnar, scratch, &bank);
-            counters_.v3BlocksDecoded.add(entry.columnar.blocks);
-        }
-    }
-
+    Entry &entry = producedEntry(workload, input_idx);
+    replaySpan(entry, workload, input_idx, &bank);
     counters_.replays.add();
     return entry.result;
 }
@@ -544,9 +379,6 @@ TraceRepository::stats() const
     s.diskLoads = counters_.diskLoads.value();
     s.replays = counters_.replays.value();
     s.uniqueTraces = counters_.uniqueTraces.value();
-    s.residentRecords =
-        static_cast<uint64_t>(counters_.residentRecords.value());
-    s.spilledTraces = counters_.spilledTraces.value();
     s.corruptQuarantined = counters_.corruptQuarantined.value();
     s.regenerations = counters_.regenerations.value();
     s.spillFailures = counters_.spillFailures.value();
@@ -569,7 +401,6 @@ TraceRepoStats::writeJsonFields(std::ostream &os) const
        << ", \"disk_loads\": " << diskLoads
        << ", \"replays\": " << replays
        << ", \"unique_traces\": " << uniqueTraces
-       << ", \"spilled_traces\": " << spilledTraces
        << ", \"corrupt_quarantined\": " << corruptQuarantined
        << ", \"regenerations\": " << regenerations
        << ", \"spill_failures\": " << spillFailures

@@ -2,11 +2,10 @@
  * @file
  * The trace-once, evaluate-many Session (the SHADE workflow, in
  * process form): a TraceRepository runs the VM exactly once per
- * (workload, input), streaming the dynamic trace into a cached buffer
- * — spilling to binary trace_io files above a resident-size cap — and
- * then replays the cached trace into any number of consumers: profile
- * collectors, classifiers, finite/hybrid table evaluations and the ILP
- * engine.
+ * (workload, input), encoding the dynamic trace into columnar blocks
+ * and committing them as a v3 trace file, then replays the mapped
+ * file into any number of consumers: profile collectors, classifiers,
+ * finite/hybrid table evaluations and the ILP engine.
  *
  * Directives are pure metadata (they never change control flow or
  * values), so ONE raw trace serves every annotation threshold: replays
@@ -46,22 +45,11 @@ struct SessionConfig
 
     /**
      * Directory holding persistent trace files for cross-process
-     * reuse (the CLI's --trace-cache). Empty: traces live only for
-     * this process, spilling to a private temp directory when the
-     * resident budget overflows.
+     * reuse (the CLI's --trace-cache); replays read the mapped files.
+     * Empty: traces live only for this process, each replayed from
+     * its in-memory capture buffer.
      */
     std::string traceCacheDir;
-
-    /**
-     * Aggregate in-memory trace budget, in records. Traces that would
-     * push the total past the budget are kept on disk and replayed
-     * through trace_io instead. 0 forces every trace to disk
-     * (exercises the spill path). Resident traces are held in the
-     * columnar encoded form (~8-12 bytes per record instead of the
-     * 56-byte AoS record), which is why the default is 4x the old
-     * AoS-era budget for the same memory ceiling.
-     */
-    uint64_t residentRecordBudget = 96'000'000;
 };
 
 /**
@@ -85,29 +73,27 @@ struct TraceRepoStats
     uint64_t diskLoads = 0;     ///< traces adopted from the cache dir
     uint64_t replays = 0;       ///< replays served to consumers
     uint64_t uniqueTraces = 0;  ///< distinct (workload, input) keys
-    uint64_t residentRecords = 0;  ///< records currently held in memory
-    uint64_t spilledTraces = 0;    ///< traces living on disk
 
     /** Unusable cache files renamed aside to `<file>.bad`. */
     uint64_t corruptQuarantined = 0;
     /**
      * Times a trace was re-produced by the VM because a persisted
-     * copy was unusable: re-captures after a quarantine, mid-replay
-     * fallbacks, and every degraded re-interpretation replay. These
-     * deliberately do NOT count into vmRuns, so the trace-once
-     * invariant (vmRuns <= uniqueTraces) keeps holding under faults.
+     * copy was unusable: re-captures after a quarantine and
+     * mid-replay fallbacks. These deliberately do NOT count into
+     * vmRuns, so the trace-once invariant (vmRuns <= uniqueTraces)
+     * keeps holding under faults.
      */
     uint64_t regenerations = 0;
-    /** Failed attempts to persist a trace (cache write or spill). */
+    /** Failed attempts to commit a trace to the cache directory. */
     uint64_t spillFailures = 0;
     /** Mid-replay read errors retried once from disk. */
     uint64_t readRetries = 0;
 
-    /** Columnar (v3) blocks decoded: resident batch fans + v3 file
-     *  reads. The decode-amplification observable — one batched pass
-     *  decodes each block once however many evaluators listen. */
+    /** Columnar (v3) blocks decoded by replays. The decode-
+     *  amplification observable — one batched pass decodes each
+     *  block once however many evaluators listen. */
     uint64_t v3BlocksDecoded = 0;
-    /** Bytes of v3 trace files mapped (or buffered) by readers. */
+    /** Bytes of v3 trace files mapped when adopting cache files. */
     uint64_t v3BytesMapped = 0;
 
     /**
@@ -133,28 +119,37 @@ std::string repoStatsJson(const TraceRepoStats &stats);
  * the persistent cache directory — and replayed read-only thereafter.
  * Thread-safe; concurrent replays of one trace are lock-free.
  *
+ * Residency: every trace is one immutable span of v3 blocks. Its
+ * bytes are the read-only mapping of the committed cache file — a
+ * capture is committed, mapped and its buffer freed; an adopted v3
+ * file is Full-verified and mapped; a legacy v1/v2 file is transcoded
+ * and committed over its own name as v3 first. Only when no v3 file
+ * can be committed (no cache directory, a failed commit, a v2-pinned
+ * writer) does the capture buffer itself own the span. Replays decode
+ * straight from the span either way. Committed files are never
+ * modified in place (see trace_io.hh); truncating one under a running
+ * process is outside that contract and can raise SIGBUS.
+ *
  * Failure model (see DESIGN.md §9): the repository never aborts on a
  * sick cache. An unusable cache file (truncated, corrupt, wrong
  * version) is quarantined — renamed to `<file>.bad` — and the trace
  * is regenerated by the VM; quarantined files are never re-probed
  * within a process (each key is produced at most once, and the probe
  * only ever looks at the exact `<workload>.in<N>.trace` name). A
- * mid-replay read error is retried once from disk, resuming past the
- * records the sink already consumed, then falls back to regenerating
- * the tail via the VM — replay is deterministic, so consumers see
- * bit-identical records either way. A spill that fails (e.g. ENOSPC)
- * degrades the trace to re-interpretation mode: replays re-run the VM
- * with a rate-limited warning instead of dying. Captures into a
- * shared cache directory serialize on an advisory `<file>.lock`
- * flock, so concurrent processes sharing one --trace-cache neither
- * duplicate VM work nor race the probe-then-commit sequence.
+ * span that fails mid-replay is retried once from a Full re-open of
+ * its file, resuming past the records the sink already consumed,
+ * then falls back to regenerating the tail via the VM — replay is
+ * deterministic, so consumers see bit-identical records either way.
+ * A failed commit (e.g. ENOSPC) keeps the capture buffer as the
+ * span. Captures into a shared cache directory serialize on an
+ * advisory `<file>.lock` flock, so concurrent processes sharing one
+ * --trace-cache neither duplicate VM work nor race the
+ * probe-then-commit sequence.
  */
 class TraceRepository
 {
   public:
     explicit TraceRepository(const SessionConfig &config);
-
-    /** Removes private temp spill files (not the persistent cache). */
     ~TraceRepository();
 
     TraceRepository(const TraceRepository &) = delete;
@@ -173,10 +168,9 @@ class TraceRepository
 
     /**
      * Batched replay: decode each trace block once and fan the SoA
-     * view to every evaluator in the bank (resident traces feed the
-     * bank directly; disk/degraded traces stream through the existing
-     * record-level recovery ladder re-blocked by a BlockAssembler, so
-     * fault recovery and bit-identity carry over unchanged).
+     * view to every evaluator in the bank. The recovery ladder is the
+     * record-sink replay's, so fault recovery and bit-identity carry
+     * over unchanged.
      */
     RunResult replayBatch(const Workload &workload, size_t input_idx,
                           EvaluatorBank &bank);
@@ -197,26 +191,29 @@ class TraceRepository
         Quarantined, ///< sick file renamed aside; capture (and count)
     };
 
-    Entry &entryFor(const Workload &workload, size_t input_idx);
+    /** The key's entry, produced on first use. */
+    Entry &producedEntry(const Workload &workload, size_t input_idx);
     void produce(Entry &entry, const Workload &workload,
                  size_t input_idx);
     AdoptOutcome adoptCacheFile(Entry &entry, const std::string &path);
+    /** Commit `trace` at `path` (when non-empty) and make the entry's
+     *  span the committed v3 file's mapping, else the buffer. */
+    void install(Entry &entry, const std::string &path,
+                 ColumnarTrace trace);
     void quarantine(const std::string &path, TraceIoStatus status);
     bool writeTraceFile(const std::string &path,
                         const ColumnarTrace &trace);
-    void replayFromDisk(Entry &entry, const Workload &workload,
-                        size_t input_idx, TraceSink *sink);
-    /** Temp-dir spill path for a key; empty when the dir can't exist. */
-    std::string spillPathFor(const std::string &name, size_t input_idx);
+    /** Replay the entry's span into `sink` through the recovery
+     *  ladder (retry from a Full re-open, then the VM). */
+    void replaySpan(Entry &entry, const Workload &workload,
+                    size_t input_idx, TraceBlockSink *sink);
 
     /**
      * The live counters behind TraceRepoStats: per-repository values
      * (value() feeds stats()) mirrored into the process-wide
      * telemetry registry under the same `trace.*` names, aggregated
      * across repositories for --metrics-out. Increments are relaxed
-     * atomics — no lock on the serving path; only the
-     * residentRecords budget reservation still runs under mutex_ so
-     * the check-then-add stays atomic.
+     * atomics — no lock on the serving path.
      */
     struct Counters
     {
@@ -224,9 +221,6 @@ class TraceRepository
         telemetry::ScopedCounter diskLoads{"trace.disk_loads"};
         telemetry::ScopedCounter replays{"trace.replays"};
         telemetry::ScopedCounter uniqueTraces{"trace.unique_traces"};
-        telemetry::ScopedGauge residentRecords{
-            "trace.resident_records"};
-        telemetry::ScopedCounter spilledTraces{"trace.spilled_traces"};
         telemetry::ScopedCounter corruptQuarantined{
             "trace.corrupt_quarantined"};
         telemetry::ScopedCounter regenerations{"trace.regenerations"};
@@ -239,11 +233,10 @@ class TraceRepository
 
     SessionConfig config_;
 
-    mutable std::mutex mutex_;  ///< guards entries_, tempDir_, budget
+    mutable std::mutex mutex_;  ///< guards entries_
     std::map<std::pair<std::string, size_t>, std::unique_ptr<Entry>>
         entries_;
     Counters counters_;
-    std::string tempDir_;  ///< created lazily on first spill
 };
 
 /**

@@ -491,15 +491,15 @@ replayColumnarTrace(const ColumnarTrace &trace, TraceBlockScratch &scratch,
         TraceBlockStatus st = decodeTraceBlock(data, remaining, scratch,
                                                view, &consumed, false);
         if (st != TraceBlockStatus::Ok)
-            vpprof_panic("resident columnar trace failed to decode "
-                         "(in-memory corruption)");
+            vpprof_panic("in-memory columnar trace failed to decode "
+                         "(memory corruption)");
         sink->consumeBlock(view);
         delivered += view.count;
         data += consumed;
         remaining -= consumed;
     }
     if (delivered != trace.records)
-        vpprof_panic("resident columnar trace record count mismatch: ",
+        vpprof_panic("in-memory columnar trace record count mismatch: ",
                      delivered, " decoded vs ", trace.records, " captured");
     return delivered;
 }

@@ -26,10 +26,11 @@
  * payload, so a flipped bit anywhere in a block — including its
  * framing — is a structured decode failure, never silent corruption.
  *
- * The same encoded bytes serve both the in-memory resident form
+ * The same encoded bytes serve both the in-memory capture buffer
  * (ColumnarTrace — roughly 4-5x smaller than the 56-byte AoS records)
  * and the on-disk v3 payload (trace_io frames them after its header),
- * so spills are a single buffer write and adoption is a single read.
+ * so persisting a capture is a single buffer write and a mapped file
+ * replays exactly like the buffer it was written from.
  */
 
 #ifndef VPPROF_VM_TRACE_BLOCK_HH
@@ -99,6 +100,28 @@ struct TraceBlockView
         rec.isMem = isMem[i] != 0;
         rec.memAddr = memAddr[i];
         return rec;
+    }
+
+    /** Records [begin, end) of this block as a view of their own. */
+    TraceBlockView
+    slice(uint32_t begin, uint32_t end) const
+    {
+        TraceBlockView v = *this;
+        v.count = end - begin;
+        v.seq += begin;
+        v.pc += begin;
+        v.op += begin;
+        v.directive += begin;
+        v.writesReg += begin;
+        v.dest += begin;
+        v.value += begin;
+        v.numSrcs += begin;
+        v.src0 += begin;
+        v.src1 += begin;
+        v.isMem += begin;
+        v.memAddr += begin;
+        v.firstSeq = begin < count ? seq[begin] : firstSeq;
+        return v;
     }
 };
 
@@ -178,8 +201,22 @@ TraceBlockStatus probeTraceBlock(const uint8_t *data, size_t size,
                                  bool verifyChecksum);
 
 /**
- * A whole trace in encoded-block form: the resident representation of
- * the TraceRepository and the exact payload of a v3 trace file.
+ * A read-only view of concatenated encoded blocks: the payload of a
+ * mapped v3 file or of a ColumnarTrace. Whoever produced the span owns
+ * the bytes and must outlive every use of it.
+ */
+struct ColumnarSpan
+{
+    const uint8_t *data = nullptr;
+    size_t size = 0;
+    uint64_t records = 0;
+    uint64_t blocks = 0;
+    bool fromFile = false;  ///< a trace file's payload (reads can fail)
+};
+
+/**
+ * A whole trace in encoded-block form: the capture buffer, and the
+ * exact payload of a v3 trace file.
  */
 struct ColumnarTrace
 {
@@ -188,6 +225,12 @@ struct ColumnarTrace
     uint64_t blocks = 0;
 
     bool empty() const { return records == 0; }
+
+    ColumnarSpan
+    span() const
+    {
+        return {bytes.data(), bytes.size(), records, blocks, false};
+    }
 };
 
 /**

@@ -1,6 +1,5 @@
 #include "vm/trace_io.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -311,8 +310,8 @@ writeColumnarTraceFile(const std::string &path, const ColumnarTrace &trace)
         uint32_t blockRecords = 0;
         if (probeTraceBlock(data, remaining, &consumed, &blockRecords,
                             false) != TraceBlockStatus::Ok)
-            vpprof_panic("resident columnar trace has invalid framing "
-                         "(in-memory corruption): ", path);
+            vpprof_panic("in-memory columnar trace has invalid framing "
+                         "(memory corruption): ", path);
         const uint8_t *blockBytes = data;
         switch (FailpointRegistry::instance().fire("trace_io.write")) {
           case FailpointAction::Fail:
@@ -371,6 +370,71 @@ writeColumnarTraceFile(const std::string &path, const ColumnarTrace &trace)
     if (status != TraceIoStatus::Ok)
         std::remove(tmpPath.c_str());
     return status;
+}
+
+TraceIoStatus
+replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
+                TraceBlockScratch &scratch, TraceBlockSink *sink,
+                uint64_t *delivered, uint64_t *blocks)
+{
+    auto blockFailure = [](TraceBlockStatus st) {
+        return st == TraceBlockStatus::Truncated
+                   ? TraceIoStatus::TruncatedFile
+                   : TraceIoStatus::ChecksumMismatch;
+    };
+    FailpointRegistry &failpoints = FailpointRegistry::instance();
+    const uint8_t *data = span.data;
+    size_t remaining = span.size;
+    uint64_t walked = 0;  // records in every block passed so far
+    while (remaining > 0) {
+        size_t consumed = 0;
+        if (skip > 0) {
+            // Hop whole blocks of an already-delivered prefix by their
+            // framing alone.
+            uint32_t count = 0;
+            TraceBlockStatus st = probeTraceBlock(
+                data, remaining, &consumed, &count, false);
+            if (st != TraceBlockStatus::Ok)
+                return blockFailure(st);
+            if (count <= skip) {
+                skip -= count;
+                walked += count;
+                data += consumed;
+                remaining -= consumed;
+                continue;
+            }
+        }
+        TraceBlockView view;
+        TraceBlockStatus st = decodeTraceBlock(data, remaining, scratch,
+                                               view, &consumed, false);
+        if (st != TraceBlockStatus::Ok)
+            return blockFailure(st);
+        ++*blocks;
+        TraceBlockView block =
+            view.slice(static_cast<uint32_t>(skip), view.count);
+        skip = 0;
+        if (span.fromFile && failpoints.anyArmed()) {
+            for (uint32_t i = 0; i < block.count; ++i) {
+                FailpointAction action = failpoints.fire("trace_io.read");
+                if (action != FailpointAction::Short &&
+                    action != FailpointAction::Fail)
+                    continue;
+                if (i > 0)
+                    sink->consumeBlock(block.slice(0, i));
+                *delivered += i;
+                return action == FailpointAction::Short
+                           ? TraceIoStatus::Truncated
+                           : TraceIoStatus::IoError;
+            }
+        }
+        sink->consumeBlock(block);
+        *delivered += block.count;
+        walked += view.count;
+        data += consumed;
+        remaining -= consumed;
+    }
+    return walked == span.records ? TraceIoStatus::Ok
+                                  : TraceIoStatus::Truncated;
 }
 
 TraceFileReader::TraceFileReader(const std::string &path, Unchecked)
@@ -469,7 +533,6 @@ TraceFileReader::mapBlocks(TraceVerify verify)
     if (total != count_)
         return TraceIoStatus::Truncated;
     blockCount_ = blocks;
-    scratch_ = std::make_unique<TraceBlockScratch>();
     return TraceIoStatus::Ok;
 }
 
@@ -609,6 +672,10 @@ TraceFileReader::fail(TraceIoStatus status)
 bool
 TraceFileReader::decodeNextBlock()
 {
+    // Allocated on first decode: a reader kept only for its span()
+    // never pays for the decode columns.
+    if (!scratch_)
+        scratch_ = std::make_unique<TraceBlockScratch>();
     size_t consumed = 0;
     TraceBlockStatus st =
         decodeTraceBlock(payload_ + blockOff_, payloadSize_ - blockOff_,
@@ -623,7 +690,6 @@ TraceFileReader::decodeNextBlock()
         return false;
     }
     blockOff_ += consumed;
-    ++blocksDecoded_;
     viewIdx_ = 0;
     return true;
 }
@@ -667,57 +733,6 @@ TraceFileReader::next(TraceRecord &rec)
     return true;
 }
 
-bool
-TraceFileReader::skip(uint64_t n)
-{
-    if (status_ != TraceIoStatus::Ok)
-        return false;
-    if (n > count_ - read_)
-        n = count_ - read_;
-
-    if (version_ == kVersionV3) {
-        // Drain the decoded block first, then hop whole blocks by
-        // their framing (no decode), then decode into the target.
-        uint64_t inView = view_.count - viewIdx_;
-        uint64_t take = std::min(n, inView);
-        viewIdx_ += static_cast<uint32_t>(take);
-        read_ += take;
-        n -= take;
-        while (n > 0) {
-            size_t consumed = 0;
-            uint32_t blockRecords = 0;
-            if (probeTraceBlock(payload_ + blockOff_,
-                                payloadSize_ - blockOff_, &consumed,
-                                &blockRecords,
-                                false) != TraceBlockStatus::Ok) {
-                fail(TraceIoStatus::IoError);
-                return false;
-            }
-            if (blockRecords <= n) {
-                blockOff_ += consumed;
-                read_ += blockRecords;
-                n -= blockRecords;
-            } else {
-                if (!decodeNextBlock())
-                    return false;
-                viewIdx_ = static_cast<uint32_t>(n);
-                read_ += n;
-                n = 0;
-            }
-        }
-        return true;
-    }
-
-    in_.seekg(static_cast<std::streamoff>(n * kRecordBytes),
-              std::ios::cur);
-    if (!in_) {
-        fail(TraceIoStatus::IoError);
-        return false;
-    }
-    read_ += n;
-    return true;
-}
-
 uint64_t
 TraceFileReader::replay(TraceSink *sink)
 {
@@ -730,50 +745,12 @@ TraceFileReader::replay(TraceSink *sink)
     return n;
 }
 
-uint64_t
-TraceFileReader::replayBlocks(TraceBlockSink *sink)
+ColumnarSpan
+TraceFileReader::span() const
 {
     if (version_ != kVersionV3)
-        vpprof_panic("replayBlocks on a version-", version_,
-                     " trace file: ", path_);
-    uint64_t delivered = 0;
-    while (status_ == TraceIoStatus::Ok && read_ < count_) {
-        switch (FailpointRegistry::instance().fire("trace_io.read")) {
-          case FailpointAction::Short:
-            fail(TraceIoStatus::Truncated);
-            return delivered;
-          case FailpointAction::Fail:
-            fail(TraceIoStatus::IoError);
-            return delivered;
-          default:
-            break;
-        }
-        if (viewIdx_ >= view_.count && !decodeNextBlock())
-            break;
-        // Hand over whatever of the current block next()/skip()
-        // haven't consumed.
-        TraceBlockView slice = view_;
-        uint32_t o = viewIdx_;
-        slice.count -= o;
-        slice.seq += o;
-        slice.pc += o;
-        slice.op += o;
-        slice.directive += o;
-        slice.writesReg += o;
-        slice.dest += o;
-        slice.value += o;
-        slice.numSrcs += o;
-        slice.src0 += o;
-        slice.src1 += o;
-        slice.isMem += o;
-        slice.memAddr += o;
-        slice.firstSeq = slice.seq[0];
-        sink->consumeBlock(slice);
-        viewIdx_ = view_.count;
-        read_ += slice.count;
-        delivered += slice.count;
-    }
-    return delivered;
+        return {};
+    return {payload_, payloadSize_, count_, blockCount_, true};
 }
 
 bool

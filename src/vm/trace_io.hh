@@ -25,6 +25,13 @@
  * v3 file whose tail block was torn off reports the distinct
  * TruncatedFile status so quarantine logs name the actual failure.
  *
+ * Immutability: a committed file is never modified in place — every
+ * writer commits by rename, so a reader's mapping keeps the inode it
+ * validated while a re-commit replaces the directory entry. That is
+ * what lets the TraceRepository replay straight from the mapped
+ * payload (replayTraceSpan). A process that truncates a mapped trace
+ * file in place breaks the contract and can be killed by SIGBUS.
+ *
  * Fault injection: the write/commit/open/read sites consult the
  * failpoint registry ("trace_io.write", "trace_io.commit",
  * "trace_io.open", "trace_io.read"), so crash-consistency tests can
@@ -161,8 +168,8 @@ class TraceFileWriter : public TraceSink
 /**
  * Persist an already-encoded columnar trace as a v3 file through the
  * same temp + flush + atomic-rename commit protocol. This is the
- * TraceRepository's bulk path: capture encodes once, and persisting
- * (cache write, spill) is a framed buffer write instead of a second
+ * TraceRepository's bulk path: capture encodes once, and committing
+ * it to the cache is a framed buffer write instead of a second
  * per-record encode. The "trace_io.write" failpoint fires once per
  * block here (a trace is hundreds of blocks, so countdown specs still
  * land mid-file), "trace_io.commit" once at the rename.
@@ -171,17 +178,38 @@ TraceIoStatus writeColumnarTraceFile(const std::string &path,
                                      const ColumnarTrace &trace);
 
 /**
+ * Stream a v3 block span into `sink`, skipping its first `skip`
+ * records and decoding every other block once into `scratch`. Blocks
+ * are bounds-checked as they decode (not re-checksummed), so bytes
+ * that changed since validation are a structured failure, never UB.
+ *
+ * On a file's span the "trace_io.read" failpoint keeps its
+ * one-hit-per-record numbering: while any failpoint is armed it fires
+ * once per delivered record, and a triggered hit hands the sink the
+ * block's prefix before failing — the same records a record-at-a-time
+ * reader would have delivered. Unarmed, the check is one relaxed load
+ * per block. An in-memory span never fires it.
+ *
+ * @param[out] delivered Records handed to the sink (on failure too).
+ * @param[out] blocks    Blocks decoded.
+ * @return Ok, or why the replay stopped early.
+ */
+TraceIoStatus replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
+                              TraceBlockScratch &scratch,
+                              TraceBlockSink *sink, uint64_t *delivered,
+                              uint64_t *blocks);
+
+/**
  * Reads a binary trace file (any version). Records can be streamed
- * into any TraceSink (replay) or pulled one at a time; v3 files can
- * additionally be streamed block-at-a-time into a TraceBlockSink or
- * adopted wholesale as a ColumnarTrace.
+ * into any TraceSink (replay) or pulled one at a time; a v3 file's
+ * blocks can additionally be replayed straight from its span() with
+ * replayTraceSpan, or copied out as a ColumnarTrace.
  *
  * v3 files are mmap-ed (with a buffered-read fallback) and decoded
  * lazily, one block per 4096 records; v1/v2 files stream through the
- * original ifstream path. The repository's lock + atomic-rename
- * discipline means a mapped file is never modified in place — a
- * concurrent re-commit replaces the directory entry while the mapped
- * inode lives on.
+ * original ifstream path. A mapped file is never modified in place
+ * (see the file comment), so the reader can also hand its whole
+ * payload out as a ColumnarSpan that lives as long as the reader.
  *
  * Two opening modes:
  *  - The constructor is strict: any malformed file is fatal (a user
@@ -212,7 +240,7 @@ class TraceFileReader
     /** Records the header promises. */
     uint64_t recordCount() const { return count_; }
 
-    /** Records handed out (or skipped) so far. */
+    /** Records handed out so far. */
     uint64_t recordsRead() const { return read_; }
 
     /** '1', '2' or '3'. */
@@ -220,9 +248,6 @@ class TraceFileReader
 
     /** Columnar blocks in a v3 file (0 for v1/v2). */
     uint64_t blockCount() const { return blockCount_; }
-
-    /** Blocks this reader has decoded so far. */
-    uint64_t blocksDecoded() const { return blocksDecoded_; }
 
     /** Bytes of file this reader mapped (or buffered), v3 only. */
     uint64_t mappedBytes() const { return mappedBytes_; }
@@ -234,28 +259,19 @@ class TraceFileReader
      */
     bool next(TraceRecord &rec);
 
-    /**
-     * Seek forward past `n` records without decoding them (resuming a
-     * replay that already delivered a prefix); v3 skips whole blocks
-     * by their framing. False on seek failure.
-     */
-    bool skip(uint64_t n);
-
     /** Stream every remaining record into a sink; returns how many. */
     uint64_t replay(TraceSink *sink);
 
     /**
-     * v3 only: stream every remaining block into a block sink,
-     * decoding each block once. The "trace_io.read" failpoint fires
-     * once per block on this path (the record-granular ladder lives
-     * in next()). Returns records delivered.
+     * v3 only: the file's encoded payload as a block span into the
+     * reader's mapping, valid while the reader lives. Empty for v1/v2
+     * — those transcode through next() instead.
      */
-    uint64_t replayBlocks(TraceBlockSink *sink);
+    ColumnarSpan span() const;
 
     /**
-     * v3 only: hand the file's encoded payload over as a resident
-     * ColumnarTrace (one buffer copy, no decode). False for v1/v2 —
-     * those transcode through next() instead.
+     * v3 only: copy the file's encoded payload into a ColumnarTrace
+     * (one buffer copy, no decode). False for v1/v2.
      */
     bool readColumnar(ColumnarTrace &out) const;
 
@@ -297,7 +313,6 @@ class TraceFileReader
     size_t payloadSize_ = 0;
     size_t blockOff_ = 0;              // next undecoded block
     uint64_t blockCount_ = 0;
-    uint64_t blocksDecoded_ = 0;
     uint64_t mappedBytes_ = 0;
     std::unique_ptr<TraceBlockScratch> scratch_;
     TraceBlockView view_;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Crash-consistency matrix for the trace cache: with faults injected
- * at every write / commit / spill / read stage, Session experiments
+ * at every write / commit / open / read stage, Session experiments
  * must return bit-identical results to a fault-free cold run, nothing
  * may abort, and the TraceRepoStats recovery counters must account
  * for every injected fault. Also covers concurrent sessions sharing
@@ -94,11 +94,10 @@ class CrashConsistency : public ::testing::Test
     }
 
     SessionConfig
-    cacheConfig(uint64_t budget = 24'000'000)
+    cacheConfig()
     {
         SessionConfig cfg;
         cfg.traceCacheDir = dir_;
-        cfg.residentRecordBudget = budget;
         return cfg;
     }
 
@@ -174,7 +173,7 @@ TEST_F(CrashConsistency, DiskFullAtCommitDegradesGracefully)
     EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
 
     TraceRepoStats st = session.traces().stats();
-    EXPECT_EQ(st.vmRuns, 1u) << "resident copy still serves replays";
+    EXPECT_EQ(st.vmRuns, 1u) << "the capture buffer still serves replays";
     EXPECT_EQ(st.spillFailures, 1u);
     EXPECT_FALSE(fs::exists(cacheFile()));
 }
@@ -216,51 +215,29 @@ TEST_F(CrashConsistency, FlippedBitInCacheFileIsQuarantined)
 
 TEST_F(CrashConsistency, TransientShortReadIsRetriedFromDisk)
 {
-    // Budget 0 forces the replay through trace_io; the 50th record
-    // read fails once, then the file is healthy again — the retry
-    // must resume past the already-delivered prefix, not duplicate it.
+    // The replay reads the mapped cache file; the 50th record read
+    // fails once, then the file is healthy again — the retry must
+    // resume past the already-delivered prefix, not duplicate it.
     FailpointRegistry::instance().arm("trace_io.read",
                                       {FailpointAction::Short, 50});
-    Session session(cacheConfig(0));
+    Session session(cacheConfig());
     EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
 
     TraceRepoStats st = session.traces().stats();
     EXPECT_EQ(st.readRetries, 1u);
     EXPECT_EQ(st.regenerations, 0u);
-    EXPECT_EQ(st.spilledTraces, 1u);
 }
 
 TEST_F(CrashConsistency, PersistentReadFailureRegeneratesViaTheVm)
 {
     FailpointRegistry::instance().arm("trace_io.read",
                                       {FailpointAction::Short, 0});
-    Session session(cacheConfig(0));
+    Session session(cacheConfig());
     EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
 
     TraceRepoStats st = session.traces().stats();
     EXPECT_EQ(st.readRetries, 1u);
     EXPECT_EQ(st.regenerations, 1u);
-}
-
-TEST_F(CrashConsistency, SpillEnospcDegradesToReinterpretation)
-{
-    // No cache dir, zero resident budget, and the spill device is
-    // full: the trace fits nowhere, so every replay re-interprets —
-    // slower, bit-identical, never an abort.
-    FailpointRegistry::instance().arm("spill",
-                                      {FailpointAction::NoSpace, 0});
-    SessionConfig cfg;
-    cfg.residentRecordBudget = 0;
-    Session session(cfg);
-    EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
-    EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
-
-    TraceRepoStats st = session.traces().stats();
-    EXPECT_EQ(st.spillFailures, 1u);
-    EXPECT_EQ(st.regenerations, 2u) << "one per degraded replay";
-    EXPECT_EQ(st.vmRuns, 1u)
-        << "trace-once accounting holds even in degraded mode";
-    EXPECT_EQ(st.spilledTraces, 0u);
 }
 
 TEST_F(CrashConsistency, UnreadableProbeFallsBackToCapture)
@@ -295,7 +272,7 @@ TEST_F(CrashConsistency, ExperimentResultsSurviveInjectedReadFaults)
 
     FailpointRegistry::instance().arm("trace_io.read",
                                       {FailpointAction::Short, 1000});
-    Session faulty(cacheConfig(0));
+    Session faulty(cacheConfig());
     ProfileClassifier faulty_cls;
     ClassificationAccuracy got = faulty.evaluateClassification(
         li(), 0, li().program(), faulty_cls);

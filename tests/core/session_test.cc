@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the Session / TraceRepository layer: the trace-once
- * guarantee, fused multi-sink replays, profile memoization, the
- * disk-spill path, and the persistent cross-process trace cache
- * (including recovery from a corrupt cache file).
+ * guarantee, fused multi-sink replays, profile memoization, replay
+ * from the mapped cache file, and the persistent cross-process trace
+ * cache (including recovery from a corrupt cache file).
  */
 
 #include <gtest/gtest.h>
@@ -93,26 +93,29 @@ TEST(Session, ProfileIsMemoizedPerInput)
     EXPECT_GT(first.size(), 0u);
 }
 
-TEST(Session, ZeroBudgetSpillsToDiskAndRoundTrips)
+TEST(Session, CacheBackedTraceRoundTripsThroughTheMappedFile)
 {
-    Session resident;
-    CountingTraceSink in_memory;
-    resident.runTrace(li(), 0, &in_memory);
+    Session in_memory;  // no cache dir: the capture buffer serves
+    CountingTraceSink from_buffer;
+    in_memory.runTrace(li(), 0, &from_buffer);
 
+    std::string dir = ::testing::TempDir() + "/vpprof_cache_mapped";
+    std::filesystem::remove_all(dir);
     SessionConfig cfg;
-    cfg.residentRecordBudget = 0;  // force every trace through trace_io
-    Session spilling(cfg);
-    CountingTraceSink from_disk_1, from_disk_2;
-    spilling.runTrace(li(), 0, &from_disk_1);
-    spilling.runTrace(li(), 0, &from_disk_2);
+    cfg.traceCacheDir = dir;  // capture commits, then replays the map
+    Session mapped(cfg);
+    CountingTraceSink from_file_1, from_file_2;
+    mapped.runTrace(li(), 0, &from_file_1);
+    mapped.runTrace(li(), 0, &from_file_2);
 
-    TraceRepoStats st = spilling.traces().stats();
+    TraceRepoStats st = mapped.traces().stats();
     EXPECT_EQ(st.vmRuns, 1u);
-    EXPECT_EQ(st.spilledTraces, 1u);
-    EXPECT_EQ(st.residentRecords, 0u);
-    EXPECT_EQ(from_disk_1.producers(), in_memory.producers());
-    EXPECT_EQ(from_disk_1.branches(), in_memory.branches());
-    EXPECT_EQ(from_disk_2.producers(), in_memory.producers());
+    EXPECT_EQ(st.spillFailures, 0u);
+    EXPECT_TRUE(std::filesystem::exists(dir + "/li.in0.trace"));
+    EXPECT_EQ(from_file_1.producers(), from_buffer.producers());
+    EXPECT_EQ(from_file_1.branches(), from_buffer.branches());
+    EXPECT_EQ(from_file_2.producers(), from_buffer.producers());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Session, PersistentCacheIsAdoptedAcrossSessions)

@@ -78,12 +78,11 @@ class TraceV3Batch : public ::testing::Test
     }
 
     SessionConfig
-    cacheConfig(unsigned jobs = 1, uint64_t budget = 96'000'000)
+    cacheConfig(unsigned jobs = 1)
     {
         SessionConfig cfg;
         cfg.jobs = jobs;
         cfg.traceCacheDir = dir_;
-        cfg.residentRecordBudget = budget;
         return cfg;
     }
 
@@ -223,15 +222,17 @@ TEST_F(TraceV3Batch, BatchMatchesSerialFromDiskAndDegraded)
         serial.annotatedProgram(li(), {0}, InserterConfig{});
     SerialReference ref = serialReference(serial, annotated);
 
-    // Budget 0: the batch pass streams from the v3 file through the
-    // recovery-ladder path (BlockAssembler re-blocking).
-    Session disk(cacheConfig(1, 0));
+    // A fresh session adopts the committed v3 file: the batch pass
+    // decodes straight from its mapping.
+    Session disk(cacheConfig());
     expectBatchMatchesSerial(disk, ref, annotated);
-    EXPECT_EQ(disk.traces().stats().spilledTraces, 1u);
+    EXPECT_EQ(disk.traces().stats().diskLoads, 1u);
+    EXPECT_EQ(disk.traces().stats().vmRuns, 0u);
 
-    // No cache at all and budget 0 with no spill dir would still
-    // degrade gracefully; the degraded (reinterpret) branch is covered
-    // by the crash matrix — here we just prove disk batches match.
+    // A session without a cache replays from its capture buffer
+    // through the same span code.
+    Session buffered;
+    expectBatchMatchesSerial(buffered, ref, annotated);
 }
 
 TEST_F(TraceV3Batch, V2CacheFeedsBatchReplayTransparently)

@@ -81,11 +81,10 @@ class TraceV3Crash : public ::testing::Test
     }
 
     SessionConfig
-    cacheConfig(uint64_t budget = 96'000'000)
+    cacheConfig()
     {
         SessionConfig cfg;
         cfg.traceCacheDir = dir_;
-        cfg.residentRecordBudget = budget;
         return cfg;
     }
 
@@ -146,21 +145,30 @@ TEST_F(TraceV3Crash, BlockChecksumCorruptionQuarantinesToBad)
 
 TEST_F(TraceV3Crash, TornTailBlockRecoversThroughTheLadder)
 {
-    // Budget 0 keeps the trace on disk. After a successful replay the
-    // file is torn mid-block underneath the session — the next replay
-    // must climb the ladder (reopen fails with TruncatedFile, the
-    // retry fails the same way, the VM regenerates) and still deliver
-    // a bit-identical stream.
-    Session session(cacheConfig(0));
+    // After a successful replay the cache file is replaced by a copy
+    // torn mid-block. Committed files only ever change by rename, so
+    // the session's mapping keeps the inode it verified and replays
+    // on untouched. A mid-replay fault then sends the ladder to the
+    // torn file: the Full re-open fails (TruncatedFile), the VM
+    // regenerates the tail, and the stream stays bit-identical.
+    Session session(cacheConfig());
     ASSERT_EQ(replayDigest(session, li(), 0), referenceDigest());
-    ASSERT_EQ(session.traces().stats().spilledTraces, 1u);
 
     std::string bytes = slurp(cacheFile());
     ASSERT_GT(bytes.size(), 100u);
     ASSERT_EQ(bytes[7], '3');
-    spit(cacheFile(), bytes.substr(0, bytes.size() - 23));
+    const std::string torn = cacheFile() + ".torn";
+    spit(torn, bytes.substr(0, bytes.size() - 23));
+    fs::rename(torn, cacheFile());
 
     EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
+    EXPECT_EQ(session.traces().stats().readRetries, 0u)
+        << "the mapping is immune to a re-commit of its file";
+
+    FailpointRegistry::instance().arm("trace_io.read",
+                                      {FailpointAction::Short, 50});
+    EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
+    FailpointRegistry::instance().reset();
     TraceRepoStats st = session.traces().stats();
     EXPECT_EQ(st.readRetries, 1u);
     EXPECT_EQ(st.regenerations, 1u);
@@ -168,7 +176,7 @@ TEST_F(TraceV3Crash, TornTailBlockRecoversThroughTheLadder)
         << "the regeneration does not count as a trace-producing run";
 
     // A FRESH session probing the torn file quarantines it instead.
-    Session probe(cacheConfig(0));
+    Session probe(cacheConfig());
     EXPECT_EQ(replayDigest(probe, li(), 0), referenceDigest());
     EXPECT_EQ(probe.traces().stats().corruptQuarantined, 1u);
     EXPECT_TRUE(fs::exists(cacheFile() + ".bad"));
@@ -177,9 +185,9 @@ TEST_F(TraceV3Crash, TornTailBlockRecoversThroughTheLadder)
 TEST_F(TraceV3Crash, V2CacheAdoptedByV3SessionUnderFaults)
 {
     // The migration scenario as a matrix row: a v2-pinned process
-    // captured the cache; a v3-default process adopts it, and a
-    // mid-replay fault on the adopted v2 file still recovers through
-    // the ladder.
+    // captured the cache; a v3-default process adopts it (migrating
+    // the file to v3), and a mid-replay fault on the migrated file
+    // still recovers through the ladder.
     ::setenv("VPPROF_TRACE_FORMAT", "2", 1);
     {
         Session capture(cacheConfig());
@@ -188,7 +196,8 @@ TEST_F(TraceV3Crash, V2CacheAdoptedByV3SessionUnderFaults)
     ASSERT_EQ(slurp(cacheFile())[7], '2');
     ::unsetenv("VPPROF_TRACE_FORMAT");
 
-    // Transparent adoption, resident transcode: no VM run.
+    // Transparent adoption, transcoded and committed as v3: no VM
+    // run.
     {
         Session adopt(cacheConfig());
         EXPECT_EQ(replayDigest(adopt, li(), 0), referenceDigest());
@@ -198,11 +207,11 @@ TEST_F(TraceV3Crash, V2CacheAdoptedByV3SessionUnderFaults)
         EXPECT_EQ(st.corruptQuarantined, 0u);
     }
 
-    // Same adoption with budget 0 (the v2 file serves replays
-    // directly) under an injected transient read fault.
+    // A later session replays the migrated file under an injected
+    // transient read fault.
     FailpointRegistry::instance().arm("trace_io.read",
                                       {FailpointAction::Short, 50});
-    Session faulty(cacheConfig(0));
+    Session faulty(cacheConfig());
     EXPECT_EQ(replayDigest(faulty, li(), 0), referenceDigest());
     TraceRepoStats st = faulty.traces().stats();
     EXPECT_EQ(st.vmRuns, 0u);

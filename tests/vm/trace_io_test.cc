@@ -165,6 +165,31 @@ validTraceBytes(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
+/** A committed two-record v3 file (pcs 7 and 8). */
+void
+writeV3Pcs78(const std::string &path)
+{
+    TraceFileWriter writer(path, TraceFormat::V3);
+    TraceRecord rec;
+    rec.pc = 7;
+    writer.record(rec);
+    rec.pc = 8;
+    writer.record(rec);
+    ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
+}
+
+/** Collects the pc column of every block it is handed. */
+struct PcBlockSink : TraceBlockSink
+{
+    std::vector<uint64_t> pcs;
+
+    void
+    consumeBlock(const TraceBlockView &block) override
+    {
+        pcs.insert(pcs.end(), block.pc, block.pc + block.count);
+    }
+};
+
 void
 writeBytes(const std::string &path, const std::string &data)
 {
@@ -493,15 +518,54 @@ TEST_F(TraceIoFaults, ShortReadFailpointStopsNonStrictReplay)
 TEST_F(TraceIoFaults, SkipResumesAReplayPastADeliveredPrefix)
 {
     std::string path = tempPath("skip.trace");
-    validTraceBytes(path);
+    writeV3Pcs78(path);
     auto reader = TraceFileReader::tryOpen(path);
     ASSERT_NE(reader, nullptr);
-    ASSERT_TRUE(reader->skip(1));
-    EXPECT_EQ(reader->recordsRead(), 1u);
-    TraceRecord rec;
-    ASSERT_TRUE(reader->next(rec));
-    EXPECT_EQ(rec.pc, 8u) << "skip(1) lands on the second record";
-    EXPECT_FALSE(reader->next(rec));
+    PcBlockSink sink;
+    TraceBlockScratch scratch;
+    uint64_t delivered = 0, blocks = 0;
+    EXPECT_EQ(replayTraceSpan(reader->span(), 1, scratch, &sink,
+                              &delivered, &blocks),
+              TraceIoStatus::Ok);
+    EXPECT_EQ(delivered, 1u);
+    EXPECT_EQ(sink.pcs, std::vector<uint64_t>{8u})
+        << "skipping 1 lands on the second record";
+    std::remove(path.c_str());
+}
+
+TEST_F(TraceIoFaults, SpanReadFaultsCountRecordsOfFilesOnly)
+{
+    std::string path = tempPath("spanread.trace");
+    writeV3Pcs78(path);
+    auto reader = TraceFileReader::tryOpen(path);
+    ASSERT_NE(reader, nullptr);
+    ColumnarTrace copy;
+    ASSERT_TRUE(reader->readColumnar(copy));
+    TraceBlockScratch scratch;
+
+    // The 2nd record read of a file's span fails: the 1st is
+    // delivered first, exactly as a record-at-a-time reader would.
+    FailpointRegistry::instance().arm("trace_io.read",
+                                      {FailpointAction::Short, 2});
+    PcBlockSink file_sink;
+    uint64_t delivered = 0, blocks = 0;
+    EXPECT_EQ(replayTraceSpan(reader->span(), 0, scratch, &file_sink,
+                              &delivered, &blocks),
+              TraceIoStatus::Truncated);
+    EXPECT_EQ(delivered, 1u);
+    EXPECT_EQ(file_sink.pcs, std::vector<uint64_t>{7u});
+    EXPECT_EQ(FailpointRegistry::instance().hits("trace_io.read"), 2u);
+
+    // An in-memory span reads no file: the failpoint never fires.
+    FailpointRegistry::instance().arm("trace_io.read",
+                                      {FailpointAction::Short, 0});
+    PcBlockSink buffer_sink;
+    delivered = 0;
+    EXPECT_EQ(replayTraceSpan(copy.span(), 0, scratch, &buffer_sink,
+                              &delivered, &blocks),
+              TraceIoStatus::Ok);
+    EXPECT_EQ(buffer_sink.pcs, (std::vector<uint64_t>{7u, 8u}));
+    EXPECT_EQ(FailpointRegistry::instance().hits("trace_io.read"), 0u);
     std::remove(path.c_str());
 }
 

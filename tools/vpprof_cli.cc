@@ -539,8 +539,7 @@ printRepoStats(Session &session)
     TraceRepoStats st = session.traces().stats();
     std::fprintf(stderr,
                  "[trace-repo] vm_runs=%llu disk_loads=%llu "
-                 "replays=%llu unique_traces=%llu "
-                 "resident_records=%llu spilled_traces=%llu\n"
+                 "replays=%llu unique_traces=%llu\n"
                  "[trace-repo] corrupt_quarantined=%llu "
                  "regenerations=%llu spill_failures=%llu "
                  "read_retries=%llu\n"
@@ -550,8 +549,6 @@ printRepoStats(Session &session)
                  static_cast<unsigned long long>(st.diskLoads),
                  static_cast<unsigned long long>(st.replays),
                  static_cast<unsigned long long>(st.uniqueTraces),
-                 static_cast<unsigned long long>(st.residentRecords),
-                 static_cast<unsigned long long>(st.spilledTraces),
                  static_cast<unsigned long long>(st.corruptQuarantined),
                  static_cast<unsigned long long>(st.regenerations),
                  static_cast<unsigned long long>(st.spillFailures),
