@@ -32,6 +32,7 @@
  */
 
 #include "bench_util.hh"
+#include "bench_daemon_util.hh"
 
 #include <algorithm>
 #include <filesystem>
@@ -40,8 +41,6 @@
 #include <optional>
 #include <set>
 #include <thread>
-
-#include <unistd.h>
 
 #include "common/failpoint.hh"
 #include "daemon/client.hh"
@@ -88,69 +87,7 @@ quickScale()
     return s;
 }
 
-std::string
-freshSocketPath()
-{
-    static int counter = 0;
-    std::ostringstream os;
-    os << "/tmp/vpd_chaos_" << ::getpid() << "_" << counter++
-       << ".sock";
-    return os.str();
-}
-
-struct RunningDaemon
-{
-    std::unique_ptr<DaemonServer> server;
-    std::thread loop;
-    int rc = -1;
-
-    explicit RunningDaemon(DaemonConfig cfg)
-    {
-        cfg.socketPath = freshSocketPath();
-        server = std::make_unique<DaemonServer>(std::move(cfg));
-        std::string error;
-        if (!server->start(&error))
-            vpprof_panic("daemon start failed: ", error);
-        loop = std::thread([this] { rc = server->run(); });
-    }
-
-    DaemonClient
-    client()
-    {
-        DaemonClient c;
-        std::string error;
-        if (!c.connect(server->config().socketPath, &error))
-            vpprof_panic("daemon connect failed: ", error);
-        return c;
-    }
-
-    int
-    stop()
-    {
-        server->requestShutdown();
-        loop.join();
-        return rc;
-    }
-};
-
-double
-wallMsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration_cast<
-               std::chrono::duration<double, std::milli>>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-double
-percentile(std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    size_t idx = static_cast<size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
+constexpr const char *kSocketPrefix = "/tmp/vpd_chaos_";
 
 /**
  * The deterministic mixed workload: request for (client, slot). Only
@@ -267,7 +204,7 @@ main(int argc, char **argv)
         std::vector<std::string>(scale.requestsPerClient));
     auto wall_t0 = std::chrono::steady_clock::now();
     {
-        RunningDaemon baseline(cfg);
+        RunningDaemon baseline(cfg, kSocketPrefix);
         {
             // Warm pass: populate the disk trace cache so both runs
             // serve from the same persisted traces.
@@ -309,7 +246,7 @@ main(int argc, char **argv)
     std::vector<PhaseOutcome> per_client(scale.chaosClients);
     uint64_t chaos_faults = 0, chaos_read_faults = 0;
     {
-        RunningDaemon chaos(cfg);
+        RunningDaemon chaos(cfg, kSocketPrefix);
         {
             std::string error;
             if (!FailpointRegistry::instance().armList(scale.faults,
@@ -405,7 +342,7 @@ main(int argc, char **argv)
         shed_cfg.session.traceCacheDir = cache_dir;  // warm
         shed_cfg.maxQueue = 2;
         shed_cfg.maxInflightPerClient = 1;
-        RunningDaemon shed(shed_cfg);
+        RunningDaemon shed(shed_cfg, kSocketPrefix);
         {
             std::string error;
             if (!FailpointRegistry::instance().armList(

@@ -42,6 +42,7 @@
  */
 
 #include "bench_util.hh"
+#include "bench_daemon_util.hh"
 
 #include <algorithm>
 #include <atomic>
@@ -49,8 +50,6 @@
 #include <memory>
 #include <optional>
 #include <thread>
-
-#include <unistd.h>
 
 #include "daemon/client.hh"
 #include "daemon/server.hh"
@@ -71,69 +70,7 @@ constexpr size_t kOverheadRounds = 8;
 constexpr size_t kOverheadClients = 1;
 constexpr size_t kOverheadRequestsPerClient = 16;
 
-std::string
-freshSocketPath()
-{
-    static int counter = 0;
-    std::ostringstream os;
-    os << "/tmp/vpd_obs_" << ::getpid() << "_" << counter++ << ".sock";
-    return os.str();
-}
-
-/** One daemon instance with its event loop on a background thread. */
-struct RunningDaemon
-{
-    std::unique_ptr<DaemonServer> server;
-    std::thread loop;
-    int rc = -1;
-
-    explicit RunningDaemon(DaemonConfig cfg)
-    {
-        cfg.socketPath = freshSocketPath();
-        server = std::make_unique<DaemonServer>(std::move(cfg));
-        std::string error;
-        if (!server->start(&error))
-            vpprof_panic("daemon start failed: ", error);
-        loop = std::thread([this] { rc = server->run(); });
-    }
-
-    DaemonClient
-    client()
-    {
-        DaemonClient c;
-        std::string error;
-        if (!c.connect(server->config().socketPath, &error))
-            vpprof_panic("daemon connect failed: ", error);
-        return c;
-    }
-
-    int
-    stop()
-    {
-        server->requestShutdown();
-        loop.join();
-        return rc;
-    }
-};
-
-double
-wallMsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration_cast<
-               std::chrono::duration<double, std::milli>>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-double
-percentile(std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    size_t idx = static_cast<size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
+constexpr const char *kSocketPrefix = "/tmp/vpd_obs_";
 
 /** Parse one response line into a JSON document (panics on garbage). */
 report::JsonValue
@@ -373,7 +310,7 @@ measureOverhead(const std::string &cache_dir)
     DaemonConfig cfg;
     cfg.session.jobs = 4;
     cfg.session.traceCacheDir = cache_dir;
-    RunningDaemon daemon(cfg);
+    RunningDaemon daemon(cfg, kSocketPrefix);
     {
         DaemonClient warm = daemon.client();
         uint64_t id = 1;
@@ -483,7 +420,7 @@ main()
             vpprof_panic("tight SLO spec: ", slo_error);
         cfg.slo = *slo;
         cfg.sloWindow = 64;
-        RunningDaemon tight(cfg);
+        RunningDaemon tight(cfg, kSocketPrefix);
         DaemonClient client = tight.client();
 
         std::printf("agreement: 12 jobs (2 deliberate failures) under "
@@ -604,7 +541,7 @@ main()
             vpprof_panic("generous SLO spec: ", slo_error);
         cfg.slo = *slo;
         cfg.sloWindow = 64;
-        RunningDaemon generous(cfg);
+        RunningDaemon generous(cfg, kSocketPrefix);
         DaemonClient client = generous.client();
         std::printf("slo-control: 10 jobs under p99_ms=600000,"
                     "error_rate=1\n");
@@ -678,10 +615,10 @@ main()
         DaemonConfig cfg;
         cfg.session.jobs = 2;
         cfg.session.traceCacheDir = cache_dir;
-        cfg.subscriberRingCap = 8;
+        cfg.eventRingCap = 8;
         cfg.maxClientOutBufBytes = 4096;
         cfg.idleTimeoutMs = 0;  // the stalled subscriber must survive
-        RunningDaemon daemon(cfg);
+        RunningDaemon daemon(cfg, kSocketPrefix);
 
         DaemonClient stalled = daemon.client();
         Request sub_req;

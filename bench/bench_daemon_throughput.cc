@@ -27,6 +27,7 @@
  */
 
 #include "bench_util.hh"
+#include "bench_daemon_util.hh"
 
 #include <algorithm>
 #include <filesystem>
@@ -34,8 +35,6 @@
 #include <optional>
 #include <set>
 #include <thread>
-
-#include <unistd.h>
 
 #include "daemon/client.hh"
 #include "daemon/server.hh"
@@ -53,71 +52,7 @@ constexpr size_t kBurstClients = 6;
 constexpr size_t kBurstJobsPerClient = 4;
 constexpr int kCallTimeoutMs = 120'000;
 
-std::string
-freshSocketPath()
-{
-    static int counter = 0;
-    std::ostringstream os;
-    os << "/tmp/vpd_bench_" << ::getpid() << "_" << counter++
-       << ".sock";
-    return os.str();
-}
-
-/** One daemon instance with its event loop on a background thread. */
-struct RunningDaemon
-{
-    std::unique_ptr<DaemonServer> server;
-    std::thread loop;
-    int rc = -1;
-
-    explicit RunningDaemon(DaemonConfig cfg)
-    {
-        cfg.socketPath = freshSocketPath();
-        server = std::make_unique<DaemonServer>(std::move(cfg));
-        std::string error;
-        if (!server->start(&error))
-            vpprof_panic("daemon start failed: ", error);
-        loop = std::thread([this] { rc = server->run(); });
-    }
-
-    DaemonClient
-    client()
-    {
-        DaemonClient c;
-        std::string error;
-        if (!c.connect(server->config().socketPath, &error))
-            vpprof_panic("daemon connect failed: ", error);
-        return c;
-    }
-
-    /** Graceful drain; the event loop must exit 0. */
-    int
-    stop()
-    {
-        server->requestShutdown();
-        loop.join();
-        return rc;
-    }
-};
-
-double
-wallMsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration_cast<
-               std::chrono::duration<double, std::milli>>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-double
-percentile(std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    size_t idx = static_cast<size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
+constexpr const char *kSocketPrefix = "/tmp/vpd_bench_";
 
 /** The deterministic steady-phase request mix for (client, i). */
 CallResult
@@ -178,7 +113,7 @@ main()
     DaemonConfig steady_cfg;
     steady_cfg.session.jobs = 4;
     steady_cfg.session.traceCacheDir = cache_dir;
-    RunningDaemon steady(steady_cfg);
+    RunningDaemon steady(steady_cfg, kSocketPrefix);
 
     // Warm pass (unmeasured): populate the trace cache and the
     // memoized profiles so the measured phase times the serving
@@ -266,7 +201,7 @@ main()
     burst_cfg.session.traceCacheDir = cache_dir;  // warm from phase 1
     burst_cfg.maxQueue = 2;
     burst_cfg.maxInflightPerClient = 1;
-    RunningDaemon burst(burst_cfg);
+    RunningDaemon burst(burst_cfg, kSocketPrefix);
 
     std::printf("burst: %zu clients x %zu pipelined profile jobs "
                 "against queue=2, quota=1\n",

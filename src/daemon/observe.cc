@@ -59,19 +59,25 @@ jobEventJson(const JobEvent &event)
     return os.str();
 }
 
+EventRing::EventRing(size_t cap) : cap_(std::max<size_t>(cap, 1)) {}
+
 void
-EventJournal::push(JobEvent event)
+EventRing::push(JobEvent event)
 {
-    ++total_;
-    if (cap_ == 0)
-        return;
+    event.seq = ++total_;
     if (events_.size() >= cap_)
         events_.pop_front();
     events_.push_back(std::move(event));
 }
 
+const JobEvent &
+EventRing::at(uint64_t seq) const
+{
+    return events_[seq - oldestSeq()];
+}
+
 std::string
-EventJournal::renderJsonArray(size_t limit) const
+EventRing::renderJsonArray(size_t limit) const
 {
     size_t count = events_.size();
     if (limit > 0)

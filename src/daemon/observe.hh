@@ -1,7 +1,8 @@
 /**
  * @file
  * vpprofd's observability plane (DESIGN.md §14): the data types behind
- * per-job lifecycle events, the bounded in-daemon event journal, the
+ * per-job lifecycle events, the one bounded event ring that the
+ * `journal` command and every lifecycle subscriber read, the
  * telemetry-stream subscription filter, and declarative SLO tracking.
  *
  * A job's life is narrated as a sequence of JobEvents — received,
@@ -9,7 +10,9 @@
  * with the daemon's monotonically increasing sequence number, the
  * telemetry clock (telemetry::nowNs(), the same axis the Perfetto
  * trace uses) and the job's trace id, so wire responses, streamed
- * events, the journal and executor spans all join on one key.
+ * events, the journal and executor spans all join on one key. Events
+ * are stored once and rendered when a reader takes them; a pushed
+ * event is immutable, so every rendering is byte-identical.
  *
  * Everything here is pure bookkeeping owned by the event-loop thread:
  * no locks, no sockets. The server decides when events fire and who
@@ -50,10 +53,10 @@ enum class JobEventKind
 
 const char *jobEventKindName(JobEventKind kind);
 
-/** One job lifecycle event (journal entry / streamed line payload). */
+/** One job lifecycle event (ring entry / streamed line payload). */
 struct JobEvent
 {
-    uint64_t seq = 0;          ///< daemon-wide ordinal, from 1
+    uint64_t seq = 0;          ///< EventRing::push stamps it, from 1
     uint64_t tsNs = 0;         ///< telemetry::nowNs() timestamp
     JobEventKind kind = JobEventKind::Received;
     uint64_t requestId = 0;    ///< 0 for job-less events (recovery)
@@ -78,20 +81,36 @@ void writeJobEventFields(std::ostream &os, const JobEvent &event);
 std::string jobEventJson(const JobEvent &event);
 
 /**
- * Bounded ring of the most recent job lifecycle events, queryable via
- * the `journal` protocol command. Push beyond the cap drops the
- * OLDEST entry; totalPushed() keeps counting, so `total - size` is
- * the number aged out.
+ * The daemon's one bounded store of job lifecycle events: push()
+ * stamps the next gap-free seq (from 1) and evicts the OLDEST event
+ * when full. `journal` renders its tail; a subscriber is a cursor
+ * (the next seq it has not seen) into it.
  */
-class EventJournal
+class EventRing
 {
   public:
-    explicit EventJournal(size_t cap) : cap_(cap) {}
+    /** A capacity of 0 is treated as 1. */
+    explicit EventRing(size_t cap);
 
     void push(JobEvent event);
 
-    uint64_t totalPushed() const { return total_; }
+    /** Events ever pushed (also the newest event's seq). */
+    uint64_t total() const { return total_; }
     size_t size() const { return events_.size(); }
+    /** The seq the next push gets: a cursor here is caught up. */
+    uint64_t headSeq() const { return total_ + 1; }
+    /** The oldest retained seq (headSeq() when empty). */
+    uint64_t oldestSeq() const { return headSeq() - events_.size(); }
+
+    /** The retained event `seq`; oldestSeq() <= seq < headSeq(). */
+    const JobEvent &at(uint64_t seq) const;
+
+    /** Events evicted before a reader at `cursor` reached them. */
+    uint64_t
+    overtaken(uint64_t cursor) const
+    {
+        return cursor < oldestSeq() ? oldestSeq() - cursor : 0;
+    }
 
     /**
      * The newest `limit` events (0 = all retained), oldest first, as

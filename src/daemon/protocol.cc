@@ -1,5 +1,6 @@
 #include "daemon/protocol.hh"
 
+#include <cmath>
 #include <sstream>
 
 namespace vpprof
@@ -71,6 +72,40 @@ errorCodeName(ErrorCode code)
     return "?";
 }
 
+namespace
+{
+
+/**
+ * Read the optional integer member `name` of `doc` into `*out`. JSON
+ * numbers arrive as doubles, so the value must be integral, at least
+ * `min` and at most 2^53 (the largest range a double holds exactly)
+ * before the cast: a fraction or an out-of-range value is a bad
+ * request, never a silent truncation or an undefined conversion.
+ * True when absent (`*out` untouched) or valid.
+ */
+template <typename T>
+bool
+readInteger(const report::JsonValue &doc, const char *name, T min,
+            T *out, std::string *error)
+{
+    const report::JsonValue *v = doc.get(name);
+    if (!v)
+        return true;
+    double d = v->isNumber() ? v->asNumber() : -1;
+    if (!(d >= static_cast<double>(min) && d <= 0x1p53 &&
+          d == std::floor(d))) {
+        if (error)
+            *error = std::string("'") + name + "' must be " +
+                     (min > 0 ? "a positive" : "a non-negative") +
+                     " integer (at most 2^53)";
+        return false;
+    }
+    *out = static_cast<T>(d);
+    return true;
+}
+
+} // namespace
+
 std::optional<Request>
 parseRequest(std::string_view line, std::string *error,
              uint64_t *id_out)
@@ -90,13 +125,13 @@ parseRequest(std::string_view line, std::string *error,
     }
 
     Request req;
-    const report::JsonValue *id = doc->get("id");
-    if (!id || !id->isNumber() || id->asNumber() < 0) {
+    if (!doc->get("id")) {
         if (error)
-            *error = "request needs a non-negative numeric 'id'";
+            *error = "request needs a non-negative integer 'id'";
         return std::nullopt;
     }
-    req.id = static_cast<uint64_t>(id->asNumber());
+    if (!readInteger<uint64_t>(*doc, "id", 0, &req.id, error))
+        return std::nullopt;
     if (id_out)
         *id_out = req.id;
 
@@ -122,14 +157,8 @@ parseRequest(std::string_view line, std::string *error,
         }
         req.workload = w->asString();
     }
-    if (const report::JsonValue *in = doc->get("input")) {
-        if (!in->isNumber() || in->asNumber() < 0) {
-            if (error)
-                *error = "'input' must be a non-negative number";
-            return std::nullopt;
-        }
-        req.input = static_cast<size_t>(in->asNumber());
-    }
+    if (!readInteger<size_t>(*doc, "input", 0, &req.input, error))
+        return std::nullopt;
     if (const report::JsonValue *t = doc->get("threshold")) {
         if (!t->isNumber()) {
             if (error)
@@ -146,30 +175,12 @@ parseRequest(std::string_view line, std::string *error,
         }
         req.progress = p->asBool();
     }
-    if (const report::JsonValue *d = doc->get("deadline_ms")) {
-        if (!d->isNumber() || d->asNumber() < 0) {
-            if (error)
-                *error = "'deadline_ms' must be a non-negative number";
-            return std::nullopt;
-        }
-        req.deadlineMs = static_cast<uint64_t>(d->asNumber());
-    }
-    if (const report::JsonValue *t = doc->get("target")) {
-        if (!t->isNumber() || t->asNumber() <= 0) {
-            if (error)
-                *error = "'target' must be a positive number";
-            return std::nullopt;
-        }
-        req.cancelTarget = static_cast<uint64_t>(t->asNumber());
-    }
-    if (const report::JsonValue *t = doc->get("trace_id")) {
-        if (!t->isNumber() || t->asNumber() < 0) {
-            if (error)
-                *error = "'trace_id' must be a non-negative number";
-            return std::nullopt;
-        }
-        req.traceId = static_cast<uint64_t>(t->asNumber());
-    }
+    if (!readInteger<uint64_t>(*doc, "deadline_ms", 0, &req.deadlineMs,
+                               error) ||
+        !readInteger<uint64_t>(*doc, "target", 1, &req.cancelTarget,
+                               error) ||
+        !readInteger<uint64_t>(*doc, "trace_id", 0, &req.traceId, error))
+        return std::nullopt;
     if (const report::JsonValue *e = doc->get("events")) {
         if (!e->isString()) {
             if (error)
@@ -195,14 +206,8 @@ parseRequest(std::string_view line, std::string *error,
         }
         req.format = f->asString();
     }
-    if (const report::JsonValue *l = doc->get("limit")) {
-        if (!l->isNumber() || l->asNumber() < 0) {
-            if (error)
-                *error = "'limit' must be a non-negative number";
-            return std::nullopt;
-        }
-        req.limit = static_cast<uint64_t>(l->asNumber());
-    }
+    if (!readInteger<uint64_t>(*doc, "limit", 0, &req.limit, error))
+        return std::nullopt;
 
     if (commandIsJob(req.cmd) && req.workload.empty()) {
         if (error)

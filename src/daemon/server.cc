@@ -43,6 +43,20 @@ setNonBlocking(int fd)
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/** A lifecycle event for request `req` of client `client_serial`. */
+JobEvent
+jobEvent(JobEventKind kind, uint64_t client_serial, const Request &req)
+{
+    JobEvent event;
+    event.kind = kind;
+    event.requestId = req.id;
+    event.traceId = req.traceId;
+    event.clientSerial = client_serial;
+    event.cmd = req.cmd;
+    event.workload = req.workload;
+    return event;
+}
+
 void
 writeField(std::ostream &os, const char *name, uint64_t value,
            bool &first)
@@ -159,7 +173,7 @@ DaemonServer::DaemonServer(DaemonConfig config)
     : config_(std::move(config)),
       session_(config_.session),
       dispatcher_(session_, suite_),
-      journal_(telemetry::kEnabled ? config_.journalCap : 0)
+      events_(config_.eventRingCap)
 {
     slo_.configure(config_.slo, config_.sloWindow);
 }
@@ -310,35 +324,21 @@ DaemonServer::executorLoop()
             }
             runningJobs_ += batch.size();
         }
-        if (telemetry::kEnabled && !batch.empty()) {
-            // Started notices cross to the event loop (which owns the
-            // journal and the subscriber fan-out) like completions do.
-            std::lock_guard<std::mutex> lock(startedMutex_);
-            for (const Job &job : batch) {
-                JobEvent event;
-                event.tsNs = telemetry::nowNs();
-                event.kind = JobEventKind::Started;
-                event.requestId = job.req.id;
-                event.traceId = job.traceId;
-                event.clientSerial = job.clientSerial;
-                event.cmd = job.req.cmd;
-                event.workload = job.req.workload;
-                startedEvents_.push_back(std::move(event));
-            }
-        }
-        if (!expired.empty()) {
+        {
+            // Started notices ride the completion FIFO ahead of their
+            // jobs' results: the event loop owns the ring.
             std::lock_guard<std::mutex> lock(completionMutex_);
+            if (telemetry::kEnabled)
+                for (const Job &job : batch)
+                    completions_.push_back(
+                        {job, std::nullopt, telemetry::nowNs()});
             for (Job &job : expired) {
                 JobOutcome outcome;
                 outcome.ok = false;
                 outcome.code = ErrorCode::DeadlineExceeded;
                 outcome.error = "deadline exceeded while queued";
-                completions_.push_back({job.clientSerial, job.req.id,
-                                        job.req.cmd,
-                                        std::move(outcome),
-                                        job.admitNs, job.deadlineNs,
-                                        job.traceId,
-                                        job.req.workload});
+                completions_.push_back(
+                    {std::move(job), std::move(outcome)});
             }
         }
         if (batch.empty()) {
@@ -359,7 +359,7 @@ DaemonServer::executorLoop()
             // trace.replay, eval.* — carries its trace id, so one
             // request's full span tree falls out of the Perfetto
             // trace by filtering args.trace_id.
-            telemetry::ScopedTraceId trace_scope(batch[i].traceId);
+            telemetry::ScopedTraceId trace_scope(batch[i].req.traceId);
             VPPROF_TIMED_SPAN("daemon.job");
             // Latency/fault injection per dispatched job: Delay makes
             // fire() itself sleep (the job runs late but correct).
@@ -380,14 +380,8 @@ DaemonServer::executorLoop()
         {
             std::lock_guard<std::mutex> lock(completionMutex_);
             for (size_t i = 0; i < batch.size(); ++i)
-                completions_.push_back({batch[i].clientSerial,
-                                        batch[i].req.id,
-                                        batch[i].req.cmd,
-                                        std::move(outcomes[i]),
-                                        batch[i].admitNs,
-                                        batch[i].deadlineNs,
-                                        batch[i].traceId,
-                                        batch[i].req.workload});
+                completions_.push_back(
+                    {std::move(batch[i]), std::move(outcomes[i])});
         }
         {
             std::lock_guard<std::mutex> lock(jobMutex_);
@@ -452,7 +446,6 @@ DaemonServer::run()
                 beginDrain();
         }
 
-        drainStartedEvents();
         drainCompletions();
         pollRecoveryEvents();
 
@@ -488,16 +481,18 @@ DaemonServer::run()
         handleTimers(now);
 
         if (draining_) {
-            // Keep forcing pending subscriber lines toward the socket
-            // while quiescing: the drain contract includes the rings.
-            flushSubscriberRings();
+            // Keep forcing pending lifecycle events toward the socket
+            // while quiescing: the drain contract includes every
+            // subscriber's cursor.
+            forEachSubscriber(&SubscriberFilter::lifecycle,
+                              [&](Client &c) { pumpSubscriber(c, false); });
             if (drainComplete())
                 break;
         }
     }
 
     // Quiesced: every admitted job was answered (or its client
-    // vanished) and every buffer AND subscriber ring flushed.
+    // vanished), every buffer flushed and every cursor at the head.
     while (!clients_.empty())
         closeClient(clients_.begin()->first);
     {
@@ -552,32 +547,6 @@ DaemonServer::beginDrain()
         ::unlink(config_.socketPath.c_str());
         socketBound_ = false;
     }
-    flushSubscriberRings();
-}
-
-void
-DaemonServer::flushSubscriberRings()
-{
-    std::vector<int> fds;
-    for (auto &[fd, client] : clients_)
-        if (client.sub && !client.sub->ring.empty())
-            fds.push_back(fd);
-    for (int fd : fds) {
-        auto it = clients_.find(fd);
-        if (it == clients_.end())
-            continue;  // a previous flush dropped this client
-        Client &client = it->second;
-        // Unlike pumpSubscriber, ignore the backlog bound: the ring
-        // holds at most subscriberRingCap lines, and drain must not
-        // complete while any of them is undelivered.
-        while (!client.sub->ring.empty()) {
-            client.outBuf += client.sub->ring.front();
-            client.outBuf += '\n';
-            ++client.sub->delivered;
-            client.sub->ring.pop_front();
-        }
-        flushClient(client);
-    }
 }
 
 bool
@@ -593,15 +562,11 @@ DaemonServer::drainComplete() const
         if (!completions_.empty())
             return false;
     }
-    {
-        std::lock_guard<std::mutex> lock(startedMutex_);
-        if (!startedEvents_.empty())
-            return false;
-    }
     for (const auto &[fd, client] : clients_) {
         if (client.outOff < client.outBuf.size())
             return false;
-        if (client.sub && !client.sub->ring.empty())
+        if (client.sub && client.sub->filter.lifecycle &&
+            client.sub->nextSeq != events_.headSeq())
             return false;
     }
     return true;
@@ -815,14 +780,8 @@ DaemonServer::handleLine(Client &client, const std::string &line)
     }
 
     {
-        JobEvent event;
-        event.kind = JobEventKind::Received;
-        event.requestId = req->id;
-        event.traceId = req->traceId;
-        event.clientSerial = client.serial;
-        event.cmd = req->cmd;
-        event.workload = req->workload;
-        recordJobEvent(std::move(event));
+        recordJobEvent(
+            jobEvent(JobEventKind::Received, client.serial, *req));
     }
     handleJobRequest(client, *req);
 }
@@ -850,13 +809,8 @@ DaemonServer::rejectShedding(Client &client, const Request &req,
         break;
     }
     {
-        JobEvent event;
-        event.kind = JobEventKind::Rejected;
-        event.requestId = req.id;
-        event.traceId = req.traceId;
-        event.clientSerial = client.serial;
-        event.cmd = req.cmd;
-        event.workload = req.workload;
+        JobEvent event =
+            jobEvent(JobEventKind::Rejected, client.serial, req);
         event.detail = errorCodeName(code);
         event.queued = queued;
         recordJobEvent(std::move(event));
@@ -928,6 +882,7 @@ DaemonServer::handleSubscribe(Client &client, const Request &req)
     filter->sampleRate = req.sampleRate;
     Subscription sub;
     sub.filter = *filter;
+    sub.nextSeq = events_.headSeq();
     client.sub.emplace(std::move(sub));
     counters_.subscribes.add();
     // Span streaming needs the tracer recording; arm it on demand.
@@ -939,7 +894,7 @@ DaemonServer::handleSubscribe(Client &client, const Request &req)
     os << "\"subscribed\": true, \"events\": \"" << filter->spec()
        << "\", \"sample_rate\": "
        << report::formatJsonNumber(filter->sampleRate)
-       << ", \"ring\": " << config_.subscriberRingCap;
+       << ", \"ring\": " << config_.eventRingCap;
     sendLine(client,
              okResponseLine(req.id, req.cmd, os.str(), req.traceId));
 }
@@ -973,9 +928,9 @@ DaemonServer::handleJournal(Client &client, const Request &req)
         os << "\"degraded\": true, \"total\": 0, \"retained\": 0, "
               "\"events\": []";
     } else {
-        os << "\"total\": " << journal_.totalPushed()
-           << ", \"retained\": " << journal_.size()
-           << ", \"events\": " << journal_.renderJsonArray(req.limit);
+        os << "\"total\": " << events_.total()
+           << ", \"retained\": " << events_.size()
+           << ", \"events\": " << events_.renderJsonArray(req.limit);
     }
     sendLine(client,
              okResponseLine(req.id, req.cmd, os.str(), req.traceId));
@@ -986,7 +941,6 @@ DaemonServer::recordJobEvent(JobEvent event)
 {
     if (!telemetry::kEnabled)
         return;
-    event.seq = eventSeq_++;
     if (event.tsNs == 0)
         event.tsNs = telemetry::nowNs();
     counters_.eventsEmitted.add();
@@ -997,108 +951,115 @@ DaemonServer::recordJobEvent(JobEvent event)
         telemetry::SpanTracer::instance().recordInstant(
             std::string("job.") + jobEventKindName(event.kind),
             event.tsNs, event.traceId);
-    bool have_subscriber = false;
-    for (const auto &[fd, c] : clients_) {
-        if (c.sub && c.sub->filter.lifecycle) {
-            have_subscriber = true;
-            break;
-        }
-    }
-    std::string line;
-    if (have_subscriber)
-        line = jobEventJson(event);  // rendered ONCE, shared by all
-    journal_.push(std::move(event));
-    if (have_subscriber)
-        fanToSubscribers(line, [](const Subscription &sub) {
-            return sub.filter.lifecycle;
-        });
+    events_.push(std::move(event));
+    forEachSubscriber(&SubscriberFilter::lifecycle,
+                      [&](Client &c) { pumpSubscriber(c); });
 }
 
+template <typename Fn>
 void
-DaemonServer::drainStartedEvents()
-{
-    if (!telemetry::kEnabled)
-        return;
-    std::deque<JobEvent> started;
-    {
-        std::lock_guard<std::mutex> lock(startedMutex_);
-        started.swap(startedEvents_);
-    }
-    for (JobEvent &event : started)
-        recordJobEvent(std::move(event));
-}
-
-template <typename Pick>
-void
-DaemonServer::fanToSubscribers(const std::string &line, Pick pick)
+DaemonServer::forEachSubscriber(bool SubscriberFilter::*wants, Fn fn)
 {
     std::vector<int> fds;
     for (const auto &[fd, c] : clients_)
-        if (c.sub && pick(*c.sub))
+        if (c.sub && c.sub->filter.*wants)
             fds.push_back(fd);
     for (int fd : fds) {
         auto it = clients_.find(fd);
-        if (it == clients_.end())
-            continue;  // a previous push's flush dropped this client
-        Subscription &sub = *it->second.sub;
-        // Deterministic downsampling: the accumulator gains
-        // sample_rate per matching event and delivers on crossing 1,
-        // so a rate of 0.25 delivers exactly every 4th event.
-        sub.sampleAcc += sub.filter.sampleRate;
-        if (sub.sampleAcc < 1.0)
-            continue;
-        sub.sampleAcc -= 1.0;
-        pushToSubscriber(it->second, line);
+        if (it != clients_.end())  // an earlier fn may have closed it
+            fn(it->second);
     }
 }
 
 void
-DaemonServer::pushToSubscriber(Client &client, const std::string &line)
-{
-    Subscription &sub = *client.sub;
-    if (sub.ring.size() >= config_.subscriberRingCap) {
-        // Shed the OLDEST pending event: a subscriber that cannot
-        // keep up sees a gap (counted in events_dropped and its own
-        // `dropped`), never a stalled daemon or unbounded memory.
-        sub.ring.pop_front();
-        ++sub.dropped;
-        counters_.eventsDropped.add();
-    }
-    sub.ring.push_back(line);
-    pumpSubscriber(client);
-}
-
-void
-DaemonServer::pumpSubscriber(Client &client)
+DaemonServer::pumpSubscriber(Client &client, bool bounded)
 {
     if (!client.sub)
         return;
     Subscription &sub = *client.sub;
+    if (!sub.filter.lifecycle) {
+        sub.nextSeq = events_.headSeq();
+        return;
+    }
+    // The ring evicted events this cursor never reached: each one the
+    // sampler passes is a gap the subscriber sees (counted in
+    // events_dropped and its own `dropped`), never a stalled daemon
+    // or unbounded memory.
+    uint64_t dropped = 0;
+    for (uint64_t n = events_.overtaken(sub.nextSeq); n > 0; --n)
+        dropped += sub.sample();
+    if (dropped > 0) {
+        sub.dropped += dropped;
+        counters_.eventsDropped.add(dropped);
+    }
+    sub.nextSeq = std::max(sub.nextSeq, events_.oldestSeq());
+
+    int fd = client.fd;
     bool appended = false;
-    while (!sub.ring.empty()) {
-        size_t backlog = client.outBuf.size() - client.outOff;
-        const std::string &line = sub.ring.front();
-        // Telemetry never pushes the backlog past the slow-reader
-        // bound: pending events WAIT in the bounded ring (overflow
-        // drops the oldest) instead of growing outBuf into a
-        // disconnect. Responses always have room ahead of telemetry.
-        if (backlog + line.size() + 1 > config_.maxClientOutBufBytes)
-            break;
-        client.outBuf += line;
-        client.outBuf += '\n';
-        ++sub.delivered;
-        sub.ring.pop_front();
-        appended = true;
+    while (sub.nextSeq < events_.headSeq()) {
+        // Subscription::sample(), committed only once the event fits.
+        double acc = sub.sampleAcc + sub.filter.sampleRate;
+        if (acc >= 1.0) {
+            std::string line = jobEventJson(events_.at(sub.nextSeq));
+            size_t backlog = client.outBuf.size() - client.outOff;
+            if (bounded &&
+                backlog + line.size() + 1 > config_.maxClientOutBufBytes) {
+                // Telemetry never pushes the backlog past the
+                // slow-reader bound: the event WAITS in the ring (until
+                // eviction) instead of growing outBuf into a
+                // disconnect. A flush that empties the backlog makes
+                // room; otherwise POLLOUT pumps again.
+                if (backlog == 0)
+                    return;  // a line over the bound never fits
+                flushClient(client);
+                if (!clients_.count(fd) ||
+                    client.outOff < client.outBuf.size())
+                    return;
+                appended = false;
+                continue;
+            }
+            client.outBuf += line;
+            client.outBuf += '\n';
+            ++sub.delivered;
+            appended = true;
+            acc -= 1.0;
+        }
+        sub.sampleAcc = acc;
+        ++sub.nextSeq;
     }
     if (appended)
         flushClient(client);
 }
 
+void
+DaemonServer::offerLine(const std::string &line,
+                        bool SubscriberFilter::*wants)
+{
+    forEachSubscriber(wants, [&](Client &client) {
+        int fd = client.fd;
+        pumpSubscriber(client);
+        if (!clients_.count(fd))
+            return;
+        Subscription &sub = *client.sub;
+        if (!sub.sample())
+            return;
+        size_t backlog = client.outBuf.size() - client.outOff;
+        if (sub.nextSeq != events_.headSeq() ||
+            backlog + line.size() + 1 > config_.maxClientOutBufBytes) {
+            ++sub.dropped;
+            counters_.eventsDropped.add();
+            return;
+        }
+        ++sub.delivered;
+        sendLine(client, line);
+    });
+}
+
 bool
-DaemonServer::haveSpanSubscriber() const
+DaemonServer::anySubscriber(bool SubscriberFilter::*wants) const
 {
     for (const auto &[fd, c] : clients_)
-        if (c.sub && c.sub->filter.spans)
+        if (c.sub && c.sub->filter.*wants)
             return true;
     return false;
 }
@@ -1106,7 +1067,7 @@ DaemonServer::haveSpanSubscriber() const
 void
 DaemonServer::streamSpans()
 {
-    if (!telemetry::kEnabled || !haveSpanSubscriber())
+    if (!telemetry::kEnabled || !anySubscriber(&SubscriberFilter::spans))
         return;
     std::vector<telemetry::SpanTracer::StreamedEvent> events;
     telemetry::SpanTracer::instance().collectNew(spanCursors_, events,
@@ -1124,9 +1085,7 @@ DaemonServer::streamSpans()
             os << ", \"instant\": true";
         os << "}";
         std::string line = os.str();
-        fanToSubscribers(line, [](const Subscription &sub) {
-            return sub.filter.spans;
-        });
+        offerLine(line, &SubscriberFilter::spans);
     }
 }
 
@@ -1163,15 +1122,10 @@ DaemonServer::settleDeadJob(const Job &job, ErrorCode code,
     else if (code == ErrorCode::DeadlineExceeded)
         counters_.deadlineExceeded.add();
     {
-        JobEvent event;
-        event.kind = code == ErrorCode::Cancelled
-                         ? JobEventKind::Cancelled
-                         : JobEventKind::Deadline;
-        event.requestId = job.req.id;
-        event.traceId = job.traceId;
-        event.clientSerial = job.clientSerial;
-        event.cmd = job.req.cmd;
-        event.workload = job.req.workload;
+        JobEvent event = jobEvent(code == ErrorCode::Cancelled
+                                      ? JobEventKind::Cancelled
+                                      : JobEventKind::Deadline,
+                                  job.clientSerial, job.req);
         event.detail = detail;
         recordJobEvent(std::move(event));
     }
@@ -1183,7 +1137,8 @@ DaemonServer::settleDeadJob(const Job &job, ErrorCode code,
         --client.inflight;
     client.progressIds.erase(job.req.id);
     sendLine(client,
-             errorResponseLine(job.req.id, code, detail, job.traceId));
+             errorResponseLine(job.req.id, code, detail,
+                               job.req.traceId));
 }
 
 void
@@ -1209,12 +1164,15 @@ DaemonServer::handleJobRequest(Client &client, const Request &req)
         std::lock_guard<std::mutex> lock(jobMutex_);
         admitted = jobQueue_.size() + runningJobs_;
         if (admitted < config_.maxQueue) {
-            uint64_t deadline =
-                req.deadlineMs > 0
-                    ? now + req.deadlineMs * 1'000'000
-                    : 0;
-            jobQueue_.push_back({client.serial, req, now, deadline,
-                                 req.traceId});
+            // Saturate: a deadline past the clock's range never
+            // expires rather than wrapping to "already expired".
+            uint64_t deadline = 0;
+            if (req.deadlineMs > 0)
+                deadline =
+                    req.deadlineMs < (UINT64_MAX - now) / 1'000'000
+                        ? now + req.deadlineMs * 1'000'000
+                        : UINT64_MAX;
+            jobQueue_.push_back({client.serial, req, now, deadline});
             ++admitted;
             enqueued = true;
         }
@@ -1229,13 +1187,8 @@ DaemonServer::handleJobRequest(Client &client, const Request &req)
     ++client.inflight;
     counters_.jobsAdmitted.add();
     {
-        JobEvent event;
-        event.kind = JobEventKind::Admitted;
-        event.requestId = req.id;
-        event.traceId = req.traceId;
-        event.clientSerial = client.serial;
-        event.cmd = req.cmd;
-        event.workload = req.workload;
+        JobEvent event =
+            jobEvent(JobEventKind::Admitted, client.serial, req);
         event.queued = admitted;
         recordJobEvent(std::move(event));
     }
@@ -1258,24 +1211,33 @@ DaemonServer::drainCompletions()
         done.swap(completions_);
     }
     for (Completion &c : done) {
+        const Job &job = c.job;
+        if (!c.outcome) {
+            JobEvent event =
+                jobEvent(JobEventKind::Started, job.clientSerial, job.req);
+            event.tsNs = c.startedNs;
+            recordJobEvent(std::move(event));
+            continue;
+        }
+        JobOutcome &outcome = *c.outcome;
         // A result arriving past its deadline is not served late: the
         // client contracted for an answer by deadline_ms and gets the
         // structured failure instead (the work itself still warmed
         // the shared caches).
-        if (c.outcome.ok && c.deadlineNs != 0 &&
-            nowNs() >= c.deadlineNs) {
-            c.outcome.ok = false;
-            c.outcome.code = ErrorCode::DeadlineExceeded;
-            c.outcome.error = "completed after deadline";
-            c.outcome.resultFields.clear();
+        if (outcome.ok && job.deadlineNs != 0 &&
+            nowNs() >= job.deadlineNs) {
+            outcome.ok = false;
+            outcome.code = ErrorCode::DeadlineExceeded;
+            outcome.error = "completed after deadline";
+            outcome.resultFields.clear();
         }
-        if (c.outcome.ok)
+        if (outcome.ok)
             counters_.jobsCompleted.add();
-        else if (c.outcome.code == ErrorCode::DeadlineExceeded)
+        else if (outcome.code == ErrorCode::DeadlineExceeded)
             counters_.deadlineExceeded.add();
         else
             counters_.jobsFailed.add();
-        uint64_t latency_ns = nowNs() - c.admitNs;
+        uint64_t latency_ns = nowNs() - job.admitNs;
         counters_.jobLatencyUs.observe(latency_ns / 1000);
         if (telemetry::kEnabled) {
             // Mirror burn increments into the registry so a
@@ -1284,45 +1246,39 @@ DaemonServer::drainCompletions()
             uint64_t lat0 = slo_.latencyBurns();
             uint64_t err0 = slo_.errorBurns();
             slo_.observe(static_cast<double>(latency_ns) / 1e6,
-                         c.outcome.ok);
+                         outcome.ok);
             if (uint64_t d = slo_.latencyBurns() - lat0)
                 counters_.sloLatencyBurns.add(d);
             if (uint64_t d = slo_.errorBurns() - err0)
                 counters_.sloErrorBurns.add(d);
         }
         {
-            JobEvent event;
-            event.kind = c.outcome.ok
-                             ? JobEventKind::Completed
-                             : (c.outcome.code ==
-                                        ErrorCode::DeadlineExceeded
-                                    ? JobEventKind::Deadline
-                                    : JobEventKind::Failed);
-            event.requestId = c.requestId;
-            event.traceId = c.traceId;
-            event.clientSerial = c.clientSerial;
-            event.cmd = c.cmd;
-            event.workload = c.workload;
-            if (!c.outcome.ok)
-                event.detail = c.outcome.error;
+            JobEvent event = jobEvent(
+                outcome.ok ? JobEventKind::Completed
+                           : (outcome.code == ErrorCode::DeadlineExceeded
+                                  ? JobEventKind::Deadline
+                                  : JobEventKind::Failed),
+                job.clientSerial, job.req);
+            if (!outcome.ok)
+                event.detail = outcome.error;
             recordJobEvent(std::move(event));
         }
 
-        auto it = clientFdBySerial_.find(c.clientSerial);
+        auto it = clientFdBySerial_.find(job.clientSerial);
         if (it == clientFdBySerial_.end())
             continue;  // client vanished; the job still ran to completion
         Client &client = clients_.at(it->second);
         if (client.inflight > 0)
             --client.inflight;
-        client.progressIds.erase(c.requestId);
-        if (c.outcome.ok)
+        client.progressIds.erase(job.req.id);
+        if (outcome.ok)
             sendLine(client,
-                     okResponseLine(c.requestId, c.cmd,
-                                    c.outcome.resultFields, c.traceId));
+                     okResponseLine(job.req.id, job.req.cmd,
+                                    outcome.resultFields, job.req.traceId));
         else
             sendLine(client,
-                     errorResponseLine(c.requestId, c.outcome.code,
-                                       c.outcome.error, c.traceId));
+                     errorResponseLine(job.req.id, outcome.code,
+                                       outcome.error, job.req.traceId));
     }
 }
 
@@ -1421,14 +1377,7 @@ DaemonServer::handleTimers(uint64_t now_ns)
         // subscribers.
         streamSpans();
         if (telemetry::kEnabled) {
-            bool want_metrics = false;
-            for (const auto &[fd, client] : clients_) {
-                if (client.sub && client.sub->filter.metrics) {
-                    want_metrics = true;
-                    break;
-                }
-            }
-            if (want_metrics) {
+            if (anySubscriber(&SubscriberFilter::metrics)) {
                 std::ostringstream os;
                 os << "{\"event\": \"telemetry\", \"kind\": "
                       "\"metrics\", \"ts_ns\": " << telemetry::nowNs()
@@ -1436,9 +1385,7 @@ DaemonServer::handleTimers(uint64_t now_ns)
                 telemetry::snapshotMetrics().writeJson(os);
                 os << "}";
                 std::string line = os.str();
-                fanToSubscribers(line, [](const Subscription &sub) {
-                    return sub.filter.metrics;
-                });
+                offerLine(line, &SubscriberFilter::metrics);
             }
         }
     }
@@ -1547,13 +1494,7 @@ DaemonServer::closeClient(int fd, bool counted_idle)
     }
     for (const Job &job : purged) {
         counters_.cancelled.add();
-        JobEvent event;
-        event.kind = JobEventKind::Cancelled;
-        event.requestId = job.req.id;
-        event.traceId = job.traceId;
-        event.clientSerial = serial;
-        event.cmd = job.req.cmd;
-        event.workload = job.req.workload;
+        JobEvent event = jobEvent(JobEventKind::Cancelled, serial, job.req);
         event.detail = "client disconnected";
         recordJobEvent(std::move(event));
     }

@@ -9,14 +9,15 @@
  *
  * Threading model (DESIGN.md §13):
  *  - the EVENT LOOP thread owns every socket, every client buffer,
- *    the subscriber rings, the journal, the SLO window and all
- *    admission state — no locks on the serving path;
+ *    the event ring (journal + subscriber cursors), the SLO window
+ *    and all admission state — no locks on the serving path;
  *  - one EXECUTOR thread pulls admitted jobs in batches and fans them
  *    across the runner with forEach (the runner is not re-entrant
  *    across threads, so exactly one thread drives it);
- *  - Started notices and completions post back through mutex-guarded
- *    queues plus a self-pipe byte, the only executor -> event-loop
- *    channel.
+ *  - Started notices and completions post back through ONE
+ *    mutex-guarded FIFO plus a self-pipe byte, the only executor ->
+ *    event-loop channel; a job's Started notice is queued before its
+ *    result, so the loop records them in that order.
  *
  * Robustness is first-class:
  *  - admission control: a bounded queue (maxQueue admitted jobs) with
@@ -45,8 +46,9 @@
  *  - graceful drain: SIGTERM (via requestShutdown()) or the protocol
  *    `shutdown` command stops accepting connections and admitting
  *    jobs (`draining` rejections), finishes every admitted job,
- *    flushes every client buffer AND subscriber ring (a pending
- *    lifecycle event is delivered, not dropped at teardown), then
+ *    flushes every client buffer and advances every subscriber's
+ *    cursor to the ring's head (a pending lifecycle event is
+ *    delivered, not dropped at teardown), then
  *    flushes the telemetry outputs (--metrics-out / --trace-json
  *    survive a signal-initiated exit);
  *  - several daemons on one trace cache stay correct through the
@@ -68,6 +70,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -132,15 +135,10 @@ struct DaemonConfig
      *  hint scales with the backlog (base + 2*queued). */
     uint64_t retryHintMs = 25;
 
-    /** Retained job lifecycle events (the `journal` command); 0
-     *  disables the journal. */
-    size_t journalCap = 256;
-
-    /** Per-subscriber pending-event ring bound: a subscriber whose
-     *  socket cannot keep up loses the OLDEST pending events (counted
-     *  in daemon.events_dropped) instead of growing daemon memory or
-     *  stalling the loop. */
-    size_t subscriberRingCap = 256;
+    /** Job lifecycle events the one event ring keeps (0 acts as 1):
+     *  the `journal` tail, and how far a subscriber may lag before
+     *  it loses the evicted events (daemon.events_dropped). */
+    size_t eventRingCap = 256;
 
     /** Declarative objectives evaluated over a sliding window of
      *  answered jobs (vpprofd --slo). */
@@ -187,7 +185,7 @@ struct DaemonStatsSnapshot
     uint64_t watchdogFlags = 0;    ///< executor batches flagged stuck
     uint64_t subscribes = 0;       ///< subscribe commands accepted
     uint64_t eventsEmitted = 0;    ///< lifecycle events recorded
-    uint64_t eventsDropped = 0;    ///< subscriber ring overflows
+    uint64_t eventsDropped = 0;    ///< lines shed for slow subscribers
 
     // Live levels (not counters).
     uint64_t queued = 0;   ///< jobs waiting for a runner lane
@@ -235,18 +233,28 @@ class DaemonServer
     const DaemonConfig &config() const { return config_; }
 
   private:
-    /** Per-connection telemetry-stream state (the `subscribe` cmd).
-     *  Pending lines wait in a bounded ring drained only while the
-     *  client's output backlog stays under maxClientOutBufBytes, so a
-     *  slow subscriber sheds events (dropped, counted) rather than
-     *  growing the buffer into a slow-reader disconnect. */
+    /** Per-connection telemetry-stream state (the `subscribe` cmd):
+     *  a filter and a cursor into the event ring (pumpSubscriber). */
     struct Subscription
     {
         SubscriberFilter filter;
-        std::deque<std::string> ring;  ///< rendered lines, no '\n'
+        uint64_t nextSeq = 0;  ///< next ring event to consider
         uint64_t delivered = 0;
         uint64_t dropped = 0;
         double sampleAcc = 0;  ///< deterministic sampling accumulator
+
+        /** Deterministic downsampling: the accumulator gains
+         *  sample_rate per event and passes it on crossing 1, so 0.25
+         *  passes exactly every 4th. */
+        bool
+        sample()
+        {
+            sampleAcc += filter.sampleRate;
+            if (sampleAcc < 1.0)
+                return false;
+            sampleAcc -= 1.0;
+            return true;
+        }
     };
 
     struct Client
@@ -268,19 +276,15 @@ class DaemonServer
         Request req;
         uint64_t admitNs = 0;
         uint64_t deadlineNs = 0;  ///< absolute; 0 = no deadline
-        uint64_t traceId = 0;
     };
 
+    /** One executor -> event-loop notice: a job's result, or (no
+     *  outcome) its Started notice, stamped at pull time. */
     struct Completion
     {
-        uint64_t clientSerial = 0;
-        uint64_t requestId = 0;
-        Command cmd = Command::Ping;
-        JobOutcome outcome;
-        uint64_t admitNs = 0;
-        uint64_t deadlineNs = 0;
-        uint64_t traceId = 0;
-        std::string workload;
+        Job job;
+        std::optional<JobOutcome> outcome;  ///< none: Started notice
+        uint64_t startedNs = 0;             ///< Started notices only
     };
 
     // --- event-loop internals (event-loop thread only) -------------
@@ -310,37 +314,39 @@ class DaemonServer
     void drainCompletions();
     void handleTimers(uint64_t now_ns);
     void beginDrain();
-    /** Drain-path ring flush: move EVERY pending subscriber line into
-     *  the client's outBuf (the rings are bounded, so this cannot grow
-     *  past ringCap lines) — the loop may not quiesce while a
-     *  delivered event still sits undeliverable in a ring. */
-    void flushSubscriberRings();
     bool drainComplete() const;
     int computeTimeoutMs(uint64_t now_ns) const;
     std::string statsFields();
 
     // --- observability plane (event-loop thread only) --------------
-    /** Record one job lifecycle event: stamp seq + telemetry clock,
-     *  journal it, mirror it as a Perfetto instant when tracing is
-     *  armed, and fan it out to lifecycle subscribers. */
+    /** Record one job lifecycle event: stamp the telemetry clock,
+     *  push it onto the ring (which stamps its seq), mirror it as a
+     *  Perfetto instant when tracing is armed, and pump every
+     *  lifecycle subscriber. */
     void recordJobEvent(JobEvent event);
-    /** Drain executor-posted Started notices into recordJobEvent. */
-    void drainStartedEvents();
-    /** Enqueue one rendered line into a subscriber's ring (dropping
-     *  the oldest pending line on overflow) and pump it. */
-    void pushToSubscriber(Client &client, const std::string &line);
-    /** Move pending ring lines into outBuf while the backlog stays
-     *  under maxClientOutBufBytes, then flush. */
-    void pumpSubscriber(Client &client);
-    /** Fan one rendered line to every subscriber passing `pick`. */
-    template <typename Pick>
-    void fanToSubscribers(const std::string &line, Pick pick);
+    /** Advance a subscriber's cursor to the ring's head: count the
+     *  events the ring evicted past it as dropped, then render and
+     *  send sampled events while the backlog stays under
+     *  maxClientOutBufBytes (always, when `bounded` is false: the
+     *  drain delivers everything retained). No-op without a
+     *  subscription. */
+    void pumpSubscriber(Client &client, bool bounded = true);
+    /** Run fn(client) on every subscriber that `wants` an event
+     *  class; fn may close clients (a failed flush). */
+    template <typename Fn>
+    void forEachSubscriber(bool SubscriberFilter::*wants, Fn fn);
+    /** Offer one span/metrics line (never in the ring) to those
+     *  subscribers: after a pump, a sampled line is sent only when
+     *  the cursor is at the head and the backlog has room, so it never
+     *  overtakes an earlier lifecycle event; else it is dropped. */
+    void offerLine(const std::string &line,
+                   bool SubscriberFilter::*wants);
     /** Stream newly recorded spans to span subscribers. */
     void streamSpans();
     /** Emit Recovery events for trace-cache healing since last check. */
     void pollRecoveryEvents();
-    /** True when any open connection subscribes to `spans`. */
-    bool haveSpanSubscriber() const;
+    /** True when any open connection subscribes to that class. */
+    bool anySubscriber(bool SubscriberFilter::*wants) const;
 
     // --- executor thread -------------------------------------------
     void executorLoop();
@@ -373,20 +379,15 @@ class DaemonServer
     size_t runningJobs_ = 0;
     bool executorStop_ = false;
 
+    /** The executor -> event loop FIFO: Started notices and
+     *  results (the ring and subscribers are event-loop-only). */
     mutable std::mutex completionMutex_;
     std::deque<Completion> completions_;
 
-    /** Executor -> event loop: jobs pulled onto runner lanes, so the
-     *  loop can record Started events (the journal and subscriber
-     *  fan-out are event-loop-only state). */
-    mutable std::mutex startedMutex_;
-    std::deque<JobEvent> startedEvents_;
-
     // --- observability state (event-loop thread only) --------------
-    EventJournal journal_;
+    EventRing events_;
     SloTracker slo_;
     uint64_t nextTraceId_ = 1;
-    uint64_t eventSeq_ = 1;
     uint64_t lastRegenerations_ = 0;
     uint64_t lastQuarantined_ = 0;
     uint64_t lastMetricsExportNs_ = 0;

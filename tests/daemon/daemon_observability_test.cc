@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <regex>
 #include <sstream>
 #include <thread>
@@ -144,6 +145,25 @@ TEST_F(DaemonObservabilityTest, JournalNarratesJobLifecycleInOrder)
     startServer(baseConfig());
     DaemonClient client = connectedClient();
 
+    // Eight pipelined jobs on two lanes: Started notices and results
+    // share the executor's queue, so every job's `started` still
+    // precedes its terminal event.
+    constexpr uint64_t kPipelined = 8;
+    for (uint64_t i = 0; i < kPipelined; ++i) {
+        Request p;
+        p.id = 100 + i;
+        p.cmd = Command::Profile;
+        p.workload = i % 2 ? "li" : "compress";
+        p.traceId = 1000 + i;
+        ASSERT_TRUE(client.sendLine(requestLine(p)));
+    }
+    for (uint64_t i = 0; i < kPipelined; ++i) {
+        auto line = client.readLine(30'000);
+        ASSERT_TRUE(line) << client.lastError();
+        EXPECT_NE(line->find("\"ok\": true"), std::string::npos)
+            << *line;
+    }
+
     Request job;
     job.id = 5;
     job.cmd = Command::Profile;
@@ -162,21 +182,21 @@ TEST_F(DaemonObservabilityTest, JournalNarratesJobLifecycleInOrder)
     const report::JsonValue *events = result->get("events");
     ASSERT_TRUE(events && events->isArray());
 
-    // The job's narrative, in seq order, joined on trace_id.
-    std::vector<std::string> kinds;
+    // Each job's narrative, in seq order, joined on trace_id.
+    std::map<double, std::vector<std::string>> kinds;
     double prev_seq = 0;
     for (const report::JsonValue &event : events->asArray()) {
         double seq = event.numberOr("seq", 0);
         EXPECT_GT(seq, prev_seq) << "journal out of order";
         prev_seq = seq;
-        if (event.numberOr("trace_id", 0) == 99.0)
-            kinds.push_back(event.stringOr("kind", ""));
+        kinds[event.numberOr("trace_id", 0)].push_back(
+            event.stringOr("kind", ""));
     }
-    ASSERT_EQ(kinds.size(), 4u);
-    EXPECT_EQ(kinds[0], "received");
-    EXPECT_EQ(kinds[1], "admitted");
-    EXPECT_EQ(kinds[2], "started");
-    EXPECT_EQ(kinds[3], "completed");
+    const std::vector<std::string> narrative = {"received", "admitted",
+                                                "started", "completed"};
+    EXPECT_EQ(kinds[99.0], narrative);
+    for (uint64_t i = 0; i < kPipelined; ++i)
+        EXPECT_EQ(kinds[1000.0 + i], narrative) << "trace " << 1000 + i;
 
     // limit returns the NEWEST events, oldest first.
     jq.id = 7;
@@ -274,7 +294,7 @@ TEST_F(DaemonObservabilityTest, SlowSubscriberShedsInsteadOfBlocking)
     if (!telemetry::kEnabled)
         GTEST_SKIP() << "subscriptions are degraded with telemetry off";
     DaemonConfig cfg = baseConfig();
-    cfg.subscriberRingCap = 2;
+    cfg.eventRingCap = 2;
     cfg.maxClientOutBufBytes = 512;
     cfg.idleTimeoutMs = 0;  // the stalled subscriber must survive
     startServer(cfg);
@@ -303,6 +323,51 @@ TEST_F(DaemonObservabilityTest, SlowSubscriberShedsInsteadOfBlocking)
     }
     EXPECT_GT(server_->statsSnapshot().eventsDropped, 0u)
         << "never shed after " << jobs << " jobs";
+}
+
+TEST_F(DaemonObservabilityTest, SampledStalledSubscriberAccountsEveryPick)
+{
+    if (!telemetry::kEnabled)
+        GTEST_SKIP() << "subscriptions are degraded with telemetry off";
+    DaemonConfig cfg = baseConfig();
+    cfg.eventRingCap = 2;
+    cfg.maxClientOutBufBytes = 512;
+    cfg.idleTimeoutMs = 0;  // the stalled subscriber must survive
+    startServer(cfg);
+
+    DaemonClient stalled = connectedClient();
+    Request sub;
+    sub.id = 1;
+    sub.cmd = Command::Subscribe;
+    sub.subEvents = "lifecycle";
+    sub.sampleRate = 0.5;
+    ASSERT_TRUE(rawCall(stalled, sub).ok);
+    uint64_t emitted_before = server_->statsSnapshot().eventsEmitted;
+
+    // Stall until the ring overtakes the subscriber's cursor.
+    DaemonClient driver = connectedClient();
+    uint64_t jobs = 0;
+    while (server_->statsSnapshot().eventsDropped == 0 && jobs < 2048) {
+        Request job;
+        job.id = 100 + jobs;
+        job.cmd = Command::Profile;
+        job.workload = jobs % 2 ? "li" : "compress";
+        ASSERT_TRUE(rawCall(driver, job).ok);
+        ++jobs;
+    }
+    ASSERT_GT(server_->statsSnapshot().eventsDropped, 0u)
+        << "never shed after " << jobs << " jobs";
+
+    // Catch up: every event the sampler passed is either delivered or
+    // counted dropped, so together they are exactly half of what was
+    // recorded since the subscription.
+    uint64_t delivered = 0;
+    while (stalled.readLine(1000))
+        ++delivered;
+    DaemonStatsSnapshot st = server_->statsSnapshot();
+    uint64_t recorded = st.eventsEmitted - emitted_before;
+    EXPECT_EQ(recorded, 4 * jobs);
+    EXPECT_EQ(delivered + st.eventsDropped, recorded / 2);
 }
 
 TEST_F(DaemonObservabilityTest, MetricsCommandServesBothFormats)
@@ -593,17 +658,17 @@ TEST(JobEventJson, RoundTripsThroughStrictParser)
     EXPECT_DOUBLE_EQ(doc->numberOr("id", 0), 9.0);
 }
 
-TEST(EventJournal, BoundedRingAgesOutOldest)
+TEST(EventRing, BoundedRingAgesOutOldest)
 {
-    EventJournal journal(3);
-    for (uint64_t i = 1; i <= 5; ++i) {
-        JobEvent e;
-        e.seq = i;
-        journal.push(std::move(e));
-    }
-    EXPECT_EQ(journal.totalPushed(), 5u);
-    EXPECT_EQ(journal.size(), 3u);
-    std::string rendered = journal.renderJsonArray(0);
+    EventRing ring(3);
+    for (int i = 0; i < 5; ++i)
+        ring.push(JobEvent{});  // push stamps seq 1..5
+    EXPECT_EQ(ring.total(), 5u);
+    EXPECT_EQ(ring.size(), 3u);
+    EXPECT_EQ(ring.oldestSeq(), 3u);
+    EXPECT_EQ(ring.headSeq(), 6u);
+    EXPECT_EQ(ring.at(4).seq, 4u);
+    std::string rendered = ring.renderJsonArray(0);
     std::string error;
     auto doc = report::parseJson(rendered, &error);
     ASSERT_TRUE(doc) << error;
@@ -611,6 +676,19 @@ TEST(EventJournal, BoundedRingAgesOutOldest)
     ASSERT_EQ(doc->asArray().size(), 3u);
     EXPECT_DOUBLE_EQ(doc->asArray()[0].numberOr("seq", 0), 3.0);
     EXPECT_DOUBLE_EQ(doc->asArray()[2].numberOr("seq", 0), 5.0);
+
+    // A limit takes the newest events, oldest first.
+    auto tail = report::parseJson(ring.renderJsonArray(2), &error);
+    ASSERT_TRUE(tail && tail->isArray()) << error;
+    ASSERT_EQ(tail->asArray().size(), 2u);
+    EXPECT_DOUBLE_EQ(tail->asArray()[0].numberOr("seq", 0), 4.0);
+    EXPECT_DOUBLE_EQ(tail->asArray()[1].numberOr("seq", 0), 5.0);
+
+    // A cursor at seq 1 never saw 1 and 2 before they were evicted;
+    // one at the oldest retained event or the head lost nothing.
+    EXPECT_EQ(ring.overtaken(1), 2u);
+    EXPECT_EQ(ring.overtaken(3), 0u);
+    EXPECT_EQ(ring.overtaken(ring.headSeq()), 0u);
 }
 
 // ---- protocol additions ------------------------------------------

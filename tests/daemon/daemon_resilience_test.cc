@@ -204,6 +204,26 @@ TEST_F(DaemonResilienceTest, JobFinishingPastDeadlineIsNotServedLate)
     EXPECT_EQ(stopServer(), 0);
 }
 
+TEST_F(DaemonResilienceTest, HugeDeadlineSaturatesInsteadOfExpiring)
+{
+    startServer(baseConfig());
+    DaemonClient client = connectedClient();
+
+    // deadline_ms * 1e6 ns overflows 64 bits: the absolute deadline
+    // saturates to "never" rather than wrapping below the clock and
+    // answering the job deadline_exceeded on arrival.
+    ASSERT_TRUE(client.sendLine(
+        R"({"id": 1, "cmd": "profile", "workload": "compress",)"
+        R"( "deadline_ms": 18446744073709})"));
+    auto responses = collectResponses(client, {1}, 120'000);
+    ASSERT_EQ(responses.size(), 1u) << client.lastError();
+    ASSERT_TRUE(responses.at(1).get("ok"));
+    EXPECT_TRUE(responses.at(1).get("ok")->asBool())
+        << responses.at(1).stringOr("error", "");
+    EXPECT_EQ(server_->statsSnapshot().deadlineExceeded, 0u);
+    EXPECT_EQ(stopServer(), 0);
+}
+
 TEST_F(DaemonResilienceTest, CancelRemovesAQueuedJob)
 {
     startServer(baseConfig());

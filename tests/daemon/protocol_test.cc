@@ -81,6 +81,56 @@ TEST(Protocol, RejectsBadFieldTypes)
         &error));
 }
 
+TEST(Protocol, IntegerFieldsRejectFractionsAndOutOfRange)
+{
+    // JSON numbers are doubles: an integer field accepts only integral
+    // values in [0, 2^53], never truncating or overflowing the cast.
+    std::string error;
+    EXPECT_FALSE(parseRequest(R"({"id": 1e300, "cmd": "ping"})", &error));
+    EXPECT_NE(error.find("'id'"), std::string::npos) << error;
+    EXPECT_FALSE(parseRequest(R"({"id": 1.5, "cmd": "ping"})", &error));
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 9007199254740994, "cmd": "ping"})", &error));
+    auto max_id = parseRequest(
+        R"({"id": 9007199254740992, "cmd": "ping"})", &error);
+    ASSERT_TRUE(max_id) << error;
+    EXPECT_EQ(max_id->id, 9007199254740992u);
+
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "journal", "limit": 1e30})", &error));
+    EXPECT_NE(error.find("'limit'"), std::string::npos) << error;
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "journal", "limit": 2.5})", &error));
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "profile", "workload": "li",)"
+        R"( "input": 1e300})",
+        &error));
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "profile", "workload": "li",)"
+        R"( "input": 0.5})",
+        &error));
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "ping", "deadline_ms": 1e300})", &error));
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "ping", "deadline_ms": 10.5})", &error));
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "cancel", "target": 1e300})", &error));
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "cancel", "target": 0.5})", &error));
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "ping", "trace_id": 1e300})", &error));
+    EXPECT_FALSE(parseRequest(
+        R"({"id": 1, "cmd": "ping", "trace_id": 3.25})", &error));
+
+    // In range, a deadline whose nanosecond sum would overflow still
+    // parses; the daemon saturates it.
+    auto huge = parseRequest(
+        R"({"id": 1, "cmd": "ping", "deadline_ms": 18446744073709})",
+        &error);
+    ASSERT_TRUE(huge) << error;
+    EXPECT_EQ(huge->deadlineMs, 18446744073709u);
+}
+
 TEST(Protocol, JobCommandsRequireWorkload)
 {
     std::string error;

@@ -67,12 +67,10 @@ usage()
         "  --retry-hint-ms N    base retry_after_ms hint on shedding "
         "rejections\n"
         "                       (default 25)\n"
-        "  --journal-cap N      retained job lifecycle events for the\n"
-        "                       `journal` command (0 = off; default "
-        "256)\n"
-        "  --subscriber-ring N  pending-event bound per subscriber; a\n"
-        "                       slow subscriber sheds the oldest "
-        "(default 256)\n"
+        "  --event-ring N       job lifecycle events retained (N >= 1;\n"
+        "                       default 256): the `journal` tail, and how\n"
+        "                       far a slow subscriber may lag before it\n"
+        "                       sheds the oldest\n"
         "  --slo SPEC           objectives, e.g. "
         "p99_ms=50,error_rate=0.01;\n"
         "                       burn counters surface in `stats`\n"
@@ -178,14 +176,11 @@ main(int argc, char **argv)
             cfg.watchdogMs = parseUintFlag("--watchdog-ms", value);
         } else if (flag == "--retry-hint-ms") {
             cfg.retryHintMs = parseUintFlag("--retry-hint-ms", value);
-        } else if (flag == "--journal-cap") {
-            cfg.journalCap = static_cast<size_t>(
-                parseUintFlag("--journal-cap", value));
-        } else if (flag == "--subscriber-ring") {
-            cfg.subscriberRingCap = static_cast<size_t>(
-                parseUintFlag("--subscriber-ring", value));
-            if (cfg.subscriberRingCap == 0)
-                vpprof_fatal("--subscriber-ring must be >= 1 (got 0)");
+        } else if (flag == "--event-ring") {
+            cfg.eventRingCap = static_cast<size_t>(
+                parseUintFlag("--event-ring", value));
+            if (cfg.eventRingCap == 0)
+                vpprof_fatal("--event-ring must be >= 1 (got 0)");
         } else if (flag == "--slo") {
             if (!value)
                 vpprof_fatal("--slo requires a spec "
