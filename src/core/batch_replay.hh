@@ -16,11 +16,11 @@
  *    engine) receive re-assembled records from the same decoded block.
  *
  * BlockAssembler is the bridge in the other direction: it turns any
- * record-level source (a v1/v2 trace file, the repository's VM
- * regeneration of a failed replay's tail) into blocks feeding the
- * same bank, so every replay source — a mapped v3 span, compat
- * formats, fault-recovery tails — drives evaluators through one code
- * path and stays bit-identical to serial replay by construction.
+ * record-level source (the repository's VM regeneration of a failed
+ * replay's tail) into blocks feeding the same bank, so every replay
+ * source — a mapped span or a fault-recovery tail — drives evaluators
+ * through one code path and stays bit-identical to serial replay by
+ * construction.
  */
 
 #ifndef VPPROF_CORE_BATCH_REPLAY_HH

@@ -28,9 +28,9 @@ struct TraceRepository::Entry
     // read these concurrently without locks.
     /** The whole trace as encoded blocks, owned by `file` or `buffer`. */
     ColumnarSpan span;
-    /** The committed v3 file at `path` whose mapping holds the span. */
+    /** The committed file at `path` whose mapping holds the span. */
     std::unique_ptr<TraceFileReader> file;
-    /** The capture when no v3 file could be committed. */
+    /** The capture when no file could be committed. */
     ColumnarTrace buffer;
     std::string path;  ///< empty unless `file` is set
     RunResult result;
@@ -135,8 +135,9 @@ TraceRepository::adoptCacheFile(Entry &entry, const std::string &path)
     VPPROF_TIMED_SPAN("trace.adopt");
     // Adopt a valid file captured by an earlier process; any
     // malformed file (truncated writer, foreign bytes, flipped bits,
-    // future format version) is a structured miss, never a crash or
-    // a short replay — it is quarantined and the trace re-captured.
+    // a format version other than 3) is a structured miss, never a
+    // crash or a short replay — it is quarantined and the trace
+    // re-captured.
     TraceIoStatus status = TraceIoStatus::Ok;
     auto reader = TraceFileReader::tryOpen(path, &status);
     if (!reader) {
@@ -146,37 +147,13 @@ TraceRepository::adoptCacheFile(Entry &entry, const std::string &path)
         return AdoptOutcome::Quarantined;
     }
 
-    uint64_t count = reader->recordCount();
     counters_.v3BytesMapped.add(reader->mappedBytes());
-    if (reader->version() == '3') {
-        // The verified mapping IS the replay source: no copy.
-        entry.span = reader->span();
-        entry.file = std::move(reader);
-        entry.path = path;
-    } else {
-        // v1/v2: transcode the record stream to columnar blocks and
-        // commit it over the legacy name (under the caller's flock),
-        // so a legacy cache migrates to v3 on first use.
-        ColumnarTraceBuilder builder;
-        TraceRecord rec;
-        while (reader->next(rec))
-            builder.record(rec);
-        if (reader->status() != TraceIoStatus::Ok ||
-            reader->recordsRead() != count) {
-            // The file shrank between validate() and the read: treat
-            // it like any corruption.
-            quarantine(path, reader->status());
-            return AdoptOutcome::Quarantined;
-        }
-        reader.reset();
-        install(entry, defaultTraceFormat() == TraceFormat::V3
-                           ? path
-                           : std::string(),
-                builder.take());
-    }
-
-    entry.result.instructionsExecuted = count;
+    entry.result.instructionsExecuted = reader->recordCount();
     entry.result.halted = true;
+    // The verified mapping IS the replay source: no copy.
+    entry.span = reader->span();
+    entry.file = std::move(reader);
+    entry.path = path;
     counters_.diskLoads.add();
     return AdoptOutcome::Adopted;
 }
@@ -186,20 +163,9 @@ TraceRepository::writeTraceFile(const std::string &path,
                                 const ColumnarTrace &trace)
 {
     VPPROF_TIMED_SPAN("trace.commit");
-    TraceIoStatus st;
-    if (defaultTraceFormat() == TraceFormat::V3) {
-        // The capture is already encoded: persisting is a framed
-        // buffer write, not a second per-record encode.
-        st = writeColumnarTraceFile(path, trace);
-    } else {
-        // Pinned to v2 (VPPROF_TRACE_FORMAT=2): decode the captured
-        // blocks back into records for the fixed-width writer.
-        TraceFileWriter writer(path, TraceFormat::V2);
-        TraceBlockScratch scratch;
-        RecordFanBlockSink fan(&writer);
-        replayColumnarTrace(trace, scratch, &fan);
-        st = writer.close();
-    }
+    // The capture is already encoded: persisting is a framed buffer
+    // write, not a second per-record encode.
+    TraceIoStatus st = writeColumnarTraceFile(path, trace);
     if (st == TraceIoStatus::Ok)
         return true;
     counters_.spillFailures.add();
@@ -218,7 +184,7 @@ TraceRepository::install(Entry &entry, const std::string &path,
         // the framing walk is proof enough for this process.
         auto file = TraceFileReader::tryOpen(path, nullptr,
                                              TraceVerify::HeaderOnly);
-        if (file && file->version() == '3') {
+        if (file) {
             entry.span = file->span();
             entry.file = std::move(file);
             entry.path = path;
@@ -304,7 +270,7 @@ TraceRepository::replaySpan(Entry &entry, const Workload &workload,
                             " records; retrying from disk");
         auto retry = TraceFileReader::tryOpen(entry.path, &status,
                                               TraceVerify::Full);
-        if (retry && retry->version() == '3') {
+        if (retry) {
             blocks = 0;
             status = replayTraceSpan(retry->span(), delivered, scratch,
                                      sink, &delivered, &blocks);

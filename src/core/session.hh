@@ -121,14 +121,13 @@ std::string repoStatsJson(const TraceRepoStats &stats);
  *
  * Residency: every trace is one immutable span of v3 blocks. Its
  * bytes are the read-only mapping of the committed cache file — a
- * capture is committed, mapped and its buffer freed; an adopted v3
- * file is Full-verified and mapped; a legacy v1/v2 file is transcoded
- * and committed over its own name as v3 first. Only when no v3 file
- * can be committed (no cache directory, a failed commit, a v2-pinned
- * writer) does the capture buffer itself own the span. Replays decode
- * straight from the span either way. Committed files are never
- * modified in place (see trace_io.hh); truncating one under a running
- * process is outside that contract and can raise SIGBUS.
+ * capture is committed, mapped and its buffer freed; an adopted file
+ * is Full-verified and mapped. Only when no file can be committed (no
+ * cache directory, a failed commit) does the capture buffer itself
+ * own the span. Replays decode straight from the span either way.
+ * Committed files are never modified in place (see trace_io.hh);
+ * truncating one under a running process is outside that contract
+ * and can raise SIGBUS.
  *
  * Failure model (see DESIGN.md §9): the repository never aborts on a
  * sick cache. An unusable cache file (truncated, corrupt, wrong

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/checksum.hh"
 #include "common/logging.hh"
 
 namespace vpprof
@@ -27,17 +28,12 @@ constexpr size_t kOffFirstSeq = 8;
 constexpr size_t kOffFlags = 16;
 constexpr size_t kOffChecksum = 20;
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
+/** FNV-1a over the header bytes before the checksum, then the payload. */
 uint64_t
-fnv1a(uint64_t hash, const uint8_t *data, size_t size)
+blockChecksum(const uint8_t *header, size_t payloadBytes)
 {
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= data[i];
-        hash *= kFnvPrime;
-    }
-    return hash;
+    uint64_t sum = fnv1a64(header, kOffChecksum, kTraceBlockChecksumSeed);
+    return fnv1a64(header + kTraceBlockHeaderBytes, payloadBytes, sum);
 }
 
 void
@@ -369,9 +365,7 @@ TraceBlockEncoder::flush(std::vector<uint8_t> &out)
     putU32(header + kOffPayloadBytes, uint32_t(payloadBytes));
     putU64(header + kOffFirstSeq, firstSeq_);
     putU32(header + kOffFlags, flags);
-    uint64_t sum = fnv1a(kFnvOffset, header, kOffChecksum);
-    sum = fnv1a(sum, header + kTraceBlockHeaderBytes, payloadBytes);
-    putU64(header + kOffChecksum, sum);
+    putU64(header + kOffChecksum, blockChecksum(header, payloadBytes));
 
     count_ = 0;
 }
@@ -389,12 +383,9 @@ probeTraceBlock(const uint8_t *data, size_t size, size_t *consumed,
         return TraceBlockStatus::Malformed;
     if (payloadBytes > size - kTraceBlockHeaderBytes)
         return TraceBlockStatus::Truncated;
-    if (verifyChecksum) {
-        uint64_t sum = fnv1a(kFnvOffset, data, kOffChecksum);
-        sum = fnv1a(sum, data + kTraceBlockHeaderBytes, payloadBytes);
-        if (sum != getU64(data + kOffChecksum))
-            return TraceBlockStatus::ChecksumMismatch;
-    }
+    if (verifyChecksum &&
+        blockChecksum(data, payloadBytes) != getU64(data + kOffChecksum))
+        return TraceBlockStatus::ChecksumMismatch;
     *consumed = kTraceBlockHeaderBytes + payloadBytes;
     *count = n;
     return TraceBlockStatus::Ok;

@@ -52,6 +52,14 @@ constexpr uint32_t kTraceBlockCapacity = 4096;
  *  checksum), little-endian. */
 constexpr size_t kTraceBlockHeaderBytes = 4 + 4 + 8 + 4 + 8;
 
+/**
+ * FNV-1a seed of every block checksum. It is one digit short of the
+ * standard offset basis (kFnv1a64Seed), and it is part of the v3
+ * format: changing it makes every committed cache file fail its
+ * checksum, so each is quarantined and re-captured.
+ */
+constexpr uint64_t kTraceBlockChecksumSeed = 1469598103934665603ULL;
+
 /** Structured outcome of decoding one block. */
 enum class TraceBlockStatus
 {

@@ -2,14 +2,12 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "common/checksum.hh"
 #include "common/failpoint.hh"
 #include "common/logging.hh"
 
@@ -20,64 +18,8 @@ namespace
 {
 
 constexpr char kMagicPrefix[7] = {'V', 'P', 'T', 'R', 'A', 'C', 'E'};
-constexpr char kVersionV1 = '1';
-constexpr char kVersionV2 = '2';
-constexpr char kVersionV3 = '3';
+constexpr char kVersion = '3';
 constexpr size_t kHeaderBytes = 16;
-constexpr size_t kTrailerBytes = 8;
-constexpr size_t kRecordBytes = 8 + 8 + 1 + 1 + 1 + 1 + 8 + 1 + 2 + 8;
-
-/** Serialize one record into a fixed-width buffer. */
-void
-encode(const TraceRecord &rec, char *buf)
-{
-    size_t off = 0;
-    auto put = [&](const void *p, size_t n) {
-        std::memcpy(buf + off, p, n);
-        off += n;
-    };
-    put(&rec.seq, 8);
-    put(&rec.pc, 8);
-    uint8_t op = static_cast<uint8_t>(rec.op);
-    put(&op, 1);
-    uint8_t dir = static_cast<uint8_t>(rec.directive);
-    put(&dir, 1);
-    uint8_t flags = (rec.writesReg ? 1 : 0) | (rec.isMem ? 2 : 0);
-    put(&flags, 1);
-    put(&rec.dest, 1);
-    put(&rec.value, 8);
-    put(&rec.numSrcs, 1);
-    put(rec.srcs.data(), 2);
-    put(&rec.memAddr, 8);
-}
-
-/** Deserialize one record from a fixed-width buffer. */
-void
-decode(const char *buf, TraceRecord &rec)
-{
-    size_t off = 0;
-    auto get = [&](void *p, size_t n) {
-        std::memcpy(p, buf + off, n);
-        off += n;
-    };
-    get(&rec.seq, 8);
-    get(&rec.pc, 8);
-    uint8_t op = 0;
-    get(&op, 1);
-    rec.op = static_cast<Opcode>(op);
-    uint8_t dir = 0;
-    get(&dir, 1);
-    rec.directive = static_cast<Directive>(dir);
-    uint8_t flags = 0;
-    get(&flags, 1);
-    rec.writesReg = (flags & 1) != 0;
-    rec.isMem = (flags & 2) != 0;
-    get(&rec.dest, 1);
-    get(&rec.value, 8);
-    get(&rec.numSrcs, 1);
-    get(rec.srcs.data(), 2);
-    get(&rec.memAddr, 8);
-}
 
 /** Map the current errno of a failed write to a TraceIoStatus. */
 TraceIoStatus
@@ -85,6 +27,71 @@ writeErrnoStatus()
 {
     return errno == ENOSPC ? TraceIoStatus::NoSpace
                            : TraceIoStatus::WriteFailed;
+}
+
+/** The status an injected write-side fault stands for (Ok: none). */
+TraceIoStatus
+injectedWriteStatus(FailpointAction action)
+{
+    switch (action) {
+      case FailpointAction::Fail: return TraceIoStatus::WriteFailed;
+      case FailpointAction::NoSpace: return TraceIoStatus::NoSpace;
+      default: return TraceIoStatus::Ok;
+    }
+}
+
+std::string
+tempPathFor(const std::string &path)
+{
+    return path + ".tmp." + std::to_string(::getpid());
+}
+
+/** Create `tmpPath` and write the header for `records` records. */
+TraceIoStatus
+beginTraceFile(std::ofstream &out, const std::string &tmpPath,
+               uint64_t records)
+{
+    errno = 0;
+    out.open(tmpPath, std::ios::binary | std::ios::trunc);
+    if (!out)
+        return TraceIoStatus::IoError;
+    out.write(kMagicPrefix, sizeof(kMagicPrefix));
+    out.write(&kVersion, 1);
+    out.write(reinterpret_cast<const char *>(&records), 8);
+    return out ? TraceIoStatus::Ok : writeErrnoStatus();
+}
+
+/**
+ * The commit point of every trace file: flush `out`, fire the
+ * "trace_io.commit" failpoint, close, and atomically rename `tmpPath`
+ * over `path`, so the complete file replaces whatever was there in
+ * one step. `status` carries any earlier failure; on any failure the
+ * temp file is removed and `path` is untouched.
+ */
+TraceIoStatus
+commitTraceFile(std::ofstream &out, const std::string &tmpPath,
+                const std::string &path, TraceIoStatus status)
+{
+    if (status == TraceIoStatus::Ok) {
+        errno = 0;
+        out.flush();
+        if (!out)
+            status = writeErrnoStatus();
+    }
+    if (status == TraceIoStatus::Ok)
+        status = injectedWriteStatus(
+            FailpointRegistry::instance().fire("trace_io.commit"));
+    out.close();
+    if (status == TraceIoStatus::Ok && !out)
+        status = writeErrnoStatus();
+    if (status == TraceIoStatus::Ok) {
+        errno = 0;
+        if (std::rename(tmpPath.c_str(), path.c_str()) != 0)
+            status = writeErrnoStatus();
+    }
+    if (status != TraceIoStatus::Ok)
+        std::remove(tmpPath.c_str());  // never leave a torn temp
+    return status;
 }
 
 } // namespace
@@ -107,43 +114,11 @@ traceIoStatusName(TraceIoStatus status)
     return "unknown";
 }
 
-TraceFormat
-defaultTraceFormat()
-{
-    const char *env = std::getenv("VPPROF_TRACE_FORMAT");
-    if (env == nullptr || *env == '\0' || std::strcmp(env, "3") == 0)
-        return TraceFormat::V3;
-    if (std::strcmp(env, "2") == 0)
-        return TraceFormat::V2;
-    vpprof_fatal("VPPROF_TRACE_FORMAT must be \"2\" or \"3\", got \"",
-                 env, "\"");
-}
-
 TraceFileWriter::TraceFileWriter(const std::string &path)
-    : TraceFileWriter(path, defaultTraceFormat())
+    : path_(path), tmpPath_(tempPathFor(path))
 {
-}
-
-TraceFileWriter::TraceFileWriter(const std::string &path, TraceFormat format)
-    : path_(path),
-      tmpPath_(path + ".tmp." + std::to_string(::getpid())),
-      format_(format),
-      checksum_(kFnv1a64Seed)
-{
-    errno = 0;
-    out_.open(tmpPath_, std::ios::binary | std::ios::trunc);
-    if (!out_) {
-        status_ = TraceIoStatus::IoError;
-        return;
-    }
-    out_.write(kMagicPrefix, sizeof(kMagicPrefix));
-    const char version =
-        format_ == TraceFormat::V3 ? kVersionV3 : kVersionV2;
-    out_.write(&version, 1);
-    uint64_t placeholder = 0;
-    out_.write(reinterpret_cast<const char *>(&placeholder), 8);
-    if (!out_)
-        status_ = writeErrnoStatus();
+    // The count is a placeholder until close() fixes it up.
+    status_ = beginTraceFile(out_, tmpPath_, 0);
 }
 
 TraceFileWriter::~TraceFileWriter()
@@ -184,56 +159,18 @@ TraceFileWriter::record(const TraceRecord &rec)
     if (status_ != TraceIoStatus::Ok)
         return;  // error latched; close() surfaces it
 
-    if (format_ == TraceFormat::V3) {
-        switch (FailpointRegistry::instance().fire("trace_io.write")) {
-          case FailpointAction::Fail:
-            status_ = TraceIoStatus::WriteFailed;
-            return;
-          case FailpointAction::NoSpace:
-            status_ = TraceIoStatus::NoSpace;
-            return;
-          case FailpointAction::Corrupt:
-            ++corruptPending_;
-            break;
-          default:
-            break;
-        }
-        encoder_.add(rec);
-        if (encoder_.full())
-            flushBlock();
-        if (status_ == TraceIoStatus::Ok)
-            ++count_;
+    FailpointAction action =
+        FailpointRegistry::instance().fire("trace_io.write");
+    status_ = injectedWriteStatus(action);
+    if (status_ != TraceIoStatus::Ok)
         return;
-    }
-
-    char buf[kRecordBytes];
-    encode(rec, buf);
-    // The trailer covers the bytes we *meant* to write: an injected
-    // Corrupt damages the file, not the checksum, exactly like a
-    // storage-level flip — readers must catch it.
-    checksum_ = fnv1a64(buf, sizeof(buf), checksum_);
-
-    switch (FailpointRegistry::instance().fire("trace_io.write")) {
-      case FailpointAction::Fail:
-        status_ = TraceIoStatus::WriteFailed;
-        return;
-      case FailpointAction::NoSpace:
-        status_ = TraceIoStatus::NoSpace;
-        return;
-      case FailpointAction::Corrupt:
-        buf[0] = static_cast<char>(buf[0] ^ 0x5a);
-        break;
-      default:
-        break;
-    }
-
-    errno = 0;
-    out_.write(buf, sizeof(buf));
-    if (!out_) {
-        status_ = writeErrnoStatus();
-        return;
-    }
-    ++count_;
+    if (action == FailpointAction::Corrupt)
+        ++corruptPending_;
+    encoder_.add(rec);
+    if (encoder_.full())
+        flushBlock();
+    if (status_ == TraceIoStatus::Ok)
+        ++count_;
 }
 
 TraceIoStatus
@@ -243,64 +180,25 @@ TraceFileWriter::close()
         return status_;
     closed_ = true;
 
-    if (status_ == TraceIoStatus::Ok && format_ == TraceFormat::V3)
+    if (status_ == TraceIoStatus::Ok)
         flushBlock();  // the partial tail block
-
     if (status_ == TraceIoStatus::Ok) {
         errno = 0;
-        if (format_ == TraceFormat::V2)
-            out_.write(reinterpret_cast<const char *>(&checksum_),
-                       kTrailerBytes);
         out_.seekp(sizeof(kMagicPrefix) + 1);
         out_.write(reinterpret_cast<const char *>(&count_), 8);
-        out_.flush();
         if (!out_)
             status_ = writeErrnoStatus();
     }
-
-    if (status_ == TraceIoStatus::Ok) {
-        switch (FailpointRegistry::instance().fire("trace_io.commit")) {
-          case FailpointAction::Fail:
-            status_ = TraceIoStatus::WriteFailed;
-            break;
-          case FailpointAction::NoSpace:
-            status_ = TraceIoStatus::NoSpace;
-            break;
-          default:
-            break;
-        }
-    }
-
-    out_.close();
-    if (status_ == TraceIoStatus::Ok && !out_)
-        status_ = writeErrnoStatus();
-
-    if (status_ == TraceIoStatus::Ok) {
-        // The commit point: the complete, checksummed file replaces
-        // whatever was at `path_` in one atomic step.
-        errno = 0;
-        if (std::rename(tmpPath_.c_str(), path_.c_str()) != 0)
-            status_ = writeErrnoStatus();
-    }
-    if (status_ != TraceIoStatus::Ok)
-        std::remove(tmpPath_.c_str());  // never leave a torn temp
+    status_ = commitTraceFile(out_, tmpPath_, path_, status_);
     return status_;
 }
 
 TraceIoStatus
 writeColumnarTraceFile(const std::string &path, const ColumnarTrace &trace)
 {
-    std::string tmpPath = path + ".tmp." + std::to_string(::getpid());
-    errno = 0;
-    std::ofstream out(tmpPath, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return TraceIoStatus::IoError;
-    TraceIoStatus status = TraceIoStatus::Ok;
-    out.write(kMagicPrefix, sizeof(kMagicPrefix));
-    out.write(&kVersionV3, 1);
-    out.write(reinterpret_cast<const char *>(&trace.records), 8);
-    if (!out)
-        status = writeErrnoStatus();
+    std::string tmpPath = tempPathFor(path);
+    std::ofstream out;
+    TraceIoStatus status = beginTraceFile(out, tmpPath, trace.records);
 
     const uint8_t *data = trace.bytes.data();
     size_t remaining = trace.bytes.size();
@@ -313,63 +211,25 @@ writeColumnarTraceFile(const std::string &path, const ColumnarTrace &trace)
             vpprof_panic("in-memory columnar trace has invalid framing "
                          "(memory corruption): ", path);
         const uint8_t *blockBytes = data;
-        switch (FailpointRegistry::instance().fire("trace_io.write")) {
-          case FailpointAction::Fail:
-            status = TraceIoStatus::WriteFailed;
+        FailpointAction action =
+            FailpointRegistry::instance().fire("trace_io.write");
+        status = injectedWriteStatus(action);
+        if (status != TraceIoStatus::Ok)
             break;
-          case FailpointAction::NoSpace:
-            status = TraceIoStatus::NoSpace;
-            break;
-          case FailpointAction::Corrupt:
+        if (action == FailpointAction::Corrupt) {
             damaged.assign(data, data + consumed);
             damaged[kTraceBlockHeaderBytes] ^= 0x5a;
             blockBytes = damaged.data();
-            break;
-          default:
-            break;
         }
-        if (status != TraceIoStatus::Ok)
-            break;
         errno = 0;
         out.write(reinterpret_cast<const char *>(blockBytes),
                   static_cast<std::streamsize>(consumed));
-        if (!out) {
+        if (!out)
             status = writeErrnoStatus();
-            break;
-        }
         data += consumed;
         remaining -= consumed;
     }
-
-    if (status == TraceIoStatus::Ok) {
-        errno = 0;
-        out.flush();
-        if (!out)
-            status = writeErrnoStatus();
-    }
-    if (status == TraceIoStatus::Ok) {
-        switch (FailpointRegistry::instance().fire("trace_io.commit")) {
-          case FailpointAction::Fail:
-            status = TraceIoStatus::WriteFailed;
-            break;
-          case FailpointAction::NoSpace:
-            status = TraceIoStatus::NoSpace;
-            break;
-          default:
-            break;
-        }
-    }
-    out.close();
-    if (status == TraceIoStatus::Ok && !out)
-        status = writeErrnoStatus();
-    if (status == TraceIoStatus::Ok) {
-        errno = 0;
-        if (std::rename(tmpPath.c_str(), path.c_str()) != 0)
-            status = writeErrnoStatus();
-    }
-    if (status != TraceIoStatus::Ok)
-        std::remove(tmpPath.c_str());
-    return status;
+    return commitTraceFile(out, tmpPath, path, status);
 }
 
 TraceIoStatus
@@ -438,9 +298,7 @@ replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
 }
 
 TraceFileReader::TraceFileReader(const std::string &path, Unchecked)
-    : path_(path),
-      in_(path, std::ios::binary),
-      version_(kVersionV2)
+    : path_(path)
 {
 }
 
@@ -451,47 +309,67 @@ TraceFileReader::~TraceFileReader()
 }
 
 TraceIoStatus
-TraceFileReader::mapBlocks(TraceVerify verify)
+TraceFileReader::load(int fd, size_t size)
 {
-    in_.close();  // the ifstream served only the header probe
-
-    int fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd < 0)
-        return TraceIoStatus::IoError;
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-        ::close(fd);
-        return TraceIoStatus::IoError;
-    }
-    size_t size = static_cast<size_t>(st.st_size);
-    if (size < kHeaderBytes) {
-        // The header we just parsed is gone: the file shrank between
-        // the probe and the map.
-        ::close(fd);
-        return TraceIoStatus::TruncatedFile;
-    }
     if (size > kHeaderBytes) {
         void *base =
             ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
         if (base != MAP_FAILED) {
             mapBase_ = base;
             mapSize_ = size;
-            payload_ = static_cast<const uint8_t *>(base) + kHeaderBytes;
-        } else {
-            // mmap can fail legitimately (map-count limits, exotic
-            // filesystems); fall back to buffering the file.
-            std::ifstream fallback(path_, std::ios::binary);
-            ownedBytes_.resize(size);
-            fallback.read(reinterpret_cast<char *>(ownedBytes_.data()),
-                          static_cast<std::streamsize>(size));
-            if (!fallback) {
-                ::close(fd);
-                return TraceIoStatus::IoError;
-            }
-            payload_ = ownedBytes_.data() + kHeaderBytes;
+            return TraceIoStatus::Ok;
         }
+        // mmap can fail legitimately (map-count limits, exotic
+        // filesystems); fall back to buffering the file.
+    }
+    ownedBytes_.resize(size);
+    size_t got = 0;
+    while (got < size) {
+        ssize_t n = ::pread(fd, ownedBytes_.data() + got, size - got,
+                            static_cast<off_t>(got));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return TraceIoStatus::IoError;
+        got += static_cast<size_t>(n);
+    }
+    return TraceIoStatus::Ok;
+}
+
+TraceIoStatus
+TraceFileReader::validate(TraceVerify verify)
+{
+    if (FailpointRegistry::instance().fire("trace_io.open") ==
+        FailpointAction::Fail)
+        return TraceIoStatus::IoError;
+    int fd = ::open(path_.c_str(), O_RDONLY);
+    if (fd < 0)
+        return TraceIoStatus::IoError;
+    struct stat st;
+    TraceIoStatus loaded = TraceIoStatus::IoError;
+    size_t size = 0;
+    if (::fstat(fd, &st) == 0) {
+        size = static_cast<size_t>(st.st_size);
+        loaded = load(fd, size);
     }
     ::close(fd);
+    if (loaded != TraceIoStatus::Ok)
+        return loaded;
+
+    // The header, from the same bytes the blocks are read from.
+    const uint8_t *bytes = mapBase_ != nullptr
+                               ? static_cast<const uint8_t *>(mapBase_)
+                               : ownedBytes_.data();
+    if (size < sizeof(kMagicPrefix) + 1)
+        return TraceIoStatus::ShortHeader;
+    if (std::memcmp(bytes, kMagicPrefix, sizeof(kMagicPrefix)) != 0)
+        return TraceIoStatus::BadMagic;
+    if (bytes[sizeof(kMagicPrefix)] != kVersion)
+        return TraceIoStatus::VersionMismatch;
+    if (size < kHeaderBytes)
+        return TraceIoStatus::ShortHeader;
+    std::memcpy(&count_, bytes + sizeof(kMagicPrefix) + 1, 8);
+    payload_ = bytes + kHeaderBytes;
     payloadSize_ = size - kHeaderBytes;
     mappedBytes_ = size;
 
@@ -518,7 +396,6 @@ TraceFileReader::mapBlocks(TraceVerify verify)
                                 "): ", path_);
             return TraceIoStatus::TruncatedFile;
           case TraceBlockStatus::ChecksumMismatch:
-            return TraceIoStatus::ChecksumMismatch;
           case TraceBlockStatus::Malformed:
             // Framing fields that parse to nonsense are corruption,
             // same integrity boundary as a bad checksum.
@@ -533,79 +410,6 @@ TraceFileReader::mapBlocks(TraceVerify verify)
     if (total != count_)
         return TraceIoStatus::Truncated;
     blockCount_ = blocks;
-    return TraceIoStatus::Ok;
-}
-
-TraceIoStatus
-TraceFileReader::validate(TraceVerify verify)
-{
-    if (FailpointRegistry::instance().fire("trace_io.open") ==
-        FailpointAction::Fail)
-        return TraceIoStatus::IoError;
-    if (!in_)
-        return TraceIoStatus::IoError;
-    char magic[sizeof(kMagicPrefix)];
-    in_.read(magic, sizeof(magic));
-    in_.read(&version_, 1);
-    if (!in_)
-        return TraceIoStatus::ShortHeader;
-    if (std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) != 0)
-        return TraceIoStatus::BadMagic;
-    if (version_ != kVersionV1 && version_ != kVersionV2 &&
-        version_ != kVersionV3)
-        return TraceIoStatus::VersionMismatch;
-    in_.read(reinterpret_cast<char *>(&count_), 8);
-    if (!in_)
-        return TraceIoStatus::ShortHeader;
-
-    if (version_ == kVersionV3)
-        return mapBlocks(verify);
-
-    // The payload must hold exactly the records the header promises
-    // (plus, for v2, the checksum trailer): fewer means a truncated
-    // capture (e.g. a writer that died before close()), more means
-    // trailing garbage. Both are data loss if ignored, so both are
-    // errors, never a silent short replay.
-    size_t overhead =
-        kHeaderBytes + (version_ == kVersionV2 ? kTrailerBytes : 0);
-    in_.seekg(0, std::ios::end);
-    std::streampos end = in_.tellg();
-    in_.seekg(kHeaderBytes);
-    if (!in_)
-        return TraceIoStatus::IoError;
-    if (static_cast<uint64_t>(end) < overhead ||
-        static_cast<uint64_t>(end) - overhead !=
-            count_ * kRecordBytes)
-        return TraceIoStatus::Truncated;
-
-    if (version_ == kVersionV2 && verify == TraceVerify::Full) {
-        // Stream the payload once to verify the trailer before any
-        // record is handed out: a flipped bit must be a structured
-        // open failure, never a silently mis-measured replay.
-        uint64_t sum = kFnv1a64Seed;
-        uint64_t remaining = count_ * kRecordBytes;
-        char chunk[1 << 16];
-        while (remaining > 0) {
-            size_t step = remaining < sizeof(chunk)
-                              ? static_cast<size_t>(remaining)
-                              : sizeof(chunk);
-            in_.read(chunk, static_cast<std::streamsize>(step));
-            if (!in_)
-                return TraceIoStatus::IoError;
-            sum = fnv1a64(chunk, step, sum);
-            remaining -= step;
-        }
-        uint64_t stored = 0;
-        in_.read(reinterpret_cast<char *>(&stored), kTrailerBytes);
-        if (!in_)
-            return TraceIoStatus::IoError;
-        if (stored != sum)
-            return TraceIoStatus::ChecksumMismatch;
-        in_.clear();
-        in_.seekg(kHeaderBytes);
-        if (!in_)
-            return TraceIoStatus::IoError;
-    }
     return TraceIoStatus::Ok;
 }
 
@@ -627,7 +431,8 @@ TraceFileReader::TraceFileReader(const std::string &path)
                      traceIoStatusName(st), "): ", path);
       case TraceIoStatus::VersionMismatch:
         vpprof_fatal("unsupported trace file version (",
-                     traceIoStatusName(st), "): ", path);
+                     traceIoStatusName(st), "): ", path,
+                     "; only version 3 is readable");
       case TraceIoStatus::Truncated:
         vpprof_fatal("truncated trace file (",
                      traceIoStatusName(st), "): ", path);
@@ -711,24 +516,10 @@ TraceFileReader::next(TraceRecord &rec)
         break;
     }
 
-    if (version_ == kVersionV3) {
-        if (viewIdx_ >= view_.count && !decodeNextBlock())
-            return false;
-        rec = view_.record(viewIdx_);
-        ++viewIdx_;
-        ++read_;
-        return true;
-    }
-
-    char buf[kRecordBytes];
-    in_.read(buf, sizeof(buf));
-    if (!in_) {
-        // validate() checked the size at open, so this only happens
-        // when the file shrank underneath us mid-read.
-        fail(TraceIoStatus::Truncated);
+    if (viewIdx_ >= view_.count && !decodeNextBlock())
         return false;
-    }
-    decode(buf, rec);
+    rec = view_.record(viewIdx_);
+    ++viewIdx_;
     ++read_;
     return true;
 }
@@ -748,16 +539,12 @@ TraceFileReader::replay(TraceSink *sink)
 ColumnarSpan
 TraceFileReader::span() const
 {
-    if (version_ != kVersionV3)
-        return {};
     return {payload_, payloadSize_, count_, blockCount_, true};
 }
 
 bool
 TraceFileReader::readColumnar(ColumnarTrace &out) const
 {
-    if (version_ != kVersionV3)
-        return false;
     out.bytes.assign(payload_, payload_ + payloadSize_);
     out.records = count_;
     out.blocks = blockCount_;

@@ -4,25 +4,22 @@
  * later, so expensive workload runs can be captured once and analyzed
  * many times — the role SHADE's trace files played for the paper.
  *
- * Version ladder:
- *  - v3 (default): a 16-byte header ("VPTRACE" + version byte, record
- *    count) followed by self-checksummed columnar blocks
- *    (trace_block.hh) — delta/varint/dictionary compressed, read via
- *    mmap, decoded block-at-a-time into SoA scratch columns.
- *  - v2: the same header, fixed-width 39-byte little-endian records,
- *    and an 8-byte FNV-1a checksum trailer over the record payload.
- *  - v1: v2 without the trailer.
- * Readers auto-detect the version, so v1/v2 caches stay readable by a
- * v3 session; writers default to v3 but can be pinned with the
- * VPPROF_TRACE_FORMAT environment knob (or an explicit TraceFormat).
+ * Format (version 3, the only one): a 16-byte header ("VPTRACE", the
+ * version byte '3', the little-endian record count) followed by
+ * self-checksummed columnar blocks (trace_block.hh) — delta/varint/
+ * dictionary compressed, read via mmap, decoded block-at-a-time into
+ * SoA scratch columns. A file with any other version byte (such as a
+ * cache written by the retired fixed-width v1/v2 writers) is a
+ * VersionMismatch; the trace cache quarantines it to `<file>.bad` and
+ * re-captures the trace through the VM.
  *
  * Durability: the writer streams into `<path>.tmp.<pid>` and commits
  * with flush + atomic rename in close(), so a crash at any point
  * leaves either the complete old file or the complete new file at
  * `path` — never a torn one. Readers validate the magic, the version,
- * the payload framing, and (Full verify) every checksum, reporting
+ * the block framing, and (Full verify) every block checksum, reporting
  * structured TraceIoStatus errors instead of silently truncating. A
- * v3 file whose tail block was torn off reports the distinct
+ * file whose tail block was torn off reports the distinct
  * TruncatedFile status so quarantine logs name the actual failure.
  *
  * Immutability: a committed file is never modified in place — every
@@ -61,7 +58,7 @@ enum class TraceIoStatus
     BadMagic,         ///< not a vpprof trace file at all
     VersionMismatch,  ///< vpprof trace, but an unsupported version
     Truncated,        ///< payload size disagrees with the header count
-    TruncatedFile,    ///< v3 tail block torn off / file shorter than mapped
+    TruncatedFile,    ///< tail block torn off / file shorter than mapped
     ChecksumMismatch, ///< stored checksum does not match the payload
     WriteFailed,      ///< a write or the commit rename failed
     NoSpace,          ///< the device is full (ENOSPC)
@@ -70,26 +67,11 @@ enum class TraceIoStatus
 /** Human-readable name of a TraceIoStatus (for messages and tests). */
 const char *traceIoStatusName(TraceIoStatus status);
 
-/** On-disk format a writer produces (readers auto-detect). */
-enum class TraceFormat
-{
-    V2, ///< fixed-width AoS records + checksum trailer
-    V3, ///< columnar delta-compressed blocks
-};
-
-/**
- * The format writers use when none is given explicitly: v3, unless
- * VPPROF_TRACE_FORMAT=2 pins the previous format (the knob CI's
- * cache-migration smoke uses to capture a v2 cache on purpose).
- * Re-read from the environment on every call so tests can flip it.
- */
-TraceFormat defaultTraceFormat();
-
 /**
  * How much of a trace file tryOpen() validates. Full verifies the
- * payload checksums (the v2 trailer / every v3 block) — the integrity
- * boundary, paid once per file per process. HeaderOnly checks the
- * magic, the version and the payload framing but skips the checksum
+ * checksum of every block — the integrity boundary, paid once per
+ * file per process. HeaderOnly checks the
+ * magic, the version and the block framing but skips the checksum
  * pass; it exists so repeated same-process replays of a file that
  * already passed Full verification (tracked by the TraceRepository)
  * avoid re-hashing tens of megabytes per replay. Use Full whenever
@@ -108,22 +90,19 @@ enum class TraceVerify
  * nothing in the writer is fatal, so callers choose between loud
  * errors (the CLI) and graceful degradation (the trace cache).
  *
- * v3 writes buffer records into a columnar block encoder and write
- * one encoded block at a time; the per-record failpoint and the
- * atomic commit protocol are identical across formats.
+ * Records buffer into a columnar block encoder and are written one
+ * encoded block at a time, so memory stays bounded by one block
+ * however long the trace. The "trace_io.write" failpoint still fires
+ * once per record.
  */
 class TraceFileWriter : public TraceSink
 {
   public:
-    /** Open the temp file for `path` in defaultTraceFormat(). */
-    explicit TraceFileWriter(const std::string &path);
-
     /**
-     * Open the temp file for `path` in an explicit format. On failure
-     * the writer is inert: record() drops and close() reports the
-     * latched status.
+     * Open the temp file for `path`. On failure the writer is inert:
+     * record() drops and close() reports the latched status.
      */
-    TraceFileWriter(const std::string &path, TraceFormat format);
+    explicit TraceFileWriter(const std::string &path);
 
     /**
      * Closes if needed; a failure on this path is logged through
@@ -135,9 +114,9 @@ class TraceFileWriter : public TraceSink
     void record(const TraceRecord &rec) override;
 
     /**
-     * Commit: flush the tail block (v3) or append the checksum
-     * trailer (v2), fix up the header count, flush, verify the
-     * stream, and atomically rename the temp file over `path`.
+     * Commit: flush the tail block, fix up the header count, flush,
+     * verify the stream, and atomically rename the temp file over
+     * `path`.
      * Returns Ok on a durable commit; on any failure the temp file is
      * removed, `path` is untouched, and the first error (WriteFailed /
      * NoSpace / IoError) is returned. Idempotent.
@@ -155,19 +134,17 @@ class TraceFileWriter : public TraceSink
     std::string path_;
     std::string tmpPath_;
     std::ofstream out_;
-    TraceFormat format_;
     uint64_t count_ = 0;
-    uint64_t checksum_;
-    TraceBlockEncoder encoder_;        // v3 block staging
-    std::vector<uint8_t> blockBuf_;    // v3 encoded-block scratch
+    TraceBlockEncoder encoder_;
+    std::vector<uint8_t> blockBuf_;    // encoded-block scratch
     uint64_t corruptPending_ = 0;      // injected flips owed to this block
     bool closed_ = false;
     TraceIoStatus status_ = TraceIoStatus::Ok;
 };
 
 /**
- * Persist an already-encoded columnar trace as a v3 file through the
- * same temp + flush + atomic-rename commit protocol. This is the
+ * Persist an already-encoded columnar trace as a trace file through
+ * the same temp + flush + atomic-rename commit protocol. This is the
  * TraceRepository's bulk path: capture encodes once, and committing
  * it to the cache is a framed buffer write instead of a second
  * per-record encode. The "trace_io.write" failpoint fires once per
@@ -178,7 +155,7 @@ TraceIoStatus writeColumnarTraceFile(const std::string &path,
                                      const ColumnarTrace &trace);
 
 /**
- * Stream a v3 block span into `sink`, skipping its first `skip`
+ * Stream a block span into `sink`, skipping its first `skip`
  * records and decoding every other block once into `scratch`. Blocks
  * are bounds-checked as they decode (not re-checksummed), so bytes
  * that changed since validation are a structured failure, never UB.
@@ -200,22 +177,23 @@ TraceIoStatus replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
                               uint64_t *blocks);
 
 /**
- * Reads a binary trace file (any version). Records can be streamed
- * into any TraceSink (replay) or pulled one at a time; a v3 file's
- * blocks can additionally be replayed straight from its span() with
- * replayTraceSpan, or copied out as a ColumnarTrace.
+ * Reads a binary trace file. Records can be streamed into any
+ * TraceSink (replay) or pulled one at a time; the blocks can also be
+ * replayed straight from span() with replayTraceSpan, or copied out
+ * as a ColumnarTrace.
  *
- * v3 files are mmap-ed (with a buffered-read fallback) and decoded
- * lazily, one block per 4096 records; v1/v2 files stream through the
- * original ifstream path. A mapped file is never modified in place
- * (see the file comment), so the reader can also hand its whole
- * payload out as a ColumnarSpan that lives as long as the reader.
+ * The file is opened once and mmap-ed (with a buffered-read
+ * fallback); the header is read from that one mapping and the blocks
+ * decode lazily, one per 4096 records. A mapped file is never modified
+ * in place (see the file comment), so the reader can also hand its
+ * whole payload out as a ColumnarSpan that lives as long as the
+ * reader.
  *
  * Two opening modes:
  *  - The constructor is strict: any malformed file is fatal (a user
  *    handed us a broken file; the CLI wants the loud diagnostic).
  *  - tryOpen() is recoverable: it validates the header, the version,
- *    the payload framing and (Full) the checksums, and returns
+ *    the block framing and (Full) the checksums, and returns
  *    nullptr plus a TraceIoStatus so callers (e.g. a trace cache
  *    probing for reusable files) can quarantine and regenerate.
  */
@@ -240,16 +218,10 @@ class TraceFileReader
     /** Records the header promises. */
     uint64_t recordCount() const { return count_; }
 
-    /** Records handed out so far. */
-    uint64_t recordsRead() const { return read_; }
-
-    /** '1', '2' or '3'. */
-    char version() const { return version_; }
-
-    /** Columnar blocks in a v3 file (0 for v1/v2). */
+    /** Columnar blocks in the file. */
     uint64_t blockCount() const { return blockCount_; }
 
-    /** Bytes of file this reader mapped (or buffered), v3 only. */
+    /** Bytes of file this reader mapped (or buffered). */
     uint64_t mappedBytes() const { return mappedBytes_; }
 
     /**
@@ -263,15 +235,15 @@ class TraceFileReader
     uint64_t replay(TraceSink *sink);
 
     /**
-     * v3 only: the file's encoded payload as a block span into the
-     * reader's mapping, valid while the reader lives. Empty for v1/v2
-     * — those transcode through next() instead.
+     * The file's encoded payload as a block span into the reader's
+     * mapping, valid while the reader lives.
      */
     ColumnarSpan span() const;
 
     /**
-     * v3 only: copy the file's encoded payload into a ColumnarTrace
-     * (one buffer copy, no decode). False for v1/v2.
+     * Copy the file's encoded payload into a ColumnarTrace (one buffer
+     * copy, no decode). Always true: every file a reader opens holds
+     * columnar blocks.
      */
     bool readColumnar(ColumnarTrace &out) const;
 
@@ -285,11 +257,14 @@ class TraceFileReader
 
     TraceFileReader(const std::string &path, Unchecked);
 
-    /** Validate header/version/framing (+ checksums when Full). */
+    /**
+     * Map (or buffer) the file, then validate its header and walk its
+     * block framing (+ checksums when Full).
+     */
     TraceIoStatus validate(TraceVerify verify);
 
-    /** Map (or buffer) a v3 file and walk its block framing. */
-    TraceIoStatus mapBlocks(TraceVerify verify);
+    /** Map the open file `fd` of `size` bytes, or buffer it. */
+    TraceIoStatus load(int fd, size_t size);
 
     /** Decode the block at the cursor into the scratch columns. */
     bool decodeNextBlock();
@@ -298,17 +273,15 @@ class TraceFileReader
     void fail(TraceIoStatus status);
 
     std::string path_;
-    std::ifstream in_;
     uint64_t count_ = 0;
     uint64_t read_ = 0;
-    char version_;
     bool strict_ = true;
     TraceIoStatus status_ = TraceIoStatus::Ok;
 
-    // v3 state: the mapped payload and the lazy block cursor.
+    // The mapped file and the lazy block cursor.
     void *mapBase_ = nullptr;          // munmap target (nullptr: none)
     size_t mapSize_ = 0;
-    std::vector<uint8_t> ownedBytes_;  // fallback when mmap fails
+    std::vector<uint8_t> ownedBytes_;  // small files, or mmap failed
     const uint8_t *payload_ = nullptr; // blocks (file minus header)
     size_t payloadSize_ = 0;
     size_t blockOff_ = 0;              // next undecoded block

@@ -5,15 +5,12 @@
  * or an evaluator bank (evaluateClassification). The faults land on
  * block edges — the first record, the last record of block 1, the
  * first record of block 2, the trace's last record — and on every
- * read; each must climb exactly the ladder rungs it needs. Also pins
- * the legacy migration: adopting a v2 cache file rewrites it as v3.
+ * read; each must climb exactly the ladder rungs it needs.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
 #include "common/checksum.hh"
 #include "common/failpoint.hh"
@@ -104,7 +101,6 @@ class TraceRecovery : public ::testing::Test
     SetUp() override
     {
         FailpointRegistry::instance().reset();
-        ::unsetenv("VPPROF_TRACE_FORMAT");
         dir_ = ::testing::TempDir() + "/vpprof_recovery_" +
                ::testing::UnitTest::GetInstance()
                    ->current_test_info()
@@ -116,7 +112,6 @@ class TraceRecovery : public ::testing::Test
     TearDown() override
     {
         FailpointRegistry::instance().reset();
-        ::unsetenv("VPPROF_TRACE_FORMAT");
         fs::remove_all(dir_);
     }
 
@@ -126,21 +121,6 @@ class TraceRecovery : public ::testing::Test
         SessionConfig cfg;
         cfg.traceCacheDir = dir_;
         return cfg;
-    }
-
-    std::string
-    cacheFile() const
-    {
-        return dir_ + "/li.in0.trace";
-    }
-
-    char
-    versionByte() const
-    {
-        std::ifstream in(cacheFile(), std::ios::binary);
-        char header[8] = {};
-        in.read(header, sizeof(header));
-        return header[7];
     }
 
     std::string dir_;
@@ -187,32 +167,6 @@ TEST_F(TraceRecovery, ReadFaultsRecoverBitIdenticallyForSinksAndBanks)
         EXPECT_EQ(st.regenerations, c.regenerations);
         EXPECT_EQ(st.vmRuns, 0u);
     }
-}
-
-TEST_F(TraceRecovery, AdoptingAV2FileMigratesItToV3)
-{
-    const CleanRun &clean = cleanRun();
-    ::setenv("VPPROF_TRACE_FORMAT", "2", 1);
-    {
-        Session capture(cacheConfig());
-        ASSERT_EQ(replayDigest(capture, li(), 0), clean.digest);
-    }
-    ASSERT_EQ(versionByte(), '2');
-    ::unsetenv("VPPROF_TRACE_FORMAT");
-
-    Session adopt(cacheConfig());
-    EXPECT_EQ(replayDigest(adopt, li(), 0), clean.digest);
-    TraceRepoStats st = adopt.traces().stats();
-    EXPECT_EQ(st.vmRuns, 0u);
-    EXPECT_EQ(st.diskLoads, 1u);
-    EXPECT_EQ(st.corruptQuarantined, 0u);
-    EXPECT_EQ(versionByte(), '3');
-
-    // The migrated file is an ordinary v3 cache entry from now on.
-    Session again(cacheConfig());
-    EXPECT_EQ(replayDigest(again, li(), 0), clean.digest);
-    EXPECT_EQ(again.traces().stats().vmRuns, 0u);
-    EXPECT_GT(again.traces().stats().v3BytesMapped, 0u);
 }
 
 } // namespace

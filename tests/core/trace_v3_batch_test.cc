@@ -1,15 +1,14 @@
 /**
  * @file
  * Batch-replay equivalence: an EvaluatorBank pass must be bit-identical
- * to serial record-at-a-time replay for every evaluator, any jobs
- * count, and every cache format generation (v1/v2/v3) feeding it —
- * including a v2 cache directory adopted transparently by a v3-default
- * session (the migration path).
+ * to serial record-at-a-time replay for every evaluator and any jobs
+ * count, whether the trace is mapped from the cache or held in the
+ * capture buffer. A cache of stale-version files re-captures every
+ * trace and replays bit-identically.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -62,7 +61,6 @@ class TraceV3Batch : public ::testing::Test
     void
     SetUp() override
     {
-        ::unsetenv("VPPROF_TRACE_FORMAT");
         dir_ = ::testing::TempDir() + "/vpprof_v3batch_" +
                ::testing::UnitTest::GetInstance()
                    ->current_test_info()
@@ -73,7 +71,6 @@ class TraceV3Batch : public ::testing::Test
     void
     TearDown() override
     {
-        ::unsetenv("VPPROF_TRACE_FORMAT");
         fs::remove_all(dir_);
     }
 
@@ -235,95 +232,61 @@ TEST_F(TraceV3Batch, BatchMatchesSerialFromDiskAndDegraded)
     expectBatchMatchesSerial(buffered, ref, annotated);
 }
 
-TEST_F(TraceV3Batch, V2CacheFeedsBatchReplayTransparently)
+TEST_F(TraceV3Batch, StaleVersionCacheRecapturesEveryWorkload)
 {
-    // Capture with the previous format generation pinned...
-    ::setenv("VPPROF_TRACE_FORMAT", "2", 1);
-    Session v2session(cacheConfig());
-    Program annotated =
-        v2session.annotatedProgram(li(), {0}, InserterConfig{});
-    SerialReference ref = serialReference(v2session, annotated);
-    std::string file = dir_ + "/li.in0.trace";
-    {
-        std::ifstream in(file, std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        ASSERT_GT(bytes.size(), 16u);
-        ASSERT_EQ(bytes[7], '2');
-    }
-
-    // ...then adopt it with the v3 default: same batch results, no
-    // quarantine, no re-capture.
-    ::unsetenv("VPPROF_TRACE_FORMAT");
-    Session v3session(cacheConfig());
-    expectBatchMatchesSerial(v3session, ref, annotated);
-    TraceRepoStats st = v3session.traces().stats();
-    EXPECT_EQ(st.vmRuns, 0u);
-    EXPECT_EQ(st.diskLoads, 1u);
-    EXPECT_EQ(st.corruptQuarantined, 0u);
-}
-
-TEST_F(TraceV3Batch, V1CacheFeedsBatchReplayTransparently)
-{
-    // Build a v1 cache file (v2 bytes, version patched, trailer
-    // dropped) and prove the oldest generation still serves batches.
-    ::setenv("VPPROF_TRACE_FORMAT", "2", 1);
-    Session v2session(cacheConfig());
-    Program annotated =
-        v2session.annotatedProgram(li(), {0}, InserterConfig{});
-    SerialReference ref = serialReference(v2session, annotated);
-
-    std::string file = dir_ + "/li.in0.trace";
-    std::ifstream in(file, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
-    ASSERT_GT(bytes.size(), 24u);
-    bytes.resize(bytes.size() - 8);  // drop the v2 trailer
-    bytes[7] = '1';
-    std::ofstream out(file, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.close();
-
-    ::unsetenv("VPPROF_TRACE_FORMAT");
-    Session v3session(cacheConfig());
-    expectBatchMatchesSerial(v3session, ref, annotated);
-    TraceRepoStats st = v3session.traces().stats();
-    EXPECT_EQ(st.vmRuns, 0u);
-    EXPECT_EQ(st.diskLoads, 1u);
-}
-
-TEST_F(TraceV3Batch, V2ToV3MigrationPreservesEveryWorkloadReplay)
-{
-    // The cache-migration acceptance test: capture all nine workloads
-    // under the v2 pin, replay each under the v3 default, and require
-    // the delivered record stream bit-identical to a cache-less run.
+    // A cache whose files carry a version byte other than '3' (files
+    // of the retired v1/v2 formats) is a miss per file: each is
+    // quarantined to `.bad` and re-captured through the VM, and every
+    // replay stays bit-identical to a cache-less run.
     std::map<std::string, uint64_t> want;
     {
-        Session clean;  // no cache, no formats involved
+        Session clean;  // no cache
         for (const auto &w : suite().all())
             want[std::string(w->name())] = replayDigest(clean, *w, 0);
     }
     ASSERT_EQ(want.size(), 9u);
 
-    ::setenv("VPPROF_TRACE_FORMAT", "2", 1);
     {
         Session capture(cacheConfig());
         for (const auto &w : suite().all())
             EXPECT_EQ(replayDigest(capture, *w, 0),
                       want[std::string(w->name())]);
     }
+    char version = '1';  // the first file claims v1, the rest v2
+    for (const auto &w : suite().all()) {
+        std::string file = dir_ + "/" + std::string(w->name()) +
+                           ".in0.trace";
+        std::fstream io(file, std::ios::binary | std::ios::in |
+                                  std::ios::out);
+        ASSERT_TRUE(io.good()) << file;
+        io.seekp(7);
+        io.put(version);
+        version = '2';
+    }
 
-    ::unsetenv("VPPROF_TRACE_FORMAT");
-    Session migrated(cacheConfig());
+    Session stale(cacheConfig());
     for (const auto &w : suite().all())
-        EXPECT_EQ(replayDigest(migrated, *w, 0),
+        EXPECT_EQ(replayDigest(stale, *w, 0),
                   want[std::string(w->name())])
             << w->name();
-    TraceRepoStats st = migrated.traces().stats();
-    EXPECT_EQ(st.vmRuns, 0u) << "every trace adopted, none re-captured";
-    EXPECT_EQ(st.diskLoads, 9u);
-    EXPECT_EQ(st.corruptQuarantined, 0u);
+    TraceRepoStats st = stale.traces().stats();
+    EXPECT_EQ(st.vmRuns, 9u) << "every stale file re-captured";
+    EXPECT_EQ(st.corruptQuarantined, 9u);
+    EXPECT_EQ(st.regenerations, 9u);
+    EXPECT_EQ(st.diskLoads, 0u);
+    for (const auto &w : suite().all())
+        EXPECT_TRUE(fs::exists(dir_ + "/" + std::string(w->name()) +
+                               ".in0.trace.bad"))
+            << w->name();
+
+    // The re-captures were committed: the next session adopts them.
+    Session again(cacheConfig());
+    for (const auto &w : suite().all())
+        EXPECT_EQ(replayDigest(again, *w, 0),
+                  want[std::string(w->name())])
+            << w->name();
+    EXPECT_EQ(again.traces().stats().vmRuns, 0u);
+    EXPECT_EQ(again.traces().stats().diskLoads, 9u);
 }
 
 } // namespace

@@ -1,15 +1,14 @@
 /**
  * @file
  * v3 extension of the crash-consistency matrix: the columnar format's
- * failure modes — block-checksum corruption, torn tail blocks, and
- * cross-generation (v2 -> v3) adoption — must degrade exactly like the
- * v2 scenarios do: bit-identical replays, structured counters, no
- * aborts, evidence preserved in `<file>.bad`.
+ * failure modes — block-checksum corruption, torn tail blocks, and a
+ * stale-version file whose re-capture cannot commit — must degrade
+ * like every other row: bit-identical replays, structured counters,
+ * no aborts, evidence preserved in `<file>.bad`.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -64,7 +63,6 @@ class TraceV3Crash : public ::testing::Test
     SetUp() override
     {
         FailpointRegistry::instance().reset();
-        ::unsetenv("VPPROF_TRACE_FORMAT");
         dir_ = ::testing::TempDir() + "/vpprof_v3crash_" +
                ::testing::UnitTest::GetInstance()
                    ->current_test_info()
@@ -76,7 +74,6 @@ class TraceV3Crash : public ::testing::Test
     TearDown() override
     {
         FailpointRegistry::instance().reset();
-        ::unsetenv("VPPROF_TRACE_FORMAT");
         fs::remove_all(dir_);
     }
 
@@ -182,41 +179,40 @@ TEST_F(TraceV3Crash, TornTailBlockRecoversThroughTheLadder)
     EXPECT_TRUE(fs::exists(cacheFile() + ".bad"));
 }
 
-TEST_F(TraceV3Crash, V2CacheAdoptedByV3SessionUnderFaults)
+TEST_F(TraceV3Crash, StaleVersionRecaptureSurvivesAFailedCommit)
 {
-    // The migration scenario as a matrix row: a v2-pinned process
-    // captured the cache; a v3-default process adopts it (migrating
-    // the file to v3), and a mid-replay fault on the migrated file
-    // still recovers through the ladder.
-    ::setenv("VPPROF_TRACE_FORMAT", "2", 1);
+    // A cache file from a retired format version is quarantined and
+    // re-captured; when the re-capture's commit fails too, the capture
+    // buffer serves the replay, the evidence stays in `.bad`, and no
+    // temp file is left behind.
     {
-        Session capture(cacheConfig());
-        ASSERT_EQ(replayDigest(capture, li(), 0), referenceDigest());
+        Session warmup(cacheConfig());
+        ASSERT_EQ(replayDigest(warmup, li(), 0), referenceDigest());
     }
-    ASSERT_EQ(slurp(cacheFile())[7], '2');
-    ::unsetenv("VPPROF_TRACE_FORMAT");
+    std::string bytes = slurp(cacheFile());
+    ASSERT_EQ(bytes[7], '3');
+    bytes[7] = '2';
+    spit(cacheFile(), bytes);
 
-    // Transparent adoption, transcoded and committed as v3: no VM
-    // run.
-    {
-        Session adopt(cacheConfig());
-        EXPECT_EQ(replayDigest(adopt, li(), 0), referenceDigest());
-        TraceRepoStats st = adopt.traces().stats();
-        EXPECT_EQ(st.vmRuns, 0u);
-        EXPECT_EQ(st.diskLoads, 1u);
-        EXPECT_EQ(st.corruptQuarantined, 0u);
-    }
-
-    // A later session replays the migrated file under an injected
-    // transient read fault.
-    FailpointRegistry::instance().arm("trace_io.read",
-                                      {FailpointAction::Short, 50});
-    Session faulty(cacheConfig());
-    EXPECT_EQ(replayDigest(faulty, li(), 0), referenceDigest());
-    TraceRepoStats st = faulty.traces().stats();
-    EXPECT_EQ(st.vmRuns, 0u);
-    EXPECT_EQ(st.readRetries, 1u);
-    EXPECT_EQ(st.regenerations, 0u);
+    FailpointRegistry::instance().arm("trace_io.commit",
+                                      {FailpointAction::Fail, 0});
+    Session session(cacheConfig());
+    EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
+    EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest())
+        << "the capture buffer serves every later replay";
+    FailpointRegistry::instance().reset();
+    TraceRepoStats st = session.traces().stats();
+    EXPECT_EQ(st.corruptQuarantined, 1u);
+    EXPECT_EQ(st.vmRuns, 1u);
+    EXPECT_EQ(st.regenerations, 1u);
+    EXPECT_EQ(st.spillFailures, 1u);
+    EXPECT_EQ(st.diskLoads, 0u);
+    EXPECT_EQ(slurp(cacheFile() + ".bad"), bytes);
+    EXPECT_FALSE(fs::exists(cacheFile()));
+    for (const auto &entry : fs::directory_iterator(dir_))
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << entry.path();
 }
 
 } // namespace

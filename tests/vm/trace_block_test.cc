@@ -272,6 +272,72 @@ TEST(TraceBlock, CorruptPayloadIsAStructuredDecodeFailure)
     }
 }
 
+TEST(TraceBlock, KnownAnswerBlockBytes)
+{
+    // Pins the on-disk encoding, checksum included: every committed
+    // cache file holds these bytes, so any change here quarantines
+    // them all. A load, an add and a store from a three-instruction
+    // loop body.
+    TraceRecord ld;
+    ld.seq = 100;
+    ld.pc = 0x40;
+    ld.op = Opcode::Ld;
+    ld.directive = Directive::Stride;
+    ld.writesReg = true;
+    ld.dest = 3;
+    ld.value = 42;
+    ld.numSrcs = 1;
+    ld.srcs = {1, 0};
+    ld.isMem = true;
+    ld.memAddr = 0x1000;
+    TraceRecord add = ld;
+    add.seq = 101;
+    add.pc = 0x41;
+    add.op = Opcode::Add;
+    add.directive = Directive::None;
+    add.dest = 4;
+    add.value = -7;
+    add.numSrcs = 2;
+    add.srcs = {3, 2};
+    add.isMem = false;
+    add.memAddr = 0;
+    TraceRecord st = ld;
+    st.seq = 102;
+    st.pc = 0x42;
+    st.op = Opcode::St;
+    st.directive = Directive::LastValue;
+    st.writesReg = false;
+    st.dest = 0;
+    st.value = 0;
+    st.numSrcs = 2;
+    st.srcs = {1, 4};
+    st.memAddr = 0x1008;
+
+    TraceBlockEncoder encoder;
+    for (const TraceRecord &rec : {ld, add, st})
+        encoder.add(rec);
+    std::vector<uint8_t> bytes;
+    encoder.flush(bytes);
+
+    const std::vector<uint8_t> want = {
+        // Header: count 3, payload 32 bytes, firstSeq 100, flags 0
+        // (contiguous seq, sparse value and memAddr columns).
+        0x03, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00,
+        0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00,
+        // FNV-1a checksum from kTraceBlockChecksumSeed.
+        0x59, 0xd0, 0x32, 0x30, 0xca, 0x52, 0x09, 0x1e,
+        // Payload: pc deltas, op and directive dictionaries, packed
+        // flags, dest/src0/src1 bytes, value and memAddr deltas.
+        0x80, 0x01, 0x02, 0x02, 0x03, 0x00, 0x1b, 0x00,
+        0x1c, 0x24, 0x03, 0x00, 0x02, 0x00, 0x01, 0x24,
+        0x97, 0x0a, 0x03, 0x04, 0x00, 0x01, 0x03, 0x01,
+        0x00, 0x02, 0x04, 0x54, 0x61, 0x80, 0x40, 0x10,
+    };
+    EXPECT_EQ(bytes, want);
+    expectIdentical(roundTrip({ld, add, st}), {ld, add, st});
+}
+
 // --- v3 files (trace_io framing over the same blocks) ---------------
 
 TEST(TraceBlock, V3FileRoundTripIsBitIdentical)
@@ -297,14 +363,14 @@ TEST(TraceBlock, V3FileRoundTripIsBitIdentical)
 
 TEST(TraceBlock, V3PerRecordWriterMatchesBulkWriter)
 {
-    // The streaming writer (TraceFileWriter in v3 mode) and the bulk
+    // The streaming writer (TraceFileWriter) and the bulk
     // ColumnarTrace writer must produce byte-identical files.
     std::string streamed = tempPath("v3streamed.trace");
     std::string bulk = tempPath("v3bulk.trace");
     auto records = randomStream(6, 2 * kTraceBlockCapacity + 17, true);
 
     {
-        TraceFileWriter writer(streamed, TraceFormat::V3);
+        TraceFileWriter writer(streamed);
         for (const TraceRecord &rec : records)
             writer.record(rec);
         ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
@@ -332,7 +398,7 @@ TEST(TraceBlock, V3ReaderSkipResumesExactly)
     std::string path = tempPath("v3skip.trace");
     auto records = randomStream(7, kTraceBlockCapacity + 200, true);
     {
-        TraceFileWriter writer(path, TraceFormat::V3);
+        TraceFileWriter writer(path);
         for (const TraceRecord &rec : records)
             writer.record(rec);
         ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
@@ -362,7 +428,7 @@ TEST(TraceBlock, TornTailIsTruncatedFileStatus)
     std::string path = tempPath("v3torn.trace");
     auto records = randomStream(8, 700, true);
     {
-        TraceFileWriter writer(path, TraceFormat::V3);
+        TraceFileWriter writer(path);
         for (const TraceRecord &rec : records)
             writer.record(rec);
         ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
@@ -394,7 +460,7 @@ TEST(TraceBlock, FlippedBitInV3FileIsChecksumMismatch)
     std::string path = tempPath("v3flip.trace");
     auto records = randomStream(9, 700, true);
     {
-        TraceFileWriter writer(path, TraceFormat::V3);
+        TraceFileWriter writer(path);
         for (const TraceRecord &rec : records)
             writer.record(rec);
         ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
@@ -420,27 +486,22 @@ TEST(TraceBlock, V3IsSmallerThanV2OnALoopyStream)
     // The compression gate proper lives in bench_trace_v3 over the
     // nine-workload corpus; this is the unit-level sanity check that
     // the encoder actually compresses a representative loop trace.
-    std::string v2 = tempPath("size2.trace");
-    std::string v3 = tempPath("size3.trace");
+    std::string path = tempPath("size3.trace");
     auto records = randomStream(10, 4 * kTraceBlockCapacity, true);
     {
-        TraceFileWriter w2(v2, TraceFormat::V2);
-        TraceFileWriter w3(v3, TraceFormat::V3);
-        for (const TraceRecord &rec : records) {
-            w2.record(rec);
-            w3.record(rec);
-        }
-        ASSERT_EQ(w2.close(), TraceIoStatus::Ok);
-        ASSERT_EQ(w3.close(), TraceIoStatus::Ok);
+        TraceFileWriter writer(path);
+        for (const TraceRecord &rec : records)
+            writer.record(rec);
+        ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
     }
-    auto size = [](const std::string &p) {
-        std::ifstream in(p, std::ios::binary | std::ios::ate);
-        return static_cast<uint64_t>(in.tellg());
-    };
-    EXPECT_LE(size(v3) * 2, size(v2))
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    uint64_t v3_bytes = static_cast<uint64_t>(in.tellg());
+    // The retired fixed-width v2 layout: 16-byte header, 39 bytes per
+    // record, 8-byte checksum trailer.
+    uint64_t fixed_bytes = 16 + 39 * records.size() + 8;
+    EXPECT_LE(v3_bytes * 2, fixed_bytes)
         << "v3 must be at most half of v2 even on randomized records";
-    std::remove(v2.c_str());
-    std::remove(v3.c_str());
+    std::remove(path.c_str());
 }
 
 } // namespace

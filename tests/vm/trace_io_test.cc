@@ -9,7 +9,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "common/checksum.hh"
 #include "common/failpoint.hh"
 #include "isa/program_builder.hh"
 #include "vm/machine.hh"
@@ -145,37 +144,34 @@ TEST(TraceIo, RejectsMissingFile)
 }
 
 /**
- * Write a valid two-record trace and return its raw bytes. Pinned to
- * format v2: these tests exercise the fixed-width record layout and
- * trailer checksum, which only v2 carries (v3's framing has its own
- * suite in trace_block_test.cc / trace_v3_*).
+ * Commit a valid two-record trace (pcs 7 and 8) and return its raw
+ * bytes: the 16-byte header, then one block.
  */
 std::string
 validTraceBytes(const std::string &path)
 {
-    TraceFileWriter writer(path, TraceFormat::V2);
+    TraceFileWriter writer(path);
     TraceRecord rec;
     rec.pc = 7;
     writer.record(rec);
     rec.pc = 8;
     writer.record(rec);
-    writer.close();
+    EXPECT_EQ(writer.close(), TraceIoStatus::Ok);
     std::ifstream in(path, std::ios::binary);
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
 }
 
-/** A committed two-record v3 file (pcs 7 and 8). */
-void
-writeV3Pcs78(const std::string &path)
+/** Offset of the first block's first payload byte in a trace file. */
+constexpr size_t kFirstPayloadByte = 16 + kTraceBlockHeaderBytes;
+
+/** `data` with one bit of the first block's payload flipped. */
+std::string
+withFlippedPayloadBit(std::string data)
 {
-    TraceFileWriter writer(path, TraceFormat::V3);
-    TraceRecord rec;
-    rec.pc = 7;
-    writer.record(rec);
-    rec.pc = 8;
-    writer.record(rec);
-    ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
+    data[kFirstPayloadByte] =
+        static_cast<char>(data[kFirstPayloadByte] ^ 0x04);
+    return data;
 }
 
 /** Collects the pc column of every block it is handed. */
@@ -201,14 +197,14 @@ TEST(TraceIo, DetectsTruncationAtOpen)
 {
     std::string path = tempPath("trunc.trace");
     std::string data = validTraceBytes(path);
-    // Chop off the final record's bytes: the payload no longer matches
-    // the header's record count, which must be loud, not a short read.
+    // Chop off the block's tail: its framing now runs past the end of
+    // the file, which must be loud, not a short read.
     writeBytes(path, data.substr(0, data.size() - 10));
-    EXPECT_DEATH(TraceFileReader reader(path), "truncated trace file");
+    EXPECT_DEATH(TraceFileReader reader(path), "torn trace file tail");
 
     TraceIoStatus status = TraceIoStatus::Ok;
     EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
-    EXPECT_EQ(status, TraceIoStatus::Truncated);
+    EXPECT_EQ(status, TraceIoStatus::TruncatedFile);
     std::remove(path.c_str());
 }
 
@@ -216,8 +212,15 @@ TEST(TraceIo, DetectsTrailingGarbageAtOpen)
 {
     std::string path = tempPath("garbage.trace");
     std::string data = validTraceBytes(path);
+    // Bytes after the last block read as the header of a further
+    // block that the file is too short to hold.
     writeBytes(path, data + "extra bytes");
     TraceIoStatus status = TraceIoStatus::Ok;
+    EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
+    EXPECT_EQ(status, TraceIoStatus::TruncatedFile);
+
+    // A whole extra block holds records the header does not count.
+    writeBytes(path, data + data.substr(16));
     EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
     EXPECT_EQ(status, TraceIoStatus::Truncated);
     std::remove(path.c_str());
@@ -249,14 +252,17 @@ TEST(TraceIo, CorruptFileRoundTrip)
     EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
     EXPECT_EQ(status, TraceIoStatus::BadMagic);
 
-    // Version mismatch: right magic, future version byte.
-    std::string future = data;
-    future[7] = '9';
-    writeBytes(path, future);
-    EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
-    EXPECT_EQ(status, TraceIoStatus::VersionMismatch);
+    // Version mismatch: right magic, any version byte but '3' — a
+    // future version, or a file of the retired v1/v2 formats.
+    for (char version : {'9', '2', '1'}) {
+        std::string other = data;
+        other[7] = version;
+        writeBytes(path, other);
+        EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
+        EXPECT_EQ(status, TraceIoStatus::VersionMismatch);
+    }
     EXPECT_DEATH(TraceFileReader reader(path),
-                 "unsupported trace file version");
+                 "unsupported trace file version.*only version 3");
 
     // Short header: fewer bytes than the fixed header.
     writeBytes(path, data.substr(0, 11));
@@ -286,7 +292,7 @@ TEST(TraceIo, StatusNamesAreDistinct)
                  "no-space");
 }
 
-// --- Format v2 integrity + durability -------------------------------
+// --- Integrity + durability ----------------------------------------
 
 /** Failpoint-armed tests must never leak arming into neighbors. */
 class TraceIoFaults : public ::testing::Test
@@ -300,106 +306,29 @@ TEST(TraceIo, ChecksumCatchesSingleFlippedPayloadBit)
 {
     std::string path = tempPath("bitflip.trace");
     std::string data = validTraceBytes(path);
-    // Size-only validation cannot see this: flip one bit in the
-    // middle of the payload, leaving the length intact.
-    std::string bad = data;
-    bad[20] = static_cast<char>(bad[20] ^ 0x04);
-    writeBytes(path, bad);
+    // Framing-only validation cannot see this: flip one payload bit,
+    // leaving every length intact.
+    writeBytes(path, withFlippedPayloadBit(data));
 
     TraceIoStatus status = TraceIoStatus::Ok;
     EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
     EXPECT_EQ(status, TraceIoStatus::ChecksumMismatch);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, ChecksumCatchesDamagedTrailer)
-{
-    std::string path = tempPath("badtrailer.trace");
-    std::string data = validTraceBytes(path);
-    std::string bad = data;
-    bad[bad.size() - 1] = static_cast<char>(bad[bad.size() - 1] ^ 0xff);
-    writeBytes(path, bad);
-
-    TraceIoStatus status = TraceIoStatus::Ok;
-    EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
-    EXPECT_EQ(status, TraceIoStatus::ChecksumMismatch);
-    std::remove(path.c_str());
-}
-
-/** Turn v2 bytes into a v1 file: patch the version, drop the trailer. */
-std::string
-asV1Bytes(const std::string &v2)
-{
-    std::string v1 = v2.substr(0, v2.size() - 8);
-    v1[7] = '1';
-    return v1;
-}
-
-TEST(TraceIo, Version1FilesAreStillReadable)
-{
-    std::string path = tempPath("v1compat.trace");
-    std::string data = validTraceBytes(path);
-    writeBytes(path, asV1Bytes(data));
-
-    TraceIoStatus status = TraceIoStatus::Ok;
-    auto reader = TraceFileReader::tryOpen(path, &status);
-    ASSERT_NE(reader, nullptr);
-    EXPECT_EQ(status, TraceIoStatus::Ok);
-    VectorTraceSink sink;
-    EXPECT_EQ(reader->replay(&sink), 2u);
-    EXPECT_EQ(sink.trace()[0].pc, 7u);
-    EXPECT_EQ(sink.trace()[1].pc, 8u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, Version1FilesAreNotChecksumChecked)
-{
-    // The checksum check is version-gated: a v1 file with a flipped
-    // payload bit still opens (v1 predates the trailer), documenting
-    // that only v2 carries integrity.
-    std::string path = tempPath("v1flip.trace");
-    std::string v1 = asV1Bytes(validTraceBytes(path));
-    v1[20] = static_cast<char>(v1[20] ^ 0x04);
-    writeBytes(path, v1);
-
-    TraceIoStatus status = TraceIoStatus::Ok;
-    EXPECT_NE(TraceFileReader::tryOpen(path, &status), nullptr);
-    EXPECT_EQ(status, TraceIoStatus::Ok);
+    // HeaderOnly skips the checksum pass by design.
+    EXPECT_NE(TraceFileReader::tryOpen(path, &status,
+                                       TraceVerify::HeaderOnly),
+              nullptr);
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, UnpinnedWritesDefaultToVersion3)
 {
     std::string path = tempPath("v3fresh.trace");
-    ::unsetenv("VPPROF_TRACE_FORMAT");
-    {
-        TraceFileWriter writer(path);  // format from defaultTraceFormat()
-        TraceRecord rec;
-        rec.pc = 7;
-        writer.record(rec);
-        writer.close();
-    }
-    std::ifstream in(path, std::ios::binary);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    ASSERT_GE(data.size(), 16u);
-    EXPECT_EQ(data[7], '3');
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, FreshWritesAreVersion2WithTrailer)
-{
-    std::string path = tempPath("v2fresh.trace");
     std::string data = validTraceBytes(path);
-    EXPECT_EQ(data[7], '2');
-    // 16-byte header + 2 records of 39 packed bytes + 8-byte trailer.
-    ASSERT_EQ(data.size(), 16u + 2 * 39 + 8);
-    // The trailer is the FNV-1a of the record payload, stored LE.
-    uint64_t expected =
-        fnv1a64(data.data() + 16, data.size() - 16 - 8);
-    uint64_t stored = 0;
-    std::memcpy(&stored, data.data() + data.size() - 8, 8);
-    EXPECT_EQ(stored, expected);
+    ASSERT_GE(data.size(), 16u);
+    EXPECT_EQ(data.substr(0, 8), "VPTRACE3");
+    uint64_t count = 0;
+    std::memcpy(&count, data.data() + 8, 8);
+    EXPECT_EQ(count, 2u);
     std::remove(path.c_str());
 }
 
@@ -518,7 +447,7 @@ TEST_F(TraceIoFaults, ShortReadFailpointStopsNonStrictReplay)
 TEST_F(TraceIoFaults, SkipResumesAReplayPastADeliveredPrefix)
 {
     std::string path = tempPath("skip.trace");
-    writeV3Pcs78(path);
+    validTraceBytes(path);
     auto reader = TraceFileReader::tryOpen(path);
     ASSERT_NE(reader, nullptr);
     PcBlockSink sink;
@@ -536,7 +465,7 @@ TEST_F(TraceIoFaults, SkipResumesAReplayPastADeliveredPrefix)
 TEST_F(TraceIoFaults, SpanReadFaultsCountRecordsOfFilesOnly)
 {
     std::string path = tempPath("spanread.trace");
-    writeV3Pcs78(path);
+    validTraceBytes(path);
     auto reader = TraceFileReader::tryOpen(path);
     ASSERT_NE(reader, nullptr);
     ColumnarTrace copy;
@@ -597,9 +526,7 @@ TEST(TraceIo, StrictDiagnosticsIncludeStatusNameAndPath)
     std::string path = tempPath("strictdiag.trace");
     std::string data = validTraceBytes(path);
 
-    std::string flipped = data;
-    flipped[20] = static_cast<char>(flipped[20] ^ 0x04);
-    writeBytes(path, flipped);
+    writeBytes(path, withFlippedPayloadBit(data));
     EXPECT_DEATH(TraceFileReader reader(path),
                  "checksum-mismatch.*strictdiag\\.trace");
 
@@ -613,9 +540,9 @@ TEST(TraceIo, StrictDiagnosticsIncludeStatusNameAndPath)
     EXPECT_DEATH(TraceFileReader reader(path),
                  "bad-magic.*strictdiag\\.trace");
 
-    std::string future = data;
-    future[7] = '9';
-    writeBytes(path, future);
+    std::string stale = data;
+    stale[7] = '2';
+    writeBytes(path, stale);
     EXPECT_DEATH(TraceFileReader reader(path),
                  "version-mismatch.*strictdiag\\.trace");
 

@@ -144,7 +144,7 @@ usage()
                  "  trace    <workload> <input> <file>   capture a "
                  "trace\n"
                  "  trace    --format-stats              per-workload "
-                 "v2 vs v3 size/blocks\n"
+                 "fixed-width vs v3 size/blocks\n"
                  "  replay   <file>                      trace stats\n"
                  "  profile  <workload> <input> <file>   profile "
                  "image (sampling flags apply)\n"
@@ -260,12 +260,11 @@ cmdTrace(Session &session, const Workload &w, size_t input,
 }
 
 /**
- * trace --format-stats: the on-disk economics of the trace-format
- * ladder, per workload. Each input-0 trace is captured through the
- * session (so --trace-cache reuse applies), encoded as v3, and
- * compared against the v2 size that capture would have produced
- * (v2 is fixed-width: 16-byte header + 39 bytes/record + 8-byte
- * trailer, so its size is exact without writing the file).
+ * trace --format-stats: the on-disk economics of the columnar format,
+ * per workload. Each input-0 trace is captured through the session
+ * (so --trace-cache reuse applies), written as v3, and compared
+ * against the size of a fixed-width record stream (16-byte header +
+ * 39 bytes/record + 8-byte checksum trailer, the retired v2 layout).
  */
 int
 cmdTraceFormatStats(Session &session, const WorkloadSuite &suite)
@@ -275,14 +274,15 @@ cmdTraceFormatStats(Session &session, const WorkloadSuite &suite)
         fs::temp_directory_path() / "vpprof_format_stats";
     fs::create_directories(dir);
 
-    std::printf("%-10s %12s %7s %12s %12s %7s\n", "workload",
-                "records", "blocks", "v2 bytes", "v3 bytes", "v3/v2");
+    std::printf("%-10s %12s %7s %12s %12s %8s\n", "workload",
+                "records", "blocks", "fixed bytes", "v3 bytes",
+                "v3/fixed");
     uint64_t total_records = 0, total_blocks = 0;
-    uint64_t total_v2 = 0, total_v3 = 0;
+    uint64_t total_fixed = 0, total_v3 = 0;
     for (const auto &w : suite.all()) {
         std::string name(w->name());
         std::string path = (dir / (name + ".in0.trace")).string();
-        TraceFileWriter writer(path, TraceFormat::V3);
+        TraceFileWriter writer(path);
         session.runTrace(*w, 0, &writer);
         TraceIoStatus st = writer.close();
         if (st != TraceIoStatus::Ok)
@@ -290,7 +290,7 @@ cmdTraceFormatStats(Session &session, const WorkloadSuite &suite)
                          traceIoStatusName(st), "): ", path);
 
         uint64_t records = writer.recordsWritten();
-        uint64_t v2_bytes = 16 + 39 * records + 8;
+        uint64_t fixed_bytes = 16 + 39 * records + 8;
         std::error_code ec;
         uint64_t v3_bytes = fs::file_size(path, ec);
         if (ec)
@@ -303,24 +303,24 @@ cmdTraceFormatStats(Session &session, const WorkloadSuite &suite)
 
         total_records += records;
         total_blocks += blocks;
-        total_v2 += v2_bytes;
+        total_fixed += fixed_bytes;
         total_v3 += v3_bytes;
-        std::printf("%-10s %12llu %7llu %12llu %12llu %6.2fx\n",
+        std::printf("%-10s %12llu %7llu %12llu %12llu %7.2fx\n",
                     name.c_str(),
                     static_cast<unsigned long long>(records),
                     static_cast<unsigned long long>(blocks),
-                    static_cast<unsigned long long>(v2_bytes),
+                    static_cast<unsigned long long>(fixed_bytes),
                     static_cast<unsigned long long>(v3_bytes),
                     static_cast<double>(v3_bytes) /
-                        static_cast<double>(v2_bytes));
+                        static_cast<double>(fixed_bytes));
     }
-    std::printf("%-10s %12llu %7llu %12llu %12llu %6.2fx\n", "total",
+    std::printf("%-10s %12llu %7llu %12llu %12llu %7.2fx\n", "total",
                 static_cast<unsigned long long>(total_records),
                 static_cast<unsigned long long>(total_blocks),
-                static_cast<unsigned long long>(total_v2),
+                static_cast<unsigned long long>(total_fixed),
                 static_cast<unsigned long long>(total_v3),
                 static_cast<double>(total_v3) /
-                    static_cast<double>(total_v2));
+                    static_cast<double>(total_fixed));
     fs::remove_all(dir);
     return 0;
 }
