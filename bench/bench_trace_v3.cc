@@ -12,7 +12,11 @@
  *  3. batch replay decodes once: fanning one decoded pass to K
  *     evaluators decodes each block of the file exactly once, where K
  *     serial record-at-a-time replays decode it K times, and every
- *     evaluator ends bit-identical to its serial twin.
+ *     evaluator ends bit-identical to its serial twin;
+ *  4. profile collection costs less than decoding: the collector's
+ *     own ns/record (a replay into a ProfileCollector minus a replay
+ *     into a sink that does nothing) over the decode ns/record of
+ *     gate 2, a ratio measured in one run, so it holds on any machine.
  *
  * Two rows are reported without a gate: the batch speedup over the
  * serial replays (`li/batch_speedup_x16`) and the cost of a Full
@@ -31,6 +35,7 @@
 #include <filesystem>
 #include <functional>
 
+#include "profile/profile_collector.hh"
 #include "vm/trace_io.hh"
 
 using namespace vpprof;
@@ -42,6 +47,8 @@ namespace
 constexpr double kMaxSizeRatio = 0.5;    // v3 bytes / fixed-width bytes
 constexpr double kMinDecodeMrps = 5.0;   // million records/second
 constexpr int kVerifyTimings = 7;        // best-of for full_verify_pct
+constexpr double kMaxCollectVsDecode = 1.0;  // collector / decode ns
+constexpr int kCollectTimings = 5;       // best-of for collect_vs_decode
 
 /** Size of `records` records as a fixed-width (v2 layout) file. */
 uint64_t
@@ -171,7 +178,8 @@ main()
                                        ".in0.trace");
                 uint64_t delivered = 0, blocks = 0;
                 if (replayTraceSpan(reader.span(), 0, scratch, &counts,
-                                    &delivered, &blocks) !=
+                                    &delivered, &blocks,
+                                    w->program().size()) !=
                     TraceIoStatus::Ok)
                     vpprof_panic("v3 bench trace failed to decode: ",
                                  w->name());
@@ -193,6 +201,50 @@ main()
                 static_cast<unsigned long long>(decoded_records),
                 static_cast<unsigned long long>(decoded_blocks),
                 decode_ms, decode_mrps, kMinDecodeMrps);
+
+    // --- Gate 4: the collector's cost per record against decode's. --
+    // Both legs replay the adopted corpus through one Session (so both
+    // pay the same decode and record assembly); their difference is
+    // the collector's own work. Best of interleaved runs. The baseline
+    // sink does nothing: CountingTraceSink's five op-class branches
+    // cost more per record than the collector itself (the difference
+    // read -0.08x to -0.18x against it), so it would hide the cost
+    // this gate measures.
+    double empty_ms = 0.0, collect_ms = 0.0;
+    {
+        SessionConfig corpusCfg;
+        corpusCfg.traceCacheDir = dirV3;
+        Session corpus(corpusCfg);
+        for (const auto &w : suite().all()) {
+            CountingTraceSink adopt;  // adopt each file, warm its pages
+            corpus.runTrace(*w, 0, &adopt);
+        }
+        for (int i = 0; i < kCollectTimings; ++i) {
+            double empty = wallMsOf([&] {
+                for (const auto &w : suite().all()) {
+                    CallbackTraceSink nothing{[](const TraceRecord &) {}};
+                    corpus.runTrace(*w, 0, &nothing);
+                }
+            });
+            double collect = wallMsOf([&] {
+                for (const auto &w : suite().all()) {
+                    ProfileCollector collector{std::string(w->name())};
+                    corpus.runTrace(*w, 0, &collector);
+                }
+            });
+            empty_ms = i == 0 ? empty : std::min(empty_ms, empty);
+            collect_ms = i == 0 ? collect : std::min(collect_ms, collect);
+        }
+    }
+    const double records_d = static_cast<double>(decoded_records);
+    const double decode_ns = decode_ms * 1e6 / records_d;
+    const double collect_ns = (collect_ms - empty_ms) * 1e6 / records_d;
+    const double collect_vs_decode =
+        decode_ns <= 0.0 ? 0.0 : collect_ns / decode_ns;
+    std::printf("collect: %.1f ns/record over an empty replay, decode "
+                "%.1f ns/record = %.2fx  (gate: <= %.2fx)\n\n",
+                collect_ns, decode_ns, collect_vs_decode,
+                kMaxCollectVsDecode);
 
     // --- Gate 3: batched vs serial replay, 16 evaluators on li. ----
     // Both legs replay the mapped v3 file through one Session. Serial
@@ -304,6 +356,8 @@ main()
                std::nullopt, "x");
     emitResult("trace_v3", "corpus/decode_mrps", decode_mrps,
                std::nullopt, "Mrec/s");
+    emitResult("trace_v3", "corpus/collect_vs_decode_x",
+               collect_vs_decode, std::nullopt, "x");
     emitResult("trace_v3", "li/batch_decode_passes", batch_passes,
                std::nullopt, "x");
     emitResult("trace_v3", "li/serial_decode_passes", serial_passes,
@@ -342,6 +396,12 @@ main()
                     decode_mrps, kMinDecodeMrps);
         ok = false;
     }
+    if (collect_vs_decode > kMaxCollectVsDecode) {
+        std::printf("FAIL: profile collection %.2fx of decode per "
+                    "record (gate <= %.2fx)\n",
+                    collect_vs_decode, kMaxCollectVsDecode);
+        ok = false;
+    }
     if (batch_blocks != li_blocks ||
         serial_blocks != kEvaluators * li_blocks) {
         std::printf("FAIL: decoded %llu blocks batched and %llu serial "
@@ -353,8 +413,9 @@ main()
                     static_cast<unsigned long long>(li_blocks));
         ok = false;
     }
-    std::printf("%s: size %.2fx, decode %.1f Mrec/s, batch decodes "
-                "once (%.1fx)\n",
-                ok ? "PASS" : "FAIL", size_ratio, decode_mrps, speedup);
+    std::printf("%s: size %.2fx, decode %.1f Mrec/s, collect %.2fx of "
+                "decode, batch decodes once (%.1fx)\n",
+                ok ? "PASS" : "FAIL", size_ratio, decode_mrps,
+                collect_vs_decode, speedup);
     return ok ? 0 : 1;
 }

@@ -11,6 +11,7 @@
 #include "compiler/directive_inserter.hh"
 #include "isa/program_builder.hh"
 #include "predictors/profile_classifier.hh"
+#include "predictors/stride_predictor.hh"
 #include "profile/profile_collector.hh"
 #include "vm/machine.hh"
 

@@ -44,7 +44,7 @@ main(int argc, char **argv)
         TraceFileReader reader(path);
         ProfileCollector collector(name);
         reader.replay(&collector);
-        const ProfileImage &img = collector.image();
+        const ProfileImage img = collector.takeImage();
         uint64_t attempts = 0, correct = 0;
         for (const auto &[pc, p] : img.entries()) {
             attempts += p.attempts;

@@ -93,6 +93,8 @@ namespace
 
 /** The calling thread's shard (owned by the registry, never freed). */
 thread_local Registry::Shard *tls_shard = nullptr;
+/** Set once the thread's lease has handed its shard back (exit). */
+thread_local bool tls_lease_ended = false;
 
 uint32_t
 internName(std::vector<std::string> &names, std::string_view name,
@@ -131,15 +133,52 @@ Registry::instance()
 Registry::Shard &
 Registry::localShard()
 {
-    if (!tls_shard) {
-        auto *shard = new Shard;
+    if (tls_shard)
+        return *tls_shard;
+
+    // Hands the shard back at thread exit. The mutex orders the old
+    // owner's last store before the new owner's first, so a shard
+    // keeps exactly one writer and its counts carry on summing.
+    struct Lease
+    {
+        ~Lease()
         {
-            std::lock_guard<std::mutex> lock(mutex_);
-            shards_.push_back(shard);
+            instance().releaseShard(tls_shard);
+            tls_shard = nullptr;
+            tls_lease_ended = true;
         }
-        tls_shard = shard;
+    };
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (freeShards_.empty()) {
+            shards_.push_back(new Shard);
+            tls_shard = shards_.back();
+        } else {
+            tls_shard = freeShards_.back();
+            freeShards_.pop_back();
+        }
+    }
+    // A metric recorded by a later thread_local destructor finds the
+    // lease gone: that shard stays with the exited thread.
+    if (!tls_lease_ended) {
+        static thread_local Lease lease;
+        (void)lease;
     }
     return *tls_shard;
+}
+
+void
+Registry::releaseShard(Shard *shard)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    freeShards_.push_back(shard);
+}
+
+size_t
+Registry::shardCount() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return shards_.size();
 }
 
 uint32_t

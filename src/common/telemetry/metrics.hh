@@ -6,7 +6,10 @@
  * Hot-path design: every thread owns a lock-free shard of slots; an
  * increment resolves to a single relaxed store into the calling
  * thread's shard (the owner is the only writer, so no RMW contention
- * exists to pay for). snapshot() merges all shards with relaxed loads
+ * exists to pay for). A thread hands its shard back when it exits and
+ * the next new thread takes it over, counts and all, so the shards
+ * number the threads alive at once, not every thread ever started.
+ * snapshot() merges all shards with relaxed loads
  * — counters are monotone, so a snapshot racing an increment is at
  * worst one event stale, never torn. Metric names are registered once
  * (mutex-guarded, cold) and resolve to stable small indices that
@@ -108,18 +111,26 @@ class Registry
 
     MetricsSnapshot snapshot() const;
 
+    /** Shards allocated so far: at most the most threads that have
+     *  recorded metrics at one time (exited threads' are reused). */
+    size_t shardCount() const;
+
     struct Shard;  ///< per-thread slot block (layout in metrics.cc)
 
   private:
     Registry() = default;
 
+    /** The calling thread's shard, leased on its first metric. */
     Shard &localShard();
+    /** Return an exiting thread's shard for the next new thread. */
+    void releaseShard(Shard *shard);
 
     mutable std::mutex mutex_;  ///< names + shard list (cold paths)
     std::vector<std::string> counterNames_;
     std::vector<std::string> gaugeNames_;
     std::vector<std::string> histogramNames_;
     std::vector<Shard *> shards_;  ///< never freed; counts outlive threads
+    std::vector<Shard *> freeShards_;  ///< released by exited threads
 };
 
 /** Handle to a named monotone counter; add() is hot-path safe. */

@@ -26,6 +26,7 @@
 #ifndef VPPROF_CORE_BATCH_REPLAY_HH
 #define VPPROF_CORE_BATCH_REPLAY_HH
 
+#include <memory>
 #include <vector>
 
 #include "isa/program.hh"
@@ -92,19 +93,22 @@ class BlockAssembler : public TraceSink
     void
     record(const TraceRecord &rec) override
     {
+        if (!scratch_)
+            scratch_ = std::make_unique<TraceBlockScratch>();
+        TraceBlockScratch &scratch = *scratch_;
         uint32_t i = count_;
-        scratch_.seq[i] = rec.seq;
-        scratch_.pc[i] = rec.pc;
-        scratch_.op[i] = static_cast<uint8_t>(rec.op);
-        scratch_.directive[i] = static_cast<uint8_t>(rec.directive);
-        scratch_.writesReg[i] = rec.writesReg ? 1 : 0;
-        scratch_.dest[i] = rec.dest;
-        scratch_.value[i] = rec.value;
-        scratch_.numSrcs[i] = rec.numSrcs;
-        scratch_.src0[i] = rec.srcs[0];
-        scratch_.src1[i] = rec.srcs[1];
-        scratch_.isMem[i] = rec.isMem ? 1 : 0;
-        scratch_.memAddr[i] = rec.memAddr;
+        scratch.seq[i] = rec.seq;
+        scratch.pc[i] = rec.pc;
+        scratch.op[i] = static_cast<uint8_t>(rec.op);
+        scratch.directive[i] = static_cast<uint8_t>(rec.directive);
+        scratch.writesReg[i] = rec.writesReg ? 1 : 0;
+        scratch.dest[i] = rec.dest;
+        scratch.value[i] = rec.value;
+        scratch.numSrcs[i] = rec.numSrcs;
+        scratch.src0[i] = rec.srcs[0];
+        scratch.src1[i] = rec.srcs[1];
+        scratch.isMem[i] = rec.isMem ? 1 : 0;
+        scratch.memAddr[i] = rec.memAddr;
         if (++count_ == kTraceBlockCapacity)
             flush();
     }
@@ -115,13 +119,16 @@ class BlockAssembler : public TraceSink
     {
         if (count_ == 0)
             return;
-        sink_->consumeBlock(scratch_.view(count_, scratch_.seq[0]));
+        sink_->consumeBlock(scratch_->view(count_, scratch_->seq[0]));
         count_ = 0;
     }
 
   private:
     TraceBlockSink *sink_;
-    TraceBlockScratch scratch_;
+    /** Allocated by the first record: an assembler that never
+     *  receives one (a tee whose key was already produced) costs no
+     *  staging columns. */
+    std::unique_ptr<TraceBlockScratch> scratch_;
     uint32_t count_ = 0;
 };
 

@@ -83,7 +83,8 @@ TraceRepository::~TraceRepository() = default;
 
 TraceRepository::Entry &
 TraceRepository::producedEntry(const Workload &workload,
-                               size_t input_idx)
+                               size_t input_idx, TraceSink *tee,
+                               bool *teed)
 {
     Entry *entry = nullptr;
     {
@@ -100,7 +101,7 @@ TraceRepository::producedEntry(const Workload &workload,
     if (!entry->produced.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(entry->produceMutex);
         if (!entry->produced.load(std::memory_order_relaxed)) {
-            produce(*entry, workload, input_idx);
+            *teed = produce(*entry, workload, input_idx, tee);
             entry->produced.store(true, std::memory_order_release);
         }
     }
@@ -195,9 +196,9 @@ TraceRepository::install(Entry &entry, const std::string &path,
     entry.span = entry.buffer.span();
 }
 
-void
+bool
 TraceRepository::produce(Entry &entry, const Workload &workload,
-                         size_t input_idx)
+                         size_t input_idx, TraceSink *tee)
 {
     std::string name(workload.name());
     std::string cachePath;
@@ -217,7 +218,7 @@ TraceRepository::produce(Entry &entry, const Workload &workload,
         }
         switch (adoptCacheFile(entry, cachePath)) {
           case AdoptOutcome::Adopted:
-            return;
+            return false;
           case AdoptOutcome::Quarantined:
             quarantined = true;
             break;
@@ -229,17 +230,24 @@ TraceRepository::produce(Entry &entry, const Workload &workload,
     // First use in any process (or the cached copy was unusable):
     // interpret the workload once, encoding columnar blocks as the
     // records stream out — the capture is never held as AoS records.
+    // The tee sees the same stream the committed blocks replay (the
+    // encoding is lossless), so its caller needs no replay.
     ColumnarTraceBuilder builder;
+    MultiTraceSink both;
+    both.addSink(&builder);
+    if (tee)
+        both.addSink(tee);
     {
         VPPROF_TIMED_SPAN("trace.capture");
         entry.result = runProgram(workload.program(),
-                                  workload.input(input_idx), &builder,
+                                  workload.input(input_idx), &both,
                                   workload.maxInstructions());
     }
     counters_.vmRuns.add();
     if (quarantined)
         counters_.regenerations.add();
     install(entry, cachePath, builder.take());
+    return tee != nullptr;
 }
 
 void
@@ -251,10 +259,13 @@ TraceRepository::replaySpan(Entry &entry, const Workload &workload,
     // see one contiguous, bit-exact trace however many attempts it
     // took.
     VPPROF_TIMED_SPAN("trace.replay");
+    // Pcs index the program: a block naming a pc past its end is
+    // refused before any consumer sees it.
+    const uint64_t pcLimit = workload.program().size();
     TraceBlockScratch scratch;
     uint64_t delivered = 0, blocks = 0;
     TraceIoStatus status = replayTraceSpan(entry.span, 0, scratch, sink,
-                                           &delivered, &blocks);
+                                           &delivered, &blocks, pcLimit);
     counters_.v3BlocksDecoded.add(blocks);
     if (status == TraceIoStatus::Ok)
         return;
@@ -273,10 +284,16 @@ TraceRepository::replaySpan(Entry &entry, const Workload &workload,
         if (retry) {
             blocks = 0;
             status = replayTraceSpan(retry->span(), delivered, scratch,
-                                     sink, &delivered, &blocks);
+                                     sink, &delivered, &blocks, pcLimit);
             counters_.v3BlocksDecoded.add(blocks);
             if (status == TraceIoStatus::Ok)
                 return;
+            // The file passed its checksums yet a block still does
+            // not decode (or names pcs outside the program): it is
+            // sick in a way validation cannot see, so no later
+            // process may adopt it.
+            if (status == TraceIoStatus::ChecksumMismatch)
+                quarantine(entry.path, status);
         }
     }
 
@@ -304,8 +321,9 @@ RunResult
 TraceRepository::replay(const Workload &workload, size_t input_idx,
                         TraceSink *sink)
 {
-    Entry &entry = producedEntry(workload, input_idx);
-    if (sink) {
+    bool teed = false;
+    Entry &entry = producedEntry(workload, input_idx, sink, &teed);
+    if (sink && !teed) {
         RecordFanBlockSink fan(sink);
         replaySpan(entry, workload, input_idx, &fan);
     }
@@ -317,8 +335,16 @@ RunResult
 TraceRepository::replayBatch(const Workload &workload, size_t input_idx,
                              EvaluatorBank &bank)
 {
-    Entry &entry = producedEntry(workload, input_idx);
-    replaySpan(entry, workload, input_idx, &bank);
+    // A capture made by this call feeds the bank through the
+    // assembler, re-blocked as the VM regeneration of a failed replay
+    // is.
+    BlockAssembler assembler(&bank);
+    bool teed = false;
+    Entry &entry = producedEntry(workload, input_idx, &assembler, &teed);
+    if (teed)
+        assembler.flush();
+    else
+        replaySpan(entry, workload, input_idx, &bank);
     counters_.replays.add();
     return entry.result;
 }

@@ -71,7 +71,9 @@ struct TraceRepoStats
 {
     uint64_t vmRuns = 0;        ///< trace-producing VM interpretations
     uint64_t diskLoads = 0;     ///< traces adopted from the cache dir
-    uint64_t replays = 0;       ///< replays served to consumers
+    /** Deliveries served to consumers, counting a capture that fed
+     *  its caller directly (which decodes no block). */
+    uint64_t replays = 0;
     uint64_t uniqueTraces = 0;  ///< distinct (workload, input) keys
 
     /** Unusable cache files renamed aside to `<file>.bad`. */
@@ -156,7 +158,10 @@ class TraceRepository
 
     /**
      * Replay (workload, input)'s trace into `sink`, producing it first
-     * if this is the key's first use. Returns the original run result.
+     * if this is the key's first use. When this call captures the
+     * trace, `sink` is fed by the VM as the capture runs and nothing
+     * is decoded: a cold key costs one pass. Returns the original run
+     * result.
      */
     RunResult replay(const Workload &workload, size_t input_idx,
                      TraceSink *sink);
@@ -169,7 +174,8 @@ class TraceRepository
      * Batched replay: decode each trace block once and fan the SoA
      * view to every evaluator in the bank. The recovery ladder is the
      * record-sink replay's, so fault recovery and bit-identity carry
-     * over unchanged.
+     * over unchanged. A capture made by this call feeds the bank
+     * directly, as replay() feeds its sink.
      */
     RunResult replayBatch(const Workload &workload, size_t input_idx,
                           EvaluatorBank &bank);
@@ -190,10 +196,18 @@ class TraceRepository
         Quarantined, ///< sick file renamed aside; capture (and count)
     };
 
-    /** The key's entry, produced on first use. */
-    Entry &producedEntry(const Workload &workload, size_t input_idx);
-    void produce(Entry &entry, const Workload &workload,
-                 size_t input_idx);
+    /**
+     * The key's entry, produced on first use. When this call captures
+     * the trace through the VM, `tee` (if not null) receives the
+     * capture's record stream and `*teed` is set: the caller has had
+     * its replay. Adopted keys, and calls that find the key produced
+     * or wait on another thread's capture, leave `*teed` false.
+     */
+    Entry &producedEntry(const Workload &workload, size_t input_idx,
+                         TraceSink *tee, bool *teed);
+    /** Adopt or capture the key; true when `tee` saw the capture. */
+    bool produce(Entry &entry, const Workload &workload,
+                 size_t input_idx, TraceSink *tee);
     AdoptOutcome adoptCacheFile(Entry &entry, const std::string &path);
     /** Commit `trace` at `path` (when non-empty) and make the entry's
      *  span the committed v3 file's mapping, else the buffer. */

@@ -1,28 +1,37 @@
 #include "profile/profile_collector.hh"
 
+#include <algorithm>
+
+#include "common/logging.hh"
+
 namespace vpprof
 {
 
 namespace
 {
 
-/** Infinite, unclassified predictor configuration for profiling. */
-PredictorConfig
-profilingConfig()
-{
-    PredictorConfig cfg;
-    cfg.numEntries = 0;   // infinite
-    cfg.counterBits = 0;  // no FSM during profiling
-    return cfg;
-}
+/**
+ * Pcs are instruction indices, so a real program stays far below this;
+ * a pc past it is a corrupt record, refused before the flat array
+ * would try to cover it.
+ */
+constexpr uint64_t kMaxDensePc = uint64_t{1} << 24;
 
 } // namespace
 
 ProfileCollector::ProfileCollector(std::string program_name)
-    : image_(std::move(program_name)),
-      stride_(profilingConfig()),
-      lastValue_(profilingConfig())
+    : program_(std::move(program_name))
 {
+}
+
+void
+ProfileCollector::grow(uint64_t pc)
+{
+    if (pc >= kMaxDensePc)
+        vpprof_panic("ProfileCollector: pc ", pc,
+                     " is beyond any program (pcs are instruction "
+                     "indices)");
+    slots_.resize(std::max<size_t>(pc + 1, 2 * slots_.size()));
 }
 
 void
@@ -31,38 +40,28 @@ ProfileCollector::record(const TraceRecord &rec)
     if (!rec.writesReg)
         return;
     ++producersSeen_;
+    if (rec.pc >= slots_.size())
+        grow(rec.pc);
+    PcSlot &slot = slots_[rec.pc];
+    profileStep(slot.profile, slot.stride, rec);
+}
 
-    PcProfile &prof = image_.at(rec.pc);
-    prof.opClass = classOf(rec.op);
-    ++prof.executions;
-
-    Prediction sp = stride_.predict(rec.pc);
-    if (sp.hit) {
-        ++prof.attempts;
-        if (sp.value == rec.value) {
-            ++prof.correct;
-            if (sp.usedNonZeroStride)
-                ++prof.correctNonZeroStride;
-        }
+ProfileImage
+ProfileCollector::snapshot() const
+{
+    ProfileImage image(program_);
+    for (size_t pc = 0; pc < slots_.size(); ++pc) {
+        if (slots_[pc].profile.executions > 0)
+            image.at(pc) = slots_[pc].profile;
     }
-    stride_.update(rec.pc, rec.value, sp.hit && sp.value == rec.value);
-
-    Prediction lp = lastValue_.predict(rec.pc);
-    if (lp.hit) {
-        ++prof.lastValueAttempts;
-        if (lp.value == rec.value)
-            ++prof.lastValueCorrect;
-    }
-    lastValue_.update(rec.pc, rec.value, lp.hit && lp.value == rec.value);
+    return image;
 }
 
 ProfileImage
 ProfileCollector::takeImage()
 {
-    ProfileImage out = std::move(image_);
-    image_ = ProfileImage(std::string(out.programName()));
-    stride_.reset();
-    lastValue_.reset();
+    ProfileImage out = snapshot();
+    slots_.clear();
     producersSeen_ = 0;
     return out;
 }

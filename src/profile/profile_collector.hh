@@ -10,11 +10,9 @@
 #ifndef VPPROF_PROFILE_PROFILE_COLLECTOR_HH
 #define VPPROF_PROFILE_PROFILE_COLLECTOR_HH
 
-#include <memory>
 #include <string>
+#include <vector>
 
-#include "predictors/last_value_predictor.hh"
-#include "predictors/stride_predictor.hh"
 #include "profile/profile_image.hh"
 #include "vm/trace.hh"
 
@@ -22,9 +20,62 @@ namespace vpprof
 {
 
 /**
+ * One pc's entry in the infinite stride table of Section 5.1 (the
+ * direct-indexed SVP entry without a tag or a counter: the table never
+ * evicts and profiling trains no FSM). The infinite last-value
+ * predictor's entry would hold the same `last`, so it has none.
+ */
+struct StrideState
+{
+    int64_t last = 0;    ///< most recent value
+    int64_t stride = 0;  ///< difference of the two most recent values
+    bool seen = false;   ///< a value was observed (predictions start)
+};
+
+/**
+ * The profiling step for one value producer: update the pc's profile
+ * counters from the predictions its stride state makes, then train the
+ * state on the actual value. Record for record identical to feeding an
+ * infinite StridePredictor and LastValuePredictor (predict, then update
+ * with the outcome): both predict only once a value has been observed,
+ * the stride prediction is last + stride, and the last-value prediction
+ * is last.
+ */
+inline void
+profileStep(PcProfile &prof, StrideState &state, const TraceRecord &rec)
+{
+    prof.opClass = classOf(rec.op);
+    ++prof.executions;
+    if (state.seen) {
+        int64_t stride_pred = static_cast<int64_t>(
+            static_cast<uint64_t>(state.last) +
+            static_cast<uint64_t>(state.stride));
+        ++prof.attempts;
+        if (stride_pred == rec.value) {
+            ++prof.correct;
+            if (state.stride != 0)
+                ++prof.correctNonZeroStride;
+        }
+        ++prof.lastValueAttempts;
+        if (state.last == rec.value)
+            ++prof.lastValueCorrect;
+        state.stride = static_cast<int64_t>(
+            static_cast<uint64_t>(rec.value) -
+            static_cast<uint64_t>(state.last));
+    }
+    state.last = rec.value;
+    state.seen = true;
+}
+
+/**
  * A trace sink that builds a ProfileImage. Only value-producing
  * instructions (those writing a destination register) are observed, per
  * the paper's convention.
+ *
+ * An instruction's pc is its index in the program, so the per-pc state
+ * lives in a flat array indexed by pc, grown on demand: one indexed
+ * step per record, no hash or tree lookup. The ordered image is built
+ * only when asked for.
  */
 class ProfileCollector : public TraceSink
 {
@@ -34,8 +85,8 @@ class ProfileCollector : public TraceSink
 
     void record(const TraceRecord &rec) override;
 
-    /** The image accumulated so far. */
-    const ProfileImage &image() const { return image_; }
+    /** A copy of the image accumulated so far. */
+    ProfileImage snapshot() const;
 
     /**
      * Move the image out and reset to a pristine collector: the next
@@ -49,9 +100,17 @@ class ProfileCollector : public TraceSink
     uint64_t producersSeen() const { return producersSeen_; }
 
   private:
-    ProfileImage image_;
-    StridePredictor stride_;
-    LastValuePredictor lastValue_;
+    struct PcSlot
+    {
+        PcProfile profile;  ///< executions == 0: pc not profiled
+        StrideState stride;
+    };
+
+    /** Make slots_ cover `pc` (geometric growth). */
+    void grow(uint64_t pc);
+
+    std::string program_;
+    std::vector<PcSlot> slots_;  ///< indexed by pc
     uint64_t producersSeen_ = 0;
 };
 

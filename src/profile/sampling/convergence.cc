@@ -29,7 +29,8 @@ ConvergenceTracker::snapshot()
 {
     ++snapshots_;
     std::map<uint64_t, Directive> current;
-    for (const auto &[pc, prof] : collector_.image().entries()) {
+    const ProfileImage image = collector_.snapshot();
+    for (const auto &[pc, prof] : image.entries()) {
         Directive d = classifyDirective(prof, config_.rule);
         if (d != Directive::None)
             current.emplace(pc, d);

@@ -35,34 +35,7 @@ SketchProfileCollector::record(const TraceRecord &rec)
         it = hot_.try_emplace(rec.pc).first;
     }
 
-    HotEntry &entry = it->second;
-    PcProfile &prof = entry.profile;
-    prof.opClass = classOf(rec.op);
-    ++prof.executions;
-
-    // Inline emulation of the infinite stride and last-value
-    // predictors, record for record identical to ProfileCollector:
-    // both predict only once a value has been observed, and the
-    // stride is the difference of the two most recent values.
-    if (entry.seen) {
-        int64_t stride_pred = static_cast<int64_t>(
-            static_cast<uint64_t>(entry.lastValue) +
-            static_cast<uint64_t>(entry.stride));
-        ++prof.attempts;
-        if (stride_pred == rec.value) {
-            ++prof.correct;
-            if (entry.stride != 0)
-                ++prof.correctNonZeroStride;
-        }
-        ++prof.lastValueAttempts;
-        if (entry.lastValue == rec.value)
-            ++prof.lastValueCorrect;
-        entry.stride = static_cast<int64_t>(
-            static_cast<uint64_t>(rec.value) -
-            static_cast<uint64_t>(entry.lastValue));
-    }
-    entry.lastValue = rec.value;
-    entry.seen = true;
+    profileStep(it->second.profile, it->second.stride, rec);
 }
 
 ProfileImage

@@ -1,8 +1,8 @@
 /**
  * @file
  * SketchProfileCollector: a memory-bounded profiling sink. Where
- * ProfileCollector keeps one map entry (plus two infinite predictor
- * entries) for every static instruction it ever sees, this collector
+ * ProfileCollector keeps one slot for every pc up to the highest it
+ * ever sees, this collector
  * holds full per-instruction statistics only for a bounded set of
  * "hot" instructions and pushes the cold tail into a count-min sketch
  * that costs fixed memory regardless of how many distinct pcs flow by.
@@ -25,6 +25,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "profile/profile_collector.hh"
 #include "profile/profile_image.hh"
 #include "profile/sampling/count_min_sketch.hh"
 #include "vm/trace.hh"
@@ -50,7 +51,7 @@ struct SketchConfig
  * A trace sink that builds a ProfileImage within a fixed memory
  * budget. Observes value-producing records only, like
  * ProfileCollector, and matches its statistics exactly for every pc
- * resident from that pc's first observation.
+ * resident from that pc's first observation (both run profileStep).
  */
 class SketchProfileCollector : public TraceSink
 {
@@ -86,13 +87,11 @@ class SketchProfileCollector : public TraceSink
     size_t memoryBytes() const;
 
   private:
-    /** Full stats plus inline infinite-predictor state for one pc. */
+    /** Full stats plus infinite-predictor state for one pc. */
     struct HotEntry
     {
         PcProfile profile;
-        bool seen = false;     ///< one value observed (predictors warm)
-        int64_t lastValue = 0;
-        int64_t stride = 0;
+        StrideState stride;
     };
 
     std::string program_;

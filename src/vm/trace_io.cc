@@ -1,5 +1,6 @@
 #include "vm/trace_io.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -235,7 +236,7 @@ writeColumnarTraceFile(const std::string &path, const ColumnarTrace &trace)
 TraceIoStatus
 replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
                 TraceBlockScratch &scratch, TraceBlockSink *sink,
-                uint64_t *delivered, uint64_t *blocks)
+                uint64_t *delivered, uint64_t *blocks, uint64_t pcLimit)
 {
     auto blockFailure = [](TraceBlockStatus st) {
         return st == TraceBlockStatus::Truncated
@@ -273,6 +274,11 @@ replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
         TraceBlockView block =
             view.slice(static_cast<uint32_t>(skip), view.count);
         skip = 0;
+        uint64_t maxPc = 0;
+        for (uint32_t i = 0; i < block.count; ++i)
+            maxPc = std::max(maxPc, block.pc[i]);
+        if (maxPc >= pcLimit)
+            return blockFailure(TraceBlockStatus::Malformed);
         if (span.fromFile && failpoints.anyArmed()) {
             for (uint32_t i = 0; i < block.count; ++i) {
                 FailpointAction action = failpoints.fire("trace_io.read");
@@ -377,11 +383,15 @@ TraceFileReader::validate(TraceVerify verify)
     // under Full verification) and the per-block counts must sum to
     // exactly what the header promises. A writer that died before
     // close() leaves a torn tail block — the distinct TruncatedFile
-    // status, so quarantine logs name the real failure.
+    // status, so quarantine logs name the real failure. Bytes left
+    // once the blocks hold every promised record are trailing
+    // garbage, not a torn block: Truncated, however few they are.
     size_t off = 0;
     uint64_t total = 0;
     uint64_t blocks = 0;
     while (off < payloadSize_) {
+        if (total == count_)
+            return TraceIoStatus::Truncated;
         size_t consumed = 0;
         uint32_t blockRecords = 0;
         switch (probeTraceBlock(payload_ + off, payloadSize_ - off,

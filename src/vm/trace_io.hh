@@ -167,14 +167,21 @@ TraceIoStatus writeColumnarTraceFile(const std::string &path,
  * reader would have delivered. Unarmed, the check is one relaxed load
  * per block. An in-memory span never fires it.
  *
+ * A block holding a pc at or past `pcLimit` (the replayed program's
+ * size: pcs are instruction indices) is Malformed, so the replay stops
+ * with ChecksumMismatch before the sink sees any of that block: a
+ * checksummed file with foreign pcs never reaches a consumer that
+ * indexes the program by pc.
+ *
  * @param[out] delivered Records handed to the sink (on failure too).
  * @param[out] blocks    Blocks decoded.
+ * @param pcLimit        One past the largest pc the replay accepts.
  * @return Ok, or why the replay stopped early.
  */
 TraceIoStatus replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
                               TraceBlockScratch &scratch,
                               TraceBlockSink *sink, uint64_t *delivered,
-                              uint64_t *blocks);
+                              uint64_t *blocks, uint64_t pcLimit);
 
 /**
  * Reads a binary trace file. Records can be streamed into any

@@ -71,6 +71,35 @@ TEST(TelemetryRegistry, CountsMergeAcrossThreads)
               static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
+TEST(TelemetryRegistry, ExitedThreadsShardsAreReused)
+{
+    // Short-lived threads one after another (a fresh daemon's workers
+    // per round): each takes over the shard the previous one handed
+    // back at exit, so the shard count stays flat while the counts
+    // survive every hand-over.
+    Counter c("test.shard_reuse");
+    HistogramMetric h("test.shard_reuse.us");
+    constexpr int kThreads = 64;
+    Registry &registry = Registry::instance();
+    const size_t before = registry.shardCount();
+    for (int t = 0; t < kThreads; ++t) {
+        std::thread worker([&] {
+            c.add();
+            h.observe(10);
+        });
+        worker.join();
+        // Live threads: this one, plus at most one new shard.
+        EXPECT_LE(registry.shardCount(), before + 1);
+    }
+    MetricsSnapshot snap = snapshotMetrics();
+    EXPECT_EQ(snap.counters.at("test.shard_reuse"),
+              static_cast<uint64_t>(kThreads));
+    EXPECT_EQ(snap.histograms.at("test.shard_reuse.us").count,
+              static_cast<uint64_t>(kThreads));
+    EXPECT_EQ(snap.histograms.at("test.shard_reuse.us").sum,
+              10u * kThreads);
+}
+
 TEST(TelemetryRegistry, GaugeGoesUpAndDown)
 {
     Gauge g("test.gauge");

@@ -107,15 +107,24 @@ class CrashConsistency : public ::testing::Test
         return dir_ + "/li.in0.trace";
     }
 
+    /**
+     * Capture a valid cache file in a session of its own. The next
+     * session adopts it, so its replays read the file: a session's
+     * own capture feeds that first caller without reading anything.
+     */
+    void
+    warmCache()
+    {
+        Session warmup(cacheConfig());
+        replayDigest(warmup, li(), 0);
+    }
+
     /** Capture a valid cache file, then damage it with `mutate`. */
     void
     plantDamagedCacheFile(
         const std::function<void(std::string &)> &mutate)
     {
-        {
-            Session warmup(cacheConfig());
-            replayDigest(warmup, li(), 0);
-        }
+        warmCache();
         std::ifstream in(cacheFile(), std::ios::binary);
         std::string bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
@@ -218,6 +227,7 @@ TEST_F(CrashConsistency, TransientShortReadIsRetriedFromDisk)
     // The replay reads the mapped cache file; the 50th record read
     // fails once, then the file is healthy again — the retry must
     // resume past the already-delivered prefix, not duplicate it.
+    warmCache();
     FailpointRegistry::instance().arm("trace_io.read",
                                       {FailpointAction::Short, 50});
     Session session(cacheConfig());
@@ -230,6 +240,7 @@ TEST_F(CrashConsistency, TransientShortReadIsRetriedFromDisk)
 
 TEST_F(CrashConsistency, PersistentReadFailureRegeneratesViaTheVm)
 {
+    warmCache();
     FailpointRegistry::instance().arm("trace_io.read",
                                       {FailpointAction::Short, 0});
     Session session(cacheConfig());
@@ -244,10 +255,7 @@ TEST_F(CrashConsistency, UnreadableProbeFallsBackToCapture)
 {
     // A valid cache file that cannot even be opened (permissions,
     // transient I/O): the probe treats it as a miss and re-captures.
-    {
-        Session warmup(cacheConfig());
-        replayDigest(warmup, li(), 0);
-    }
+    warmCache();
     FailpointRegistry::instance().arm("trace_io.open",
                                       {FailpointAction::Fail, 1});
     Session session(cacheConfig());
@@ -270,6 +278,7 @@ TEST_F(CrashConsistency, ExperimentResultsSurviveInjectedReadFaults)
                                                clean_cls);
     }
 
+    warmCache();
     FailpointRegistry::instance().arm("trace_io.read",
                                       {FailpointAction::Short, 1000});
     Session faulty(cacheConfig());

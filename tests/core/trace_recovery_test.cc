@@ -5,7 +5,9 @@
  * or an evaluator bank (evaluateClassification). The faults land on
  * block edges — the first record, the last record of block 1, the
  * first record of block 2, the trace's last record — and on every
- * read; each must climb exactly the ladder rungs it needs.
+ * read; each must climb exactly the ladder rungs it needs. A
+ * checksummed file naming a pc outside the program takes the same
+ * ladder and is quarantined.
  */
 
 #include <gtest/gtest.h>
@@ -78,6 +80,7 @@ struct CleanRun
     uint64_t digest = 0;
     uint64_t records = 0;
     ClassificationAccuracy accuracy;
+    ProfileImage profile;
 };
 
 const CleanRun &
@@ -89,6 +92,7 @@ cleanRun()
         r.digest = replayDigest(clean, li(), 0);
         r.records = clean.runTrace(li(), 0, nullptr).instructionsExecuted;
         r.accuracy = classify(clean);
+        r.profile = clean.collectProfile(li(), 0);
         return r;
     }();
     return run;
@@ -167,6 +171,44 @@ TEST_F(TraceRecovery, ReadFaultsRecoverBitIdenticallyForSinksAndBanks)
         EXPECT_EQ(st.regenerations, c.regenerations);
         EXPECT_EQ(st.vmRuns, 0u);
     }
+}
+
+TEST_F(TraceRecovery, ForeignPcInACheckedFileIsRefusedAndQuarantined)
+{
+    // A cache file whose every checksum holds, but one record of block
+    // 1 names a pc far past the program's end. Replays refuse that
+    // block before any consumer sees it (an evaluator indexes the
+    // program by pc), the ladder answers bit-identically, and the file
+    // is quarantined so no later process adopts it.
+    const CleanRun &clean = cleanRun();
+    const uint64_t forged = kTraceBlockCapacity + 7;
+    ASSERT_GT(clean.records, forged);
+    fs::create_directories(dir_);
+    const std::string path = dir_ + "/li.in0.trace";
+    {
+        TraceFileWriter writer(path);
+        CallbackTraceSink forge([&](const TraceRecord &rec) {
+            TraceRecord copy = rec;
+            if (copy.seq == forged)
+                copy.pc = uint64_t{1} << 20;
+            writer.record(copy);
+        });
+        runProgram(li().program(), li().input(0), &forge,
+                   li().maxInstructions());
+        ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
+    }
+
+    Session session(cacheConfig());
+    EXPECT_TRUE(session.collectProfile(li(), 0) == clean.profile);
+    expectSameAccuracy(classify(session), clean.accuracy);
+    EXPECT_EQ(replayDigest(session, li(), 0), clean.digest);
+
+    TraceRepoStats st = session.traces().stats();
+    EXPECT_EQ(st.diskLoads, 1u) << "the checksums hold: adopted";
+    EXPECT_EQ(st.vmRuns, 0u);
+    EXPECT_EQ(st.corruptQuarantined, 1u);
+    EXPECT_TRUE(fs::exists(path + ".bad"));
+    EXPECT_FALSE(fs::exists(path));
 }
 
 } // namespace

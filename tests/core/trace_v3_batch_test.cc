@@ -3,8 +3,9 @@
  * Batch-replay equivalence: an EvaluatorBank pass must be bit-identical
  * to serial record-at-a-time replay for every evaluator and any jobs
  * count, whether the trace is mapped from the cache or held in the
- * capture buffer. A cache of stale-version files re-captures every
- * trace and replays bit-identically.
+ * capture buffer, or fed by the capture itself on a cold key. A cache
+ * of stale-version files re-captures every trace and replays
+ * bit-identically.
  */
 
 #include <gtest/gtest.h>
@@ -194,6 +195,24 @@ TEST_F(TraceV3Batch, BatchMatchesSerialForEveryEvaluator)
     expectBatchMatchesSerial(session, ref, annotated);
     // Decode-once accounting: the batched pass decoded blocks.
     EXPECT_GT(session.traces().stats().v3BlocksDecoded, 0u);
+}
+
+TEST_F(TraceV3Batch, ColdBatchPassFedByTheCaptureMatchesSerial)
+{
+    // A bank's pass over a key its session has not produced yet is fed
+    // by the VM capture itself, re-blocked by a BlockAssembler: it
+    // decodes nothing and still matches serial replay.
+    Session warm(cacheConfig());
+    Program annotated =
+        warm.annotatedProgram(li(), {0}, InserterConfig{});
+    SerialReference ref = serialReference(warm, annotated);
+
+    Session cold;
+    expectBatchMatchesSerial(cold, ref, annotated);
+    TraceRepoStats st = cold.traces().stats();
+    EXPECT_EQ(st.vmRuns, 1u);
+    EXPECT_EQ(st.replays, 1u);
+    EXPECT_EQ(st.v3BlocksDecoded, 0u);
 }
 
 TEST_F(TraceV3Batch, BatchMatchesSerialAcrossJobsCounts)

@@ -157,7 +157,8 @@ TEST(ConvergenceTracker, EarlyExitStopsFeedingTheCollector)
     EXPECT_EQ(tracker.recordsSkipped(), 700u);
     EXPECT_EQ(collector.producersSeen(), 300u);
     // The truncated profile still tags the pc the same way.
-    EXPECT_EQ(classifyDirective(*collector.image().find(1), cfg.rule),
+    const ProfileImage image = collector.snapshot();
+    EXPECT_EQ(classifyDirective(*image.find(1), cfg.rule),
               Directive::LastValue);
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -397,6 +398,11 @@ TEST(TraceBlock, V3ReaderSkipResumesExactly)
 {
     std::string path = tempPath("v3skip.trace");
     auto records = randomStream(7, kTraceBlockCapacity + 200, true);
+    // A replay refuses pcs past its program's end: fold the stream's
+    // pcs (which can wrap to 2^64 - 1) into a 2^20-instruction program.
+    constexpr uint64_t kProgramSize = uint64_t{1} << 20;
+    for (TraceRecord &rec : records)
+        rec.pc %= kProgramSize;
     {
         TraceFileWriter writer(path);
         for (const TraceRecord &rec : records)
@@ -414,7 +420,7 @@ TEST(TraceBlock, V3ReaderSkipResumesExactly)
     TraceBlockScratch scratch;
     uint64_t delivered = 0, blocks = 0;
     EXPECT_EQ(replayTraceSpan(reader.span(), prefix, scratch, &tail,
-                              &delivered, &blocks),
+                              &delivered, &blocks, kProgramSize),
               TraceIoStatus::Ok);
     EXPECT_EQ(delivered, records.size() - prefix);
     EXPECT_EQ(blocks, 1u) << "the skipped block 0 is never decoded";

@@ -162,6 +162,9 @@ validTraceBytes(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
+/** Size of the program validTraceBytes' pcs (7 and 8) index. */
+constexpr uint64_t kValidTraceProgramSize = 9;
+
 /** Offset of the first block's first payload byte in a trace file. */
 constexpr size_t kFirstPayloadByte = 16 + kTraceBlockHeaderBytes;
 
@@ -212,12 +215,13 @@ TEST(TraceIo, DetectsTrailingGarbageAtOpen)
 {
     std::string path = tempPath("garbage.trace");
     std::string data = validTraceBytes(path);
-    // Bytes after the last block read as the header of a further
-    // block that the file is too short to hold.
+    // Bytes after the blocks that already hold every promised record
+    // are trailing garbage, even when too short for a block header:
+    // Truncated, not the torn-tail TruncatedFile.
     writeBytes(path, data + "extra bytes");
     TraceIoStatus status = TraceIoStatus::Ok;
     EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
-    EXPECT_EQ(status, TraceIoStatus::TruncatedFile);
+    EXPECT_EQ(status, TraceIoStatus::Truncated);
 
     // A whole extra block holds records the header does not count.
     writeBytes(path, data + data.substr(16));
@@ -454,11 +458,32 @@ TEST_F(TraceIoFaults, SkipResumesAReplayPastADeliveredPrefix)
     TraceBlockScratch scratch;
     uint64_t delivered = 0, blocks = 0;
     EXPECT_EQ(replayTraceSpan(reader->span(), 1, scratch, &sink,
-                              &delivered, &blocks),
+                              &delivered, &blocks,
+                              kValidTraceProgramSize),
               TraceIoStatus::Ok);
     EXPECT_EQ(delivered, 1u);
     EXPECT_EQ(sink.pcs, std::vector<uint64_t>{8u})
         << "skipping 1 lands on the second record";
+    std::remove(path.c_str());
+}
+
+TEST_F(TraceIoFaults, PcOutsideTheProgramIsRefusedBeforeDelivery)
+{
+    std::string path = tempPath("pclimit.trace");
+    validTraceBytes(path);
+    auto reader = TraceFileReader::tryOpen(path);
+    ASSERT_NE(reader, nullptr);
+    PcBlockSink sink;
+    TraceBlockScratch scratch;
+    uint64_t delivered = 0, blocks = 0;
+    // pc 8 lies past an 8-instruction program: the block is refused
+    // whole, so not even its in-range pc 7 reaches the sink.
+    EXPECT_EQ(replayTraceSpan(reader->span(), 0, scratch, &sink,
+                              &delivered, &blocks,
+                              kValidTraceProgramSize - 1),
+              TraceIoStatus::ChecksumMismatch);
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_TRUE(sink.pcs.empty());
     std::remove(path.c_str());
 }
 
@@ -479,7 +504,8 @@ TEST_F(TraceIoFaults, SpanReadFaultsCountRecordsOfFilesOnly)
     PcBlockSink file_sink;
     uint64_t delivered = 0, blocks = 0;
     EXPECT_EQ(replayTraceSpan(reader->span(), 0, scratch, &file_sink,
-                              &delivered, &blocks),
+                              &delivered, &blocks,
+                              kValidTraceProgramSize),
               TraceIoStatus::Truncated);
     EXPECT_EQ(delivered, 1u);
     EXPECT_EQ(file_sink.pcs, std::vector<uint64_t>{7u});
@@ -491,7 +517,8 @@ TEST_F(TraceIoFaults, SpanReadFaultsCountRecordsOfFilesOnly)
     PcBlockSink buffer_sink;
     delivered = 0;
     EXPECT_EQ(replayTraceSpan(copy.span(), 0, scratch, &buffer_sink,
-                              &delivered, &blocks),
+                              &delivered, &blocks,
+                              kValidTraceProgramSize),
               TraceIoStatus::Ok);
     EXPECT_EQ(buffer_sink.pcs, (std::vector<uint64_t>{7u, 8u}));
     EXPECT_EQ(FailpointRegistry::instance().hits("trace_io.read"), 0u);
