@@ -34,6 +34,9 @@ struct TraceRepository::Entry
     ColumnarTrace buffer;
     std::string path;  ///< empty unless `file` is set
     RunResult result;
+    /** Set when a replay quarantined `file`: its mapping would fail at
+     *  the same block again, so later replays go straight to the VM. */
+    std::atomic<bool> sick{false};
 };
 
 namespace
@@ -259,6 +262,12 @@ TraceRepository::replaySpan(Entry &entry, const Workload &workload,
     // see one contiguous, bit-exact trace however many attempts it
     // took.
     VPPROF_TIMED_SPAN("trace.replay");
+    if (entry.sick.load(std::memory_order_acquire)) {
+        // Checksum mismatch is the only status that quarantines.
+        regenerate(workload, input_idx, sink, 0,
+                   TraceIoStatus::ChecksumMismatch);
+        return;
+    }
     // Pcs index the program: a block naming a pc past its end is
     // refused before any consumer sees it.
     const uint64_t pcLimit = workload.program().size();
@@ -292,14 +301,24 @@ TraceRepository::replaySpan(Entry &entry, const Workload &workload,
             // not decode (or names pcs outside the program): it is
             // sick in a way validation cannot see, so no later
             // process may adopt it.
-            if (status == TraceIoStatus::ChecksumMismatch)
+            if (status == TraceIoStatus::ChecksumMismatch) {
                 quarantine(entry.path, status);
+                entry.sick.store(true, std::memory_order_release);
+            }
         }
     }
 
-    // ...then regenerate via the VM. Interpretation is deterministic,
-    // so the regenerated records past `delivered` are the records the
-    // span would have held.
+    // ...then regenerate via the VM.
+    regenerate(workload, input_idx, sink, delivered, status);
+}
+
+void
+TraceRepository::regenerate(const Workload &workload, size_t input_idx,
+                            TraceBlockSink *sink, uint64_t delivered,
+                            TraceIoStatus status)
+{
+    // Interpretation is deterministic, so the regenerated records past
+    // `delivered` are the records the span would have held.
     counters_.regenerations.add();
     vpprof_warn_limited(8, "trace for ", workload.name(), ".in",
                         input_idx, " is unreadable (",

@@ -220,6 +220,11 @@ class TraceRepository
      *  ladder (retry from a Full re-open, then the VM). */
     void replaySpan(Entry &entry, const Workload &workload,
                     size_t input_idx, TraceBlockSink *sink);
+    /** The ladder's last rung: re-run the VM and deliver the records
+     *  past the `delivered` prefix the sink already has. */
+    void regenerate(const Workload &workload, size_t input_idx,
+                    TraceBlockSink *sink, uint64_t delivered,
+                    TraceIoStatus status);
 
     /**
      * The live counters behind TraceRepoStats: per-repository values

@@ -7,7 +7,8 @@
  * line the daemon sends is one complete response or event object. A
  * request names a command and carries an `id` the daemon echoes on
  * everything it emits for that request, so a client may pipeline
- * requests freely and match answers by id:
+ * requests freely and match answers by id (answers arrive in
+ * completion order, not request order):
  *
  *   -> {"id": 1, "cmd": "evaluate", "workload": "li", "input": 0,
  *       "threshold": 70, "progress": true}

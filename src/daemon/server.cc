@@ -36,6 +36,9 @@ nowNs()
             .count());
 }
 
+/** A lane's start stamp once the watchdog has flagged its job. */
+constexpr uint64_t kFlaggedJob = UINT64_MAX;
+
 bool
 setNonBlocking(int fd)
 {
@@ -173,7 +176,8 @@ DaemonServer::DaemonServer(DaemonConfig config)
     : config_(std::move(config)),
       session_(config_.session),
       dispatcher_(session_, suite_),
-      events_(config_.eventRingCap)
+      events_(config_.eventRingCap),
+      laneStartNs_(session_.runner().jobs())
 {
     slo_.configure(config_.slo, config_.sloWindow);
 }
@@ -267,7 +271,14 @@ DaemonServer::start(std::string *error)
     setNonBlocking(wakeRead_);
     setNonBlocking(pipe_fds[1]);
 
-    executor_ = std::thread([this] { executorLoop(); });
+    // One long forEach: every runner thread, the executor thread
+    // included, becomes a lane for the daemon's lifetime, and a job
+    // that calls forEach itself runs it inline on its own lane.
+    executor_ = std::thread([this] {
+        session_.runner().forEach(laneStartNs_.size(), [this](size_t lane) {
+            laneLoop(lane);
+        });
+    });
     started_ = true;
     return true;
 }
@@ -289,103 +300,76 @@ DaemonServer::wake(char tag)
 }
 
 // ---------------------------------------------------------------- //
-//                        executor thread                           //
+//                          runner lanes                            //
 // ---------------------------------------------------------------- //
 
 void
-DaemonServer::executorLoop()
+DaemonServer::laneLoop(size_t lane)
 {
     for (;;) {
-        std::vector<Job> batch;
-        std::vector<Job> expired;
+        Completion done;
         {
             std::unique_lock<std::mutex> lock(jobMutex_);
             jobCv_.wait(lock, [&] {
                 return executorStop_ || !jobQueue_.empty();
             });
-            if (jobQueue_.empty() && executorStop_)
-                return;
-            // One runner batch per pull: enough jobs to fill every
-            // lane, small enough that a drain converges quickly. A
-            // job already past its deadline never consumes a lane —
-            // it is answered deadline_exceeded instead (the executor
+            if (jobQueue_.empty())
+                return;  // stopping, and every admitted job has run
+            done.job = std::move(jobQueue_.front());
+            jobQueue_.pop_front();
+            ++runningJobs_;
+        }
+        const Job &job = done.job;
+        uint64_t start = nowNs();
+        counters_.queueWaitUs.observe((start - job.admitNs) / 1000);
+        JobOutcome &outcome = done.outcome.emplace();
+        if (job.deadlineNs != 0 && start >= job.deadlineNs) {
+            // Never run a job already past its deadline: the lane
             // double-checks what the timer sweep may have missed
-            // between poll wakeups).
-            uint64_t now = nowNs();
-            size_t lanes =
-                std::max<size_t>(1, session_.runner().jobs());
-            while (!jobQueue_.empty() && batch.size() < lanes) {
-                Job job = std::move(jobQueue_.front());
-                jobQueue_.pop_front();
-                if (job.deadlineNs != 0 && now >= job.deadlineNs)
-                    expired.push_back(std::move(job));
-                else
-                    batch.push_back(std::move(job));
-            }
-            runningJobs_ += batch.size();
-        }
-        {
-            // Started notices ride the completion FIFO ahead of their
-            // jobs' results: the event loop owns the ring.
-            std::lock_guard<std::mutex> lock(completionMutex_);
-            if (telemetry::kEnabled)
-                for (const Job &job : batch)
-                    completions_.push_back(
-                        {job, std::nullopt, telemetry::nowNs()});
-            for (Job &job : expired) {
-                JobOutcome outcome;
-                outcome.ok = false;
-                outcome.code = ErrorCode::DeadlineExceeded;
-                outcome.error = "deadline exceeded while queued";
+            // between poll wakeups.
+            outcome.code = ErrorCode::DeadlineExceeded;
+            outcome.error = "deadline exceeded while queued";
+        } else {
+            // The Started notice rides the completion FIFO ahead of
+            // the result: the event loop owns the ring.
+            if (telemetry::kEnabled) {
+                std::lock_guard<std::mutex> lock(completionMutex_);
                 completions_.push_back(
-                    {std::move(job), std::move(outcome)});
+                    {job, std::nullopt, telemetry::nowNs()});
             }
-        }
-        if (batch.empty()) {
+            laneStartNs_[lane].store(start, std::memory_order_relaxed);
+            // Nudge the event loop: it may be blocked in poll() with a
+            // timeout computed before this job's watchdog deadline.
             wake('C');
-            continue;
-        }
-
-        execBatchSeq_.fetch_add(1, std::memory_order_relaxed);
-        execBatchStartNs_.store(nowNs(), std::memory_order_relaxed);
-        // Nudge the event loop: it may already be blocked in poll()
-        // with a timeout computed before this batch existed, and the
-        // watchdog deadline only enters computeTimeoutMs once the
-        // loop spins again.
-        wake('C');
-        std::vector<JobOutcome> outcomes(batch.size());
-        session_.runner().forEach(batch.size(), [&](size_t i) {
             // Every span recorded while this job runs — vm.interpret,
             // trace.replay, eval.* — carries its trace id, so one
-            // request's full span tree falls out of the Perfetto
-            // trace by filtering args.trace_id.
-            telemetry::ScopedTraceId trace_scope(batch[i].req.traceId);
+            // request's full span tree falls out of the Perfetto trace
+            // by filtering args.trace_id.
+            telemetry::ScopedTraceId trace_scope(job.req.traceId);
             VPPROF_TIMED_SPAN("daemon.job");
             // Latency/fault injection per dispatched job: Delay makes
             // fire() itself sleep (the job runs late but correct).
             if (FailpointRegistry::instance().fire("daemon.dispatch") !=
                 FailpointAction::None) {
-                outcomes[i].ok = false;
-                outcomes[i].code = ErrorCode::Internal;
-                outcomes[i].error = "injected dispatch fault";
-                return;
+                outcome.code = ErrorCode::Internal;
+                outcome.error = "injected dispatch fault";
+            } else {
+                outcome = dispatcher_.execute(job.req);
             }
-            outcomes[i] = dispatcher_.execute(batch[i].req);
-        });
-        execBatchStartNs_.store(0, std::memory_order_relaxed);
+            laneStartNs_[lane].store(0, std::memory_order_relaxed);
+        }
 
-        // Completions post BEFORE running drops, so a loop that sees
-        // runningJobs_ == 0 under jobMutex_ cannot miss a completion
-        // still in flight (drainComplete checks in that order).
+        // The completion posts BEFORE running drops, so a loop that
+        // sees runningJobs_ == 0 under jobMutex_ cannot miss a
+        // completion still in flight (drainComplete checks in that
+        // order).
         {
             std::lock_guard<std::mutex> lock(completionMutex_);
-            for (size_t i = 0; i < batch.size(); ++i)
-                completions_.push_back(
-                    {std::move(batch[i]), std::move(outcomes[i])});
+            completions_.push_back(std::move(done));
         }
         {
             std::lock_guard<std::mutex> lock(jobMutex_);
-            runningJobs_ -= batch.size();
+            --runningJobs_;
         }
         wake('C');
     }
@@ -604,11 +588,15 @@ DaemonServer::computeTimeoutMs(uint64_t now_ns) const
             if (job.deadlineNs != 0)
                 next = std::min(next, job.deadlineNs);
     }
-    if (config_.watchdogMs > 0) {
-        uint64_t start = execBatchStartNs_.load(std::memory_order_relaxed);
-        if (start != 0)
-            next = std::min(next, start + config_.watchdogMs * 1'000'000);
-    }
+    if (config_.watchdogMs > 0)
+        for (const auto &stamp : laneStartNs_) {
+            // A flagged job sets no deadline: the loop would otherwise
+            // spin at timeout 0 until that job ends.
+            uint64_t start = stamp.load(std::memory_order_relaxed);
+            if (start != 0 && start != kFlaggedJob)
+                next = std::min(next,
+                                start + config_.watchdogMs * 1'000'000);
+        }
     if (telemetry::kEnabled && !config_.metricsListenPath.empty())
         next = std::min(next, lastMetricsExportNs_ +
                                   config_.metricsListenIntervalMs *
@@ -1286,8 +1274,8 @@ void
 DaemonServer::expireQueuedJobs(uint64_t now_ns)
 {
     // Deadline sweep over the admission queue: expired jobs are
-    // answered deadline_exceeded HERE, before they ever reach the
-    // executor — an expired request must not consume a runner lane.
+    // answered deadline_exceeded HERE: an expired request must not
+    // consume a runner lane.
     std::vector<Job> expired;
     {
         std::lock_guard<std::mutex> lock(jobMutex_);
@@ -1311,20 +1299,23 @@ DaemonServer::handleTimers(uint64_t now_ns)
 {
     expireQueuedJobs(now_ns);
 
-    // Watchdog: flag an executor batch that has been running longer
-    // than watchdogMs — once per batch, so a genuinely stuck job shows
-    // up in telemetry without spamming the log every tick.
-    if (config_.watchdogMs > 0) {
-        uint64_t start = execBatchStartNs_.load(std::memory_order_relaxed);
-        uint64_t seq = execBatchSeq_.load(std::memory_order_relaxed);
-        if (start != 0 && seq != watchdogFlaggedSeq_ && now_ns > start &&
-            now_ns - start > config_.watchdogMs * 1'000'000) {
-            watchdogFlaggedSeq_ = seq;
-            counters_.watchdogFlags.add();
-            vpprof_warn("vpprofd: executor batch ", seq, " running > ",
-                        config_.watchdogMs, " ms (stuck job?)");
+    // Watchdog: flag a job running longer than watchdogMs once, by
+    // swapping its lane's stamp for kFlaggedJob, so a stuck job shows
+    // up in telemetry without spamming the log every tick. The swap
+    // fails when the lane finished or moved on since the load.
+    if (config_.watchdogMs > 0)
+        for (size_t lane = 0; lane < laneStartNs_.size(); ++lane) {
+            uint64_t start =
+                laneStartNs_[lane].load(std::memory_order_relaxed);
+            if (start != 0 && now_ns > start &&
+                now_ns - start > config_.watchdogMs * 1'000'000 &&
+                laneStartNs_[lane].compare_exchange_strong(
+                    start, kFlaggedJob, std::memory_order_relaxed)) {
+                counters_.watchdogFlags.add();
+                vpprof_warn("vpprofd: job on lane ", lane, " running > ",
+                            config_.watchdogMs, " ms (stuck job?)");
+            }
         }
-    }
 
     // Periodic Prometheus export (vpprofd --metrics-listen): a
     // point-in-time file any scraper can collect, committed atomically
@@ -1477,9 +1468,9 @@ DaemonServer::closeClient(int fd, bool counted_idle)
         counters_.idleCloses.add();
 
     // Cancel the departed client's QUEUED jobs: nobody is left to
-    // read the answers, so running them only burns executor lanes
-    // other clients are waiting for. Running jobs finish (the
-    // executor owns them); their completions are dropped on arrival.
+    // read the answers, so running them only burns lanes other
+    // clients are waiting for. Running jobs finish (their lanes own
+    // them); their completions are dropped on arrival.
     std::vector<Job> purged;
     {
         std::lock_guard<std::mutex> lock(jobMutex_);

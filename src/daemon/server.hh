@@ -11,13 +11,17 @@
  *  - the EVENT LOOP thread owns every socket, every client buffer,
  *    the event ring (journal + subscriber cursors), the SLO window
  *    and all admission state — no locks on the serving path;
- *  - one EXECUTOR thread pulls admitted jobs in batches and fans them
- *    across the runner with forEach (the runner is not re-entrant
- *    across threads, so exactly one thread drives it);
+ *  - one EXECUTOR thread calls the runner's forEach once, with one
+ *    cell per runner thread (the runner is not re-entrant across
+ *    threads, so exactly one thread drives it); each cell is a LANE
+ *    that pulls one admitted job, runs it, posts its result and pulls
+ *    the next;
  *  - Started notices and completions post back through ONE
- *    mutex-guarded FIFO plus a self-pipe byte, the only executor ->
+ *    mutex-guarded FIFO plus a self-pipe byte, the only lane ->
  *    event-loop channel; a job's Started notice is queued before its
- *    result, so the loop records them in that order.
+ *    result, so the loop records them in that order. Responses to
+ *    pipelined requests go out in completion order, not request
+ *    order: clients match them by `id`.
  *
  * Robustness is first-class:
  *  - admission control: a bounded queue (maxQueue admitted jobs) with
@@ -28,19 +32,19 @@
  *    through one shared helper (rejectShedding);
  *  - deadlines: a request's `deadline_ms` is enforced while QUEUED (a
  *    timer sweep answers expired jobs `deadline_exceeded` without
- *    them ever consuming an executor slot; the executor double-checks
- *    at pull time) and at COMPLETION (a result arriving past its
- *    deadline is answered `deadline_exceeded`, not served late);
+ *    them ever consuming a lane; a lane double-checks at pull time)
+ *    and at COMPLETION (a result arriving past its deadline is
+ *    answered `deadline_exceeded`, not served late);
  *  - cancellation: the `cancel` command removes the caller's queued
  *    job by request id (running jobs finish; their result still
  *    settles quota), and a disconnecting client's queued jobs are
- *    purged so abandoned work never reaches the executor;
+ *    purged so abandoned work never reaches a lane;
  *  - slow readers: a client whose unflushed output backlog exceeds
  *    maxClientOutBufBytes while its socket stays unwritable is
  *    disconnected — one stuck reader cannot grow daemon memory;
- *  - watchdog: an executor batch running longer than watchdogMs is
- *    flagged into telemetry (daemon.watchdog_flags) and the log, once
- *    per batch — liveness failures become observable, not silent;
+ *  - watchdog: a job running longer than watchdogMs is flagged into
+ *    telemetry (daemon.watchdog_flags) and the log, once per job —
+ *    liveness failures become observable, not silent;
  *  - idle/read timeouts: a connection with no complete request and no
  *    job in flight for idleTimeoutMs is closed;
  *  - graceful drain: SIGTERM (via requestShutdown()) or the protocol
@@ -127,8 +131,8 @@ struct DaemonConfig
      *  disconnected (its socket stayed unwritable). */
     size_t maxClientOutBufBytes = 4 << 20;
 
-    /** Flag an executor batch still running after this long into
-     *  telemetry + the log; 0 disables the watchdog. */
+    /** Flag a job still running after this long into telemetry +
+     *  the log; 0 disables the watchdog. */
     uint64_t watchdogMs = 10'000;
 
     /** Base of the retry_after_ms hint on shedding rejections; the
@@ -182,7 +186,7 @@ struct DaemonStatsSnapshot
     uint64_t deadlineExceeded = 0; ///< jobs answered deadline_exceeded
     uint64_t cancelled = 0;        ///< queued jobs removed (cancel/disconnect)
     uint64_t slowReaderCloses = 0; ///< clients dropped over outBuf bound
-    uint64_t watchdogFlags = 0;    ///< executor batches flagged stuck
+    uint64_t watchdogFlags = 0;    ///< running jobs flagged stuck
     uint64_t subscribes = 0;       ///< subscribe commands accepted
     uint64_t eventsEmitted = 0;    ///< lifecycle events recorded
     uint64_t eventsDropped = 0;    ///< lines shed for slow subscribers
@@ -206,7 +210,7 @@ class DaemonServer
     DaemonServer &operator=(const DaemonServer &) = delete;
 
     /**
-     * Bind + listen on the socket(s) and start the executor thread.
+     * Bind + listen on the socket(s) and start the runner lanes.
      * False (with a diagnostic) when a socket cannot be created or
      * the config asks for more than one event loop.
      */
@@ -278,7 +282,7 @@ class DaemonServer
         uint64_t deadlineNs = 0;  ///< absolute; 0 = no deadline
     };
 
-    /** One executor -> event-loop notice: a job's result, or (no
+    /** One lane -> event-loop notice: a job's result, or (no
      *  outcome) its Started notice, stamped at pull time. */
     struct Completion
     {
@@ -301,7 +305,7 @@ class DaemonServer
      *  retry_after_ms hint in the response. */
     void rejectShedding(Client &client, const Request &req,
                         ErrorCode code, const std::string &detail);
-    /** Answer + settle one job that will never reach the executor
+    /** Answer + settle one job that will never reach a lane
      *  (deadline expiry / cancel): decrement inflight, drop progress
      *  subscription, send the error line. */
     void settleDeadJob(const Job &job, ErrorCode code,
@@ -348,8 +352,10 @@ class DaemonServer
     /** True when any open connection subscribes to that class. */
     bool anySubscriber(bool SubscriberFilter::*wants) const;
 
-    // --- executor thread -------------------------------------------
-    void executorLoop();
+    // --- runner lanes (executor thread + runner workers) ------------
+    /** Pull, run and answer admitted jobs one at a time until the
+     *  executor stops and the queue is empty. */
+    void laneLoop(size_t lane);
     void wake(char tag);
 
     DaemonConfig config_;
@@ -379,7 +385,7 @@ class DaemonServer
     size_t runningJobs_ = 0;
     bool executorStop_ = false;
 
-    /** The executor -> event loop FIFO: Started notices and
+    /** The lanes -> event loop FIFO: Started notices and
      *  results (the ring and subscribers are event-loop-only). */
     mutable std::mutex completionMutex_;
     std::deque<Completion> completions_;
@@ -396,13 +402,10 @@ class DaemonServer
      *  subscriber). */
     std::vector<size_t> spanCursors_;
 
-    /** Watchdog view of the executor: when a batch is running,
-     *  execBatchStartNs_ holds its start (0 between batches) and
-     *  execBatchSeq_ its ordinal, so the event loop flags one stuck
-     *  batch exactly once. */
-    std::atomic<uint64_t> execBatchStartNs_{0};
-    std::atomic<uint64_t> execBatchSeq_{0};
-    uint64_t watchdogFlaggedSeq_ = 0;
+    /** Watchdog view of the lanes: the start of each lane's running
+     *  job (0 while idle); the event loop swaps a stuck job's stamp
+     *  for a flagged marker, so each stuck job is flagged once. */
+    std::vector<std::atomic<uint64_t>> laneStartNs_;
 
     /** Live serving counters mirrored into the telemetry registry
      *  under `daemon.*` (the TraceRepository::Counters idiom). */
@@ -445,6 +448,8 @@ class DaemonServer
             "daemon.slo_error_burns"};
         telemetry::HistogramMetric jobLatencyUs{
             "daemon.job_latency.us"};
+        /** Admission to lane pickup, once per job a lane pops. */
+        telemetry::HistogramMetric queueWaitUs{"daemon.queue_wait.us"};
     };
     Counters counters_;
 };

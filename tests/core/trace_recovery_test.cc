@@ -179,7 +179,9 @@ TEST_F(TraceRecovery, ForeignPcInACheckedFileIsRefusedAndQuarantined)
     // 1 names a pc far past the program's end. Replays refuse that
     // block before any consumer sees it (an evaluator indexes the
     // program by pc), the ladder answers bit-identically, and the file
-    // is quarantined so no later process adopts it.
+    // is quarantined so no later process adopts it. Only the first of
+    // the three replays decodes the sick mapping and retries from
+    // disk; the later ones go straight to the VM.
     const CleanRun &clean = cleanRun();
     const uint64_t forged = kTraceBlockCapacity + 7;
     ASSERT_GT(clean.records, forged);
@@ -207,6 +209,8 @@ TEST_F(TraceRecovery, ForeignPcInACheckedFileIsRefusedAndQuarantined)
     EXPECT_EQ(st.diskLoads, 1u) << "the checksums hold: adopted";
     EXPECT_EQ(st.vmRuns, 0u);
     EXPECT_EQ(st.corruptQuarantined, 1u);
+    EXPECT_EQ(st.readRetries, 1u);
+    EXPECT_EQ(st.regenerations, 3u);
     EXPECT_TRUE(fs::exists(path + ".bad"));
     EXPECT_FALSE(fs::exists(path));
 }

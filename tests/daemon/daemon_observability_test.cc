@@ -212,6 +212,42 @@ TEST_F(DaemonObservabilityTest, JournalNarratesJobLifecycleInOrder)
               "completed");
 }
 
+TEST_F(DaemonObservabilityTest, QueueWaitIsObservedOncePerJob)
+{
+    if (!telemetry::kEnabled)
+        GTEST_SKIP() << "registry histograms are no-ops with telemetry off";
+    auto observed = [] {
+        telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
+        auto it = snap.histograms.find("daemon.queue_wait.us");
+        return it == snap.histograms.end() ? uint64_t{0}
+                                           : it->second.count;
+    };
+    const uint64_t before = observed();
+    startServer(baseConfig());
+    DaemonClient client = connectedClient();
+
+    // Pipelined jobs queue behind the two lanes; inline commands
+    // (ping) never enter the admission queue.
+    constexpr uint64_t kJobs = 6;
+    for (uint64_t i = 0; i < kJobs; ++i) {
+        Request p;
+        p.id = 10 + i;
+        p.cmd = Command::Profile;
+        p.workload = i % 2 ? "li" : "compress";
+        ASSERT_TRUE(client.sendLine(requestLine(p)));
+    }
+    for (uint64_t i = 0; i < kJobs; ++i) {
+        auto line = client.readLine(30'000);
+        ASSERT_TRUE(line) << client.lastError();
+        EXPECT_NE(line->find("\"ok\": true"), std::string::npos)
+            << *line;
+    }
+    ASSERT_TRUE(client.call(1, Command::Ping, "", 0, 0, false, 5000).ok);
+    EXPECT_EQ(server_->statsSnapshot().jobsCompleted, kJobs);
+    EXPECT_EQ(stopServer(), 0);
+    EXPECT_EQ(observed() - before, kJobs);
+}
+
 TEST_F(DaemonObservabilityTest, SubscribeStreamsLifecycleEvents)
 {
     if (!telemetry::kEnabled)

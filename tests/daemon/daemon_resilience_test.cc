@@ -4,11 +4,11 @@
  * deadlines (expired while queued and expired while executing),
  * cancellation of queued jobs (explicit `cancel` and implicit
  * disconnect purge), the slow-reader output-buffer bound, the
- * executor watchdog, and a retrying client completing against a
- * shedding daemon that rejects a fixed, no-retry client. Execution is
- * slowed deterministically through the `daemon.dispatch` delay
- * failpoint, so every "still running" window in these tests is a
- * scripted fact rather than a timing guess.
+ * per-job watchdog, answers in completion order, and a retrying
+ * client completing against a shedding daemon that rejects a fixed,
+ * no-retry client. Execution is slowed deterministically through the
+ * `daemon.dispatch` delay failpoint, so every "still running" window
+ * in these tests is a scripted fact rather than a timing guess.
  */
 
 #include <gtest/gtest.h>
@@ -18,10 +18,12 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
 #include "common/failpoint.hh"
+#include "common/telemetry/telemetry.hh"
 #include "daemon/client.hh"
 #include "daemon/retry.hh"
 #include "daemon/server.hh"
@@ -358,21 +360,95 @@ TEST_F(DaemonResilienceTest, SlowReaderIsDisconnectedAtTheBufferBound)
     EXPECT_EQ(stopServer(), 0);
 }
 
-TEST_F(DaemonResilienceTest, WatchdogFlagsAStuckExecutorBatch)
+TEST_F(DaemonResilienceTest, WatchdogFlagsEachStuckJob)
 {
     DaemonConfig cfg = baseConfig();
+    cfg.session.jobs = 2;
     cfg.watchdogMs = 50;
     startServer(cfg);
-    slowDispatch(600);  // 12x the watchdog threshold
+    slowDispatch(600);  // 12x the watchdog threshold, on every job
     DaemonClient client = connectedClient();
 
-    CallResult r = client.call(1, Command::Profile, "compress", 0, 0,
-                               false, 120'000);
-    ASSERT_TRUE(r.ok) << r.error
-                      << " (the watchdog observes, never kills)";
+    // Two pipelined slow jobs on two lanes run side by side, and the
+    // watchdog flags each of them once.
+    std::string burst =
+        R"({"id": 1, "cmd": "profile", "workload": "compress"})"
+        "\n"
+        R"({"id": 2, "cmd": "profile", "workload": "compress"})";
+    ASSERT_TRUE(client.sendLine(burst));
+    auto responses = collectResponses(client, {1, 2}, 120'000);
+    ASSERT_EQ(responses.size(), 2u) << client.lastError();
+    for (auto &[id, response] : responses) {
+        ASSERT_TRUE(response.get("ok"));
+        EXPECT_TRUE(response.get("ok")->asBool())
+            << "job " << id << ": the watchdog observes, never kills";
+    }
     DaemonStatsSnapshot st = server_->statsSnapshot();
-    EXPECT_GE(st.watchdogFlags, 1u);
-    EXPECT_EQ(st.jobsCompleted, 1u);
+    EXPECT_EQ(st.watchdogFlags, 2u);
+    EXPECT_EQ(st.jobsCompleted, 2u);
+
+    // Job 2 started while job 1 was still running.
+    if (!telemetry::kEnabled)
+        GTEST_SKIP() << "the journal is degraded with telemetry off";
+    CallResult journal = client.call(
+        R"({"id": 3, "cmd": "journal"})", 3, 5000);
+    ASSERT_TRUE(journal.ok) << journal.error;
+    const report::JsonValue *events =
+        journal.response.get("result")->get("events");
+    ASSERT_TRUE(events && events->isArray());
+    double started2 = 0, completed1 = 0;
+    for (const report::JsonValue &event : events->asArray()) {
+        std::string kind = event.stringOr("kind", "");
+        double id = event.numberOr("id", 0);
+        if (kind == "started" && id == 2)
+            started2 = event.numberOr("seq", 0);
+        if (kind == "completed" && id == 1)
+            completed1 = event.numberOr("seq", 0);
+    }
+    ASSERT_GT(started2, 0.0);
+    ASSERT_GT(completed1, 0.0);
+    EXPECT_LT(started2, completed1);
+    EXPECT_EQ(stopServer(), 0);
+}
+
+TEST_F(DaemonResilienceTest, QuickJobIsAnsweredBeforeASlowerEarlierOne)
+{
+    DaemonConfig cfg = baseConfig();
+    cfg.session.jobs = 2;
+    startServer(cfg);
+    DaemonClient client = connectedClient();
+    CallResult warm = client.call(1, Command::Profile, "compress", 0, 0,
+                                  false, 120'000);
+    ASSERT_TRUE(warm.ok) << warm.error;
+
+    // Job 2 sleeps 600 ms in dispatch. Job 3, a memoized profile, is
+    // pipelined once job 2 holds its lane (its failpoint hit), so it
+    // runs on the other lane and its answer is the first line back.
+    std::string error;
+    ASSERT_TRUE(FailpointRegistry::instance().armList(
+        "daemon.dispatch:delay=600@1", &error))
+        << error;
+    ASSERT_TRUE(client.sendLine(
+        R"({"id": 2, "cmd": "profile", "workload": "compress"})"));
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (FailpointRegistry::instance().hits("daemon.dispatch") == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(FailpointRegistry::instance().hits("daemon.dispatch"), 1u);
+    ASSERT_TRUE(client.sendLine(
+        R"({"id": 3, "cmd": "profile", "workload": "compress"})"));
+
+    std::vector<double> answered;
+    while (answered.size() < 2) {
+        auto line = client.readLine(120'000);
+        ASSERT_TRUE(line) << client.lastError();
+        auto doc = report::parseJson(*line);
+        ASSERT_TRUE(doc && doc->get("ok")) << *line;
+        EXPECT_TRUE(doc->get("ok")->asBool()) << *line;
+        answered.push_back(doc->numberOr("id", 0));
+    }
+    EXPECT_EQ(answered, (std::vector<double>{3, 2}));
     EXPECT_EQ(stopServer(), 0);
 }
 

@@ -61,8 +61,7 @@ usage()
         "reader\n"
         "                       stalled past it is disconnected "
         "(default 4 MiB)\n"
-        "  --watchdog-ms N      flag an executor batch running longer "
-        "than\n"
+        "  --watchdog-ms N      flag a job running longer than\n"
         "                       N ms (0 = off; default 10000)\n"
         "  --retry-hint-ms N    base retry_after_ms hint on shedding "
         "rejections\n"
