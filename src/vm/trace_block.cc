@@ -28,13 +28,26 @@ constexpr size_t kOffFirstSeq = 8;
 constexpr size_t kOffFlags = 16;
 constexpr size_t kOffChecksum = 20;
 
-/** FNV-1a over the header bytes before the checksum, then the payload. */
+/** XXH64 of the header bytes before the checksum, then of the payload
+ *  seeded with that. */
 uint64_t
 blockChecksum(const uint8_t *header, size_t payloadBytes)
 {
-    uint64_t sum = fnv1a64(header, kOffChecksum, kTraceBlockChecksumSeed);
-    return fnv1a64(header + kTraceBlockHeaderBytes, payloadBytes, sum);
+    uint64_t sum = xxh64(header, kOffChecksum, kTraceBlockChecksumSeed);
+    return xxh64(header + kTraceBlockHeaderBytes, payloadBytes, sum);
 }
+
+// The largest block the encoder can emit: per record four 10-byte
+// varints (seq, pc, value, memAddr), two 8-bit dictionary indices,
+// three raw register bytes and a flags nibble (rounded up to a byte);
+// per block the header and two full 256-entry dictionaries with their
+// u16 sizes.
+constexpr size_t kMaxVarintBytes = 10;
+constexpr size_t kMaxRecordBytes = 4 * kMaxVarintBytes + 2 + 3 + 1;
+constexpr size_t kMaxDictBytes = 2 + 256;
+constexpr size_t kMaxBlockBytes = kTraceBlockHeaderBytes +
+                                  kTraceBlockCapacity * kMaxRecordBytes +
+                                  2 * kMaxDictBytes;
 
 void
 putU32(uint8_t *out, uint32_t v)
@@ -84,14 +97,16 @@ unzigzag(uint64_t z)
     return (z >> 1) ^ (~(z & 1) + 1);
 }
 
-void
-putVarint(std::vector<uint8_t> &out, uint64_t v)
+/** Write `v` as an LEB128 varint at `p`; returns the byte after it. */
+uint8_t *
+putVarint(uint8_t *p, uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(uint8_t(v) | 0x80);
+        *p++ = uint8_t(v) | 0x80;
         v >>= 7;
     }
-    out.push_back(uint8_t(v));
+    *p++ = uint8_t(v);
+    return p;
 }
 
 // Bounds-checked byte cursor over untrusted payload bytes. Reads past
@@ -152,12 +167,12 @@ bitsFor(size_t dictSize)
     return bits;
 }
 
-// Dictionary-code one byte column: u16 dict size, the dict bytes in
-// first-appearance order, then LSB-first bit-packed indices. A column
-// with one distinct value costs 3 bytes for the whole block.
-void
-encodeDictColumn(std::vector<uint8_t> &out, const uint8_t *col,
-                 uint32_t count)
+// Dictionary-code one byte column at `p`: u16 dict size, the dict
+// bytes in first-appearance order, then LSB-first bit-packed indices,
+// stored 32 bits at a time. A column with one distinct value costs 3
+// bytes for the whole block. Returns the byte after the column.
+uint8_t *
+encodeDictColumn(uint8_t *p, const uint8_t *col, uint32_t count)
 {
     uint8_t index[256];
     uint8_t dict[256];
@@ -171,25 +186,30 @@ encodeDictColumn(std::vector<uint8_t> &out, const uint8_t *col,
             dict[dictSize++] = v;
         }
     }
-    out.push_back(uint8_t(dictSize));
-    out.push_back(uint8_t(dictSize >> 8));
-    out.insert(out.end(), dict, dict + dictSize);
+    *p++ = uint8_t(dictSize);
+    *p++ = uint8_t(dictSize >> 8);
+    std::memcpy(p, dict, dictSize);
+    p += dictSize;
     int width = bitsFor(dictSize);
     if (width == 0)
-        return;
+        return p;
     uint64_t acc = 0;
     int accBits = 0;
     for (uint32_t i = 0; i < count; ++i) {
         acc |= uint64_t(index[col[i]]) << accBits;
         accBits += width;
-        while (accBits >= 8) {
-            out.push_back(uint8_t(acc));
-            acc >>= 8;
-            accBits -= 8;
+        if (accBits >= 32) {
+            putU32(p, uint32_t(acc));
+            p += 4;
+            acc >>= 32;
+            accBits -= 32;
         }
     }
-    if (accBits > 0)
-        out.push_back(uint8_t(acc));
+    for (; accBits > 0; accBits -= 8) {
+        *p++ = uint8_t(acc);
+        acc >>= 8;
+    }
+    return p;
 }
 
 bool
@@ -262,110 +282,117 @@ TraceBlockScratch::view(uint32_t count, uint64_t firstSeq) const
     return v;
 }
 
-TraceBlockEncoder::TraceBlockEncoder() = default;
+TraceBlockEncoder::TraceBlockEncoder()
+    : stage_(std::make_unique_for_overwrite<Stage>()),
+      block_(std::make_unique_for_overwrite<uint8_t[]>(kMaxBlockBytes))
+{
+}
 
 void
 TraceBlockEncoder::add(const TraceRecord &rec)
 {
-    if (count_ == kTraceBlockCapacity)
+    const uint32_t i = count_;
+    if (i == kTraceBlockCapacity)
         vpprof_panic("trace block encoder overflow: flush() not called");
     if (rec.numSrcs > 3)
         vpprof_panic("trace record numSrcs ", int(rec.numSrcs),
                      " exceeds the v3 format limit of 3");
-    if (count_ == 0) {
+    if (i == 0) {
         firstSeq_ = rec.seq;
         seqContiguous_ = true;
         valueDense_ = false;
         memDense_ = false;
-    } else if (rec.seq != firstSeq_ + count_) {
+    } else if (rec.seq != firstSeq_ + i) {
         seqContiguous_ = false;
     }
     if (!rec.writesReg && rec.value != 0)
         valueDense_ = true;
     if (!rec.isMem && rec.memAddr != 0)
         memDense_ = true;
-    uint32_t i = count_++;
-    stage_.seq[i] = rec.seq;
-    stage_.pc[i] = rec.pc;
-    stage_.op[i] = uint8_t(rec.op);
-    stage_.directive[i] = uint8_t(rec.directive);
-    stage_.writesReg[i] = rec.writesReg ? 1 : 0;
-    stage_.dest[i] = rec.dest;
-    stage_.value[i] = rec.value;
-    stage_.numSrcs[i] = rec.numSrcs;
-    stage_.src0[i] = rec.srcs[0];
-    stage_.src1[i] = rec.srcs[1];
-    stage_.isMem[i] = rec.isMem ? 1 : 0;
-    stage_.memAddr[i] = rec.memAddr;
+    count_ = i + 1;
+    // Through a local pointer: the byte stores below may alias any
+    // member, so each would otherwise reload the column address.
+    Stage *s = stage_.get();
+    s->seq[i] = rec.seq;
+    s->pc[i] = rec.pc;
+    s->value[i] = uint64_t(rec.value);
+    s->memAddr[i] = rec.memAddr;
+    s->op[i] = uint8_t(rec.op);
+    s->directive[i] = uint8_t(rec.directive);
+    s->flags[i] = uint8_t((rec.writesReg ? 1 : 0) | (rec.isMem ? 2 : 0) |
+                          rec.numSrcs << 2);
+    s->dest[i] = rec.dest;
+    s->src0[i] = rec.srcs[0];
+    s->src1[i] = rec.srcs[1];
 }
 
 void
 TraceBlockEncoder::flush(std::vector<uint8_t> &out)
 {
-    if (count_ == 0)
+    const uint32_t count = count_;
+    if (count == 0)
         vpprof_panic("flush() on an empty trace block encoder");
+    const uint64_t firstSeq = firstSeq_;
+    const bool valueDense = valueDense_;
+    const bool memDense = memDense_;
     uint32_t flags = 0;
     if (!seqContiguous_)
         flags |= kFlagSeqExplicit;
-    if (valueDense_)
+    if (valueDense)
         flags |= kFlagValueDense;
-    if (memDense_)
+    if (memDense)
         flags |= kFlagMemDense;
 
-    size_t headerAt = out.size();
-    out.resize(headerAt + kTraceBlockHeaderBytes);
+    const Stage *s = stage_.get();
+    uint8_t *const header = block_.get();
+    uint8_t *p = header + kTraceBlockHeaderBytes;
 
     // Payload columns, in fixed order.
     if (flags & kFlagSeqExplicit) {
-        uint64_t prev = firstSeq_;
-        for (uint32_t i = 0; i < count_; ++i) {
-            putVarint(out, zigzag(stage_.seq[i] - prev));
-            prev = stage_.seq[i];
+        uint64_t prev = firstSeq;
+        for (uint32_t i = 0; i < count; ++i) {
+            p = putVarint(p, zigzag(s->seq[i] - prev));
+            prev = s->seq[i];
         }
     }
     uint64_t prevPc = 0;
-    for (uint32_t i = 0; i < count_; ++i) {
-        putVarint(out, zigzag(stage_.pc[i] - prevPc));
-        prevPc = stage_.pc[i];
+    for (uint32_t i = 0; i < count; ++i) {
+        p = putVarint(p, zigzag(s->pc[i] - prevPc));
+        prevPc = s->pc[i];
     }
-    encodeDictColumn(out, stage_.op.data(), count_);
-    encodeDictColumn(out, stage_.directive.data(), count_);
+    p = encodeDictColumn(p, s->op, count);
+    p = encodeDictColumn(p, s->directive, count);
     // writesReg | isMem | numSrcs, two records per byte.
-    for (uint32_t i = 0; i < count_; i += 2) {
-        uint8_t lo = uint8_t(stage_.writesReg[i] | stage_.isMem[i] << 1 |
-                             (stage_.numSrcs[i] & 3) << 2);
-        uint8_t hi = 0;
-        if (i + 1 < count_)
-            hi = uint8_t(stage_.writesReg[i + 1] | stage_.isMem[i + 1] << 1 |
-                         (stage_.numSrcs[i + 1] & 3) << 2);
-        out.push_back(uint8_t(lo | hi << 4));
-    }
-    out.insert(out.end(), stage_.dest.begin(), stage_.dest.begin() + count_);
-    out.insert(out.end(), stage_.src0.begin(), stage_.src0.begin() + count_);
-    out.insert(out.end(), stage_.src1.begin(), stage_.src1.begin() + count_);
+    for (uint32_t i = 0; i + 1 < count; i += 2)
+        *p++ = uint8_t(s->flags[i] | s->flags[i + 1] << 4);
+    if (count & 1)
+        *p++ = s->flags[count - 1];
+    std::memcpy(p, s->dest, count);
+    std::memcpy(p + count, s->src0, count);
+    std::memcpy(p + 2 * count, s->src1, count);
+    p += 3 * count;
     uint64_t prevValue = 0;
-    for (uint32_t i = 0; i < count_; ++i) {
-        if (!valueDense_ && !stage_.writesReg[i])
+    for (uint32_t i = 0; i < count; ++i) {
+        if (!valueDense && !(s->flags[i] & 1))
             continue;
-        uint64_t v = uint64_t(stage_.value[i]);
-        putVarint(out, zigzag(v - prevValue));
-        prevValue = v;
+        p = putVarint(p, zigzag(s->value[i] - prevValue));
+        prevValue = s->value[i];
     }
     uint64_t prevAddr = 0;
-    for (uint32_t i = 0; i < count_; ++i) {
-        if (!memDense_ && !stage_.isMem[i])
+    for (uint32_t i = 0; i < count; ++i) {
+        if (!memDense && !(s->flags[i] & 2))
             continue;
-        putVarint(out, zigzag(stage_.memAddr[i] - prevAddr));
-        prevAddr = stage_.memAddr[i];
+        p = putVarint(p, zigzag(s->memAddr[i] - prevAddr));
+        prevAddr = s->memAddr[i];
     }
 
-    size_t payloadBytes = out.size() - headerAt - kTraceBlockHeaderBytes;
-    uint8_t *header = out.data() + headerAt;
-    putU32(header + kOffCount, count_);
+    size_t payloadBytes = size_t(p - header) - kTraceBlockHeaderBytes;
+    putU32(header + kOffCount, count);
     putU32(header + kOffPayloadBytes, uint32_t(payloadBytes));
-    putU64(header + kOffFirstSeq, firstSeq_);
+    putU64(header + kOffFirstSeq, firstSeq);
     putU32(header + kOffFlags, flags);
     putU64(header + kOffChecksum, blockChecksum(header, payloadBytes));
+    out.insert(out.end(), header, p);
 
     count_ = 0;
 }

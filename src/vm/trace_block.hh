@@ -22,7 +22,7 @@
  * (non-zero value on a non-producer) switches those columns to dense
  * so the encoding is lossless for ANY record stream.
  *
- * Every block carries an FNV-1a checksum over its header fields and
+ * Every block carries an XXH64 checksum over its header fields and
  * payload, so a flipped bit anywhere in a block — including its
  * framing — is a structured decode failure, never silent corruption.
  *
@@ -37,6 +37,7 @@
 #define VPPROF_VM_TRACE_BLOCK_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "vm/trace.hh"
@@ -53,10 +54,11 @@ constexpr uint32_t kTraceBlockCapacity = 4096;
 constexpr size_t kTraceBlockHeaderBytes = 4 + 4 + 8 + 4 + 8;
 
 /**
- * FNV-1a seed of every block checksum. It is one digit short of the
- * standard offset basis (kFnv1a64Seed), and it is part of the v3
- * format: changing it makes every committed cache file fail its
- * checksum, so each is quarantined and re-captured.
+ * XXH64 seed of every block checksum: the checksum is
+ * xxh64(payload, n, xxh64(header, 20, kTraceBlockChecksumSeed)). The
+ * value is the one the FNV-1a checksum of version '3' files used. It
+ * is part of the format: changing it makes every committed cache file
+ * fail its checksum, so each is quarantined and re-captured.
  */
 constexpr uint64_t kTraceBlockChecksumSeed = 1469598103934665603ULL;
 
@@ -163,6 +165,11 @@ class TraceBlockSink
  * encoded block (header + compressed columns) for the buffered
  * records; callers flush whenever full() (and once more at the end
  * for the partial tail block).
+ *
+ * add() stores each field into a fixed column array and flush() walks
+ * those columns once, writing the block through a raw pointer into a
+ * buffer sized for the worst case, then appends it to `out` in one
+ * insert. Both buffers are the encoder's own, allocated once.
  */
 class TraceBlockEncoder
 {
@@ -178,7 +185,24 @@ class TraceBlockEncoder
     void flush(std::vector<uint8_t> &out);
 
   private:
-    TraceBlockScratch stage_;
+    /** The buffered records, one array per column. `flags` holds each
+     *  record's writesReg | isMem << 1 | numSrcs << 2 nibble. */
+    struct Stage
+    {
+        uint64_t seq[kTraceBlockCapacity];
+        uint64_t pc[kTraceBlockCapacity];
+        uint64_t value[kTraceBlockCapacity];
+        uint64_t memAddr[kTraceBlockCapacity];
+        uint8_t op[kTraceBlockCapacity];
+        uint8_t directive[kTraceBlockCapacity];
+        uint8_t flags[kTraceBlockCapacity];
+        uint8_t dest[kTraceBlockCapacity];
+        uint8_t src0[kTraceBlockCapacity];
+        uint8_t src1[kTraceBlockCapacity];
+    };
+
+    std::unique_ptr<Stage> stage_;
+    std::unique_ptr<uint8_t[]> block_;  ///< one encoded block
     uint32_t count_ = 0;
     uint64_t firstSeq_ = 0;
     bool seqContiguous_ = true;

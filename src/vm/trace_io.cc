@@ -19,7 +19,6 @@ namespace
 {
 
 constexpr char kMagicPrefix[7] = {'V', 'P', 'T', 'R', 'A', 'C', 'E'};
-constexpr char kVersion = '3';
 constexpr size_t kHeaderBytes = 16;
 
 /** Map the current errno of a failed write to a TraceIoStatus. */
@@ -57,7 +56,7 @@ beginTraceFile(std::ofstream &out, const std::string &tmpPath,
     if (!out)
         return TraceIoStatus::IoError;
     out.write(kMagicPrefix, sizeof(kMagicPrefix));
-    out.write(&kVersion, 1);
+    out.write(&kTraceFormatVersion, 1);
     out.write(reinterpret_cast<const char *>(&records), 8);
     return out ? TraceIoStatus::Ok : writeErrnoStatus();
 }
@@ -370,7 +369,7 @@ TraceFileReader::validate(TraceVerify verify)
         return TraceIoStatus::ShortHeader;
     if (std::memcmp(bytes, kMagicPrefix, sizeof(kMagicPrefix)) != 0)
         return TraceIoStatus::BadMagic;
-    if (bytes[sizeof(kMagicPrefix)] != kVersion)
+    if (bytes[sizeof(kMagicPrefix)] != kTraceFormatVersion)
         return TraceIoStatus::VersionMismatch;
     if (size < kHeaderBytes)
         return TraceIoStatus::ShortHeader;
@@ -442,7 +441,8 @@ TraceFileReader::TraceFileReader(const std::string &path)
       case TraceIoStatus::VersionMismatch:
         vpprof_fatal("unsupported trace file version (",
                      traceIoStatusName(st), "): ", path,
-                     "; only version 3 is readable");
+                     "; only version ", kTraceFormatVersion,
+                     " is readable");
       case TraceIoStatus::Truncated:
         vpprof_fatal("truncated trace file (",
                      traceIoStatusName(st), "): ", path);

@@ -4,14 +4,18 @@
  * later, so expensive workload runs can be captured once and analyzed
  * many times — the role SHADE's trace files played for the paper.
  *
- * Format (version 3, the only one): a 16-byte header ("VPTRACE", the
- * version byte '3', the little-endian record count) followed by
- * self-checksummed columnar blocks (trace_block.hh) — delta/varint/
- * dictionary compressed, read via mmap, decoded block-at-a-time into
- * SoA scratch columns. A file with any other version byte (such as a
- * cache written by the retired fixed-width v1/v2 writers) is a
- * VersionMismatch; the trace cache quarantines it to `<file>.bad` and
- * re-captures the trace through the VM.
+ * Format (the only one readable): a 16-byte header ("VPTRACE", the
+ * version byte kTraceFormatVersion = '4', the little-endian record
+ * count) followed by self-checksummed columnar blocks (trace_block.hh)
+ * — delta/varint/dictionary compressed, read via mmap, decoded
+ * block-at-a-time into SoA scratch columns. A file with any other
+ * version byte is a VersionMismatch: a cache written by the retired
+ * fixed-width v1/v2 writers, or a '3' file, whose blocks have the same
+ * columns but carry FNV-1a checksums where version 4 carries XXH64.
+ * The trace cache quarantines such a file to `<file>.bad` and
+ * re-captures the trace through the VM. The block layout keeps its
+ * "v3" name in code and counters (`v3_blocks_decoded`,
+ * `bench_trace_v3`).
  *
  * Durability: the writer streams into `<path>.tmp.<pid>` and commits
  * with flush + atomic rename in close(), so a crash at any point
@@ -48,6 +52,13 @@
 
 namespace vpprof
 {
+
+/**
+ * The version byte (offset 7) of every trace file written, and the
+ * only one a reader accepts. '4': v3 columnar blocks checksummed with
+ * XXH64.
+ */
+constexpr char kTraceFormatVersion = '4';
 
 /** Structured outcome of trace-file validation, reads and writes. */
 enum class TraceIoStatus

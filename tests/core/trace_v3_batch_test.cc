@@ -253,10 +253,11 @@ TEST_F(TraceV3Batch, BatchMatchesSerialFromDiskAndDegraded)
 
 TEST_F(TraceV3Batch, StaleVersionCacheRecapturesEveryWorkload)
 {
-    // A cache whose files carry a version byte other than '3' (files
-    // of the retired v1/v2 formats) is a miss per file: each is
-    // quarantined to `.bad` and re-captured through the VM, and every
-    // replay stays bit-identical to a cache-less run.
+    // A cache whose files carry a version byte other than
+    // kTraceFormatVersion (files of the retired v1/v2 formats) is a
+    // miss per file: each is quarantined to `.bad` and re-captured
+    // through the VM, and every replay stays bit-identical to a
+    // cache-less run.
     std::map<std::string, uint64_t> want;
     {
         Session clean;  // no cache

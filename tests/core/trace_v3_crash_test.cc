@@ -15,6 +15,7 @@
 #include "common/checksum.hh"
 #include "common/failpoint.hh"
 #include "core/session.hh"
+#include "vm/trace_io.hh"
 
 namespace vpprof
 {
@@ -121,7 +122,8 @@ TEST_F(TraceV3Crash, BlockChecksumCorruptionQuarantinesToBad)
     }
     std::string bytes = slurp(cacheFile());
     ASSERT_GT(bytes.size(), 100u);
-    ASSERT_EQ(bytes[7], '3') << "capture must default to v3";
+    ASSERT_EQ(bytes[7], kTraceFormatVersion)
+        << "capture must write the current format";
     bytes[bytes.size() / 2] =
         static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
     spit(cacheFile(), bytes);
@@ -153,7 +155,7 @@ TEST_F(TraceV3Crash, TornTailBlockRecoversThroughTheLadder)
 
     std::string bytes = slurp(cacheFile());
     ASSERT_GT(bytes.size(), 100u);
-    ASSERT_EQ(bytes[7], '3');
+    ASSERT_EQ(bytes[7], kTraceFormatVersion);
     const std::string torn = cacheFile() + ".torn";
     spit(torn, bytes.substr(0, bytes.size() - 23));
     fs::rename(torn, cacheFile());
@@ -190,7 +192,7 @@ TEST_F(TraceV3Crash, StaleVersionRecaptureSurvivesAFailedCommit)
         ASSERT_EQ(replayDigest(warmup, li(), 0), referenceDigest());
     }
     std::string bytes = slurp(cacheFile());
-    ASSERT_EQ(bytes[7], '3');
+    ASSERT_EQ(bytes[7], kTraceFormatVersion);
     bytes[7] = '2';
     spit(cacheFile(), bytes);
 

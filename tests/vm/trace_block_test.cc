@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "core/experiment.hh"
 #include "vm/trace_block.hh"
 #include "vm/trace_io.hh"
 
@@ -210,6 +211,43 @@ TEST(TraceBlock, RoundTripSingleRecordAndEmpty)
     expectIdentical(roundTrip(one), one);
 }
 
+TEST(TraceBlock, LargestPossibleBlockRoundTrips)
+{
+    // Every column at its widest: explicit seq, and seq/pc/value/
+    // memAddr deltas of 2^63 (10-byte varints), 256 distinct opcodes
+    // and directives (8-bit indices), dense value and memAddr. The
+    // encoder writes a block through a buffer sized for this case.
+    constexpr uint64_t kHalf = uint64_t{1} << 63;
+    std::vector<TraceRecord> records;
+    for (uint32_t i = 0; i < kTraceBlockCapacity; ++i) {
+        TraceRecord rec;
+        rec.seq = i % 2 ? 0 : kHalf;
+        rec.pc = i % 2 ? 0 : kHalf;
+        rec.op = static_cast<Opcode>(i % 256);
+        rec.directive = static_cast<Directive>(i * 7 % 256);
+        rec.writesReg = false;
+        rec.dest = static_cast<RegId>(i);
+        rec.value = i % 2 ? 0 : INT64_MIN;
+        rec.numSrcs = 3;
+        rec.srcs = {static_cast<RegId>(i + 1), static_cast<RegId>(i + 2)};
+        rec.isMem = false;
+        rec.memAddr = i % 2 ? 0 : kHalf;
+        records.push_back(rec);
+    }
+    TraceBlockEncoder encoder;
+    for (const TraceRecord &rec : records)
+        encoder.add(rec);
+    std::vector<uint8_t> bytes;
+    encoder.flush(bytes);
+    constexpr size_t n = kTraceBlockCapacity;
+    const size_t seqBytes = 1 + (n - 1) * 10;  // record 0's delta is 0
+    const size_t dictBytes = 2 + 256 + n;
+    EXPECT_EQ(bytes.size(), kTraceBlockHeaderBytes + seqBytes +
+                                3 * n * 10 + 2 * dictBytes + n / 2 +
+                                3 * n);
+    expectIdentical(roundTrip(records), records);
+}
+
 TEST(TraceBlock, ProbeDetectsTruncationAndCorruption)
 {
     ColumnarTraceBuilder builder;
@@ -273,6 +311,46 @@ TEST(TraceBlock, CorruptPayloadIsAStructuredDecodeFailure)
     }
 }
 
+TEST(TraceBlock, SeededBitFlipsInARealBlockAllFailToDecode)
+{
+    // li input 0's first block: a full block of VM records, so every
+    // column and both dictionaries hold real data. Each single-bit
+    // flip anywhere in its header or payload must decode to a non-Ok
+    // status with the checksum pass on.
+    WorkloadSuite suite;
+    ColumnarTraceBuilder builder;
+    runTrace(*suite.find("li"), 0, &builder);
+    ColumnarTrace trace = builder.take();
+    size_t blockBytes = 0;
+    uint32_t count = 0;
+    ASSERT_EQ(probeTraceBlock(trace.bytes.data(), trace.bytes.size(),
+                              &blockBytes, &count, true),
+              TraceBlockStatus::Ok);
+    ASSERT_EQ(count, kTraceBlockCapacity);
+    std::vector<uint8_t> block(trace.bytes.begin(),
+                               trace.bytes.begin() +
+                                   static_cast<long>(blockBytes));
+
+    constexpr int kFlips = 2000;
+    uint64_t rng = 2025;
+    TraceBlockScratch scratch;
+    int decodedOk = 0;
+    for (int k = 0; k < kFlips; ++k) {
+        const size_t bit = nextRand(rng) % (block.size() * 8);
+        const auto mask = static_cast<uint8_t>(1u << (bit % 8));
+        block[bit / 8] ^= mask;
+        TraceBlockView view;
+        size_t consumed = 0;
+        if (decodeTraceBlock(block.data(), block.size(), scratch, view,
+                             &consumed, true) == TraceBlockStatus::Ok) {
+            ADD_FAILURE() << "flip of bit " << bit << " decoded Ok";
+            ++decodedOk;
+        }
+        block[bit / 8] ^= mask;
+    }
+    EXPECT_EQ(decodedOk, 0);
+}
+
 TEST(TraceBlock, KnownAnswerBlockBytes)
 {
     // Pins the on-disk encoding, checksum included: every committed
@@ -326,8 +404,9 @@ TEST(TraceBlock, KnownAnswerBlockBytes)
         0x03, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00,
         0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x00, 0x00, 0x00,
-        // FNV-1a checksum from kTraceBlockChecksumSeed.
-        0x59, 0xd0, 0x32, 0x30, 0xca, 0x52, 0x09, 0x1e,
+        // XXH64 checksum: of the 20 header bytes above from
+        // kTraceBlockChecksumSeed, then of the payload from that.
+        0x06, 0xfb, 0xcd, 0xe1, 0xb0, 0x8a, 0x17, 0x68,
         // Payload: pc deltas, op and directive dictionaries, packed
         // flags, dest/src0/src1 bytes, value and memAddr deltas.
         0x80, 0x01, 0x02, 0x02, 0x03, 0x00, 0x1b, 0x00,

@@ -256,9 +256,11 @@ TEST(TraceIo, CorruptFileRoundTrip)
     EXPECT_EQ(TraceFileReader::tryOpen(path, &status), nullptr);
     EXPECT_EQ(status, TraceIoStatus::BadMagic);
 
-    // Version mismatch: right magic, any version byte but '3' — a
-    // future version, or a file of the retired v1/v2 formats.
-    for (char version : {'9', '2', '1'}) {
+    // Version mismatch: right magic, any version byte but
+    // kTraceFormatVersion — a future version, a '3' file (the same
+    // columns under the retired FNV-1a block checksum), or a file of
+    // the retired v1/v2 formats.
+    for (char version : {'9', '3', '2', '1'}) {
         std::string other = data;
         other[7] = version;
         writeBytes(path, other);
@@ -266,7 +268,9 @@ TEST(TraceIo, CorruptFileRoundTrip)
         EXPECT_EQ(status, TraceIoStatus::VersionMismatch);
     }
     EXPECT_DEATH(TraceFileReader reader(path),
-                 "unsupported trace file version.*only version 3");
+                 std::string("unsupported trace file version.*only "
+                             "version ") +
+                     kTraceFormatVersion);
 
     // Short header: fewer bytes than the fixed header.
     writeBytes(path, data.substr(0, 11));
@@ -329,7 +333,8 @@ TEST(TraceIo, UnpinnedWritesDefaultToVersion3)
     std::string path = tempPath("v3fresh.trace");
     std::string data = validTraceBytes(path);
     ASSERT_GE(data.size(), 16u);
-    EXPECT_EQ(data.substr(0, 8), "VPTRACE3");
+    EXPECT_EQ(data.substr(0, 8),
+              std::string("VPTRACE") + kTraceFormatVersion);
     uint64_t count = 0;
     std::memcpy(&count, data.data() + 8, 8);
     EXPECT_EQ(count, 2u);
