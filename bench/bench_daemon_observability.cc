@@ -647,7 +647,7 @@ main()
                 else if (!r.ok)
                     vpprof_panic("shed job failed: ", r.error);
             }
-            shed_dropped = daemon.server->statsSnapshot().eventsDropped;
+            shed_dropped = daemon.server->counters().eventsDropped.value();
         }
         std::printf("shed: %llu jobs -> %llu events dropped, %llu "
                     "unanswered (gate: dropped > 0, unanswered = 0)"

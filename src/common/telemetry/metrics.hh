@@ -227,13 +227,20 @@ MetricsSnapshot snapshotMetrics();
  * A per-instance counter mirrored into a process-wide registry
  * counter: value() serves the owning object's typed stats view (e.g.
  * one TraceRepository's TraceRepoStats), while the registry aggregates
- * across instances for --metrics-out. The local value exists in both
- * builds, so stats stay exact with telemetry compiled out.
+ * across instances for --metrics-out. The local value and the name
+ * exist in both builds, so stats stay exact with telemetry compiled
+ * out. `name` must outlive the counter (callers pass literals).
  */
 class ScopedCounter
 {
   public:
-    explicit ScopedCounter(std::string_view name) : global_(name) {}
+    explicit ScopedCounter(std::string_view name)
+        : name_(name), global_(name)
+    {
+    }
+
+    /** The registry name this counter mirrors into. */
+    std::string_view name() const { return name_; }
 
     void add(uint64_t delta = 1)
     {
@@ -247,30 +254,9 @@ class ScopedCounter
     }
 
   private:
+    std::string_view name_;
     std::atomic<uint64_t> local_{0};
     Counter global_;
-};
-
-/** Per-instance gauge mirrored into a process-wide registry gauge. */
-class ScopedGauge
-{
-  public:
-    explicit ScopedGauge(std::string_view name) : global_(name) {}
-
-    void add(int64_t delta)
-    {
-        local_.fetch_add(delta, std::memory_order_relaxed);
-        global_.add(delta);
-    }
-
-    int64_t value() const
-    {
-        return local_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<int64_t> local_{0};
-    Gauge global_;
 };
 
 } // namespace telemetry

@@ -4,8 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "common/atomic_file.hh"
-
 namespace vpprof
 {
 namespace telemetry
@@ -84,12 +82,6 @@ prometheusText(const MetricsSnapshot &snap)
     std::ostringstream os;
     writePrometheusText(snap, os);
     return os.str();
-}
-
-bool
-writePrometheusFile(const std::string &path)
-{
-    return writeFileAtomically(path, prometheusText(snapshotMetrics()));
 }
 
 } // namespace telemetry

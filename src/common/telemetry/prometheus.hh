@@ -37,10 +37,6 @@ void writePrometheusText(const MetricsSnapshot &snap, std::ostream &os);
 /** writePrometheusText into a string. */
 std::string prometheusText(const MetricsSnapshot &snap);
 
-/** prometheusText(snapshotMetrics()) through the atomic temp-file +
- *  rename commit (the daemon's --metrics-listen periodic export). */
-bool writePrometheusFile(const std::string &path);
-
 } // namespace telemetry
 } // namespace vpprof
 

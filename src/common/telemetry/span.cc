@@ -192,36 +192,6 @@ SpanTracer::writeJson(std::ostream &os) const
     os << "]}";
 }
 
-size_t
-SpanTracer::collectNew(std::vector<size_t> &cursors,
-                       std::vector<StreamedEvent> &out,
-                       size_t max_events)
-{
-    size_t appended = 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (cursors.size() < buffers_.size())
-        cursors.resize(buffers_.size(), 0);
-    for (size_t b = 0; b < buffers_.size() && appended < max_events;
-         ++b) {
-        const ThreadBuffer *buffer = buffers_[b];
-        std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-        while (cursors[b] < buffer->events.size() &&
-               appended < max_events) {
-            const Event &e = buffer->events[cursors[b]++];
-            StreamedEvent s;
-            s.name = e.name ? std::string(e.name) : e.dynName;
-            s.startNs = e.startNs;
-            s.endNs = e.endNs;
-            s.traceId = e.traceId;
-            s.tid = buffer->tid;
-            s.instant = e.instant;
-            out.push_back(std::move(s));
-            ++appended;
-        }
-    }
-    return appended;
-}
-
 bool
 SpanTracer::writeFile(const std::string &path) const
 {

@@ -126,29 +126,6 @@ class SpanTracer
         uint32_t tid;
     };
 
-    /** One event collected for live streaming (vpprofd subscribers). */
-    struct StreamedEvent
-    {
-        std::string name;
-        uint64_t startNs = 0;
-        uint64_t endNs = 0;
-        uint64_t traceId = 0;
-        uint32_t tid = 0;
-        bool instant = false;
-    };
-
-    /**
-     * Incremental collection for live streaming: append events not
-     * yet seen through `cursors` (one consumed-count per thread
-     * buffer, resized as buffers appear) to `out`, up to `max_events`
-     * per call. Returns the number appended. The cursor vector is
-     * owned by ONE streaming consumer; buffers are never truncated,
-     * so cursors only grow.
-     */
-    size_t collectNew(std::vector<size_t> &cursors,
-                      std::vector<StreamedEvent> &out,
-                      size_t max_events);
-
   private:
     SpanTracer() = default;
 
@@ -233,16 +210,6 @@ class SpanTracer
   public:
     static SpanTracer &instance();
 
-    struct StreamedEvent
-    {
-        std::string name;
-        uint64_t startNs = 0;
-        uint64_t endNs = 0;
-        uint64_t traceId = 0;
-        uint32_t tid = 0;
-        bool instant = false;
-    };
-
     void enable() {}
     void disable() {}
     bool enabled() const { return false; }
@@ -251,12 +218,6 @@ class SpanTracer
     size_t eventCount() const { return 0; }
     void writeJson(std::ostream &os) const;
     bool writeFile(const std::string &path) const;
-
-    size_t collectNew(std::vector<size_t> &,
-                      std::vector<StreamedEvent> &, size_t)
-    {
-        return 0;
-    }
 };
 
 class Span

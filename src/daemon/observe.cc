@@ -96,57 +96,27 @@ EventRing::renderJsonArray(size_t limit) const
     return os.str();
 }
 
-std::string
-SubscriberFilter::spec() const
-{
-    std::string out;
-    auto append = [&](const char *token) {
-        if (!out.empty())
-            out += ',';
-        out += token;
-    };
-    if (lifecycle)
-        append("lifecycle");
-    if (spans)
-        append("spans");
-    if (metrics)
-        append("metrics");
-    return out;
-}
-
-std::optional<SubscriberFilter>
+bool
 parseEventFilter(std::string_view spec, std::string *error)
 {
-    SubscriberFilter filter;
-    if (spec.empty()) {
-        filter.lifecycle = true;
-        return filter;
-    }
+    if (spec.empty())
+        return true;
     size_t pos = 0;
-    while (pos <= spec.size()) {
+    for (;;) {
         size_t comma = spec.find(',', pos);
         if (comma == std::string_view::npos)
             comma = spec.size();
         std::string_view token = spec.substr(pos, comma - pos);
-        if (token == "lifecycle") {
-            filter.lifecycle = true;
-        } else if (token == "spans") {
-            filter.spans = true;
-        } else if (token == "metrics") {
-            filter.metrics = true;
-        } else if (token == "all") {
-            filter.lifecycle = filter.spans = filter.metrics = true;
-        } else {
+        if (token != "lifecycle") {
             if (error)
                 *error = "unknown event class '" + std::string(token) +
-                         "' (expected lifecycle|spans|metrics|all)";
-            return std::nullopt;
+                         "' (expected lifecycle)";
+            return false;
         }
-        pos = comma + 1;
         if (comma == spec.size())
-            break;
+            return true;
+        pos = comma + 1;
     }
-    return filter;
 }
 
 std::optional<SloConfig>

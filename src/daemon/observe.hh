@@ -2,8 +2,8 @@
  * @file
  * vpprofd's observability plane (DESIGN.md §14): the data types behind
  * per-job lifecycle events, the one bounded event ring that the
- * `journal` command and every lifecycle subscriber read, the
- * telemetry-stream subscription filter, and declarative SLO tracking.
+ * `journal` command and every subscriber read, the subscription spec
+ * check, and declarative SLO tracking.
  *
  * A job's life is narrated as a sequence of JobEvents — received,
  * admitted, started, then exactly one terminal kind — each stamped
@@ -124,25 +124,13 @@ class EventRing
     std::deque<JobEvent> events_;
 };
 
-/** Which telemetry event classes a subscriber receives. */
-struct SubscriberFilter
-{
-    bool lifecycle = false;  ///< job lifecycle events
-    bool spans = false;      ///< executor spans, streamed live
-    bool metrics = false;    ///< periodic metrics snapshots
-    double sampleRate = 1.0; ///< deliver this fraction, in (0, 1]
-
-    /** The filter spec re-rendered canonically ("lifecycle,spans"). */
-    std::string spec() const;
-};
-
 /**
- * Parse a comma-separated filter spec from `lifecycle`, `spans`,
- * `metrics`, or `all`. An empty spec means `lifecycle`. Unknown
- * tokens fail with a diagnostic in `error`.
+ * Validate a `subscribe` command's comma-separated event-class spec.
+ * `lifecycle` is the only class (an empty spec means it); spans go
+ * out through --trace-json and the registry through the `metrics`
+ * command. An unknown token fails with a diagnostic naming it.
  */
-std::optional<SubscriberFilter>
-parseEventFilter(std::string_view spec, std::string *error);
+bool parseEventFilter(std::string_view spec, std::string *error);
 
 /** Declarative service-level objectives for job requests. */
 struct SloConfig

@@ -38,8 +38,9 @@
  * echoes it as `"trace_id"` on every response and event it emits for
  * that request, so a request's wire lines, its lifecycle events, and
  * its executor spans in the Perfetto trace all join on one key.
- * `subscribe` turns the issuing connection into a telemetry stream
- * (filtered by `events`, optionally downsampled by `sample_rate`);
+ * `subscribe` turns the issuing connection into a stream of job
+ * lifecycle events (`events` may only name `lifecycle`; optionally
+ * downsampled by `sample_rate`);
  * `metrics` returns a merged registry snapshot without resetting it
  * (`format: "prometheus"` selects text exposition); `journal` returns
  * the daemon's bounded ring of recent job lifecycle events (`limit`
@@ -125,9 +126,8 @@ struct Request
     uint64_t deadlineMs = 0;  ///< relative deadline; 0 = none
     uint64_t cancelTarget = 0;///< cancel: the request id to remove
     uint64_t traceId = 0;     ///< client-chosen trace id; 0 = mint one
-    std::string subEvents;    ///< subscribe: filter spec (default
-                              ///< "lifecycle"); comma-separated from
-                              ///< lifecycle|spans|metrics
+    std::string subEvents;    ///< subscribe: event classes; empty
+                              ///< or "lifecycle" (the only class)
     double sampleRate = 1.0;  ///< subscribe: deliver this fraction of
                               ///< matching events, in (0, 1]
     std::string format;       ///< metrics: "json" (default) or

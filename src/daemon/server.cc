@@ -60,16 +60,6 @@ jobEvent(JobEventKind kind, uint64_t client_serial, const Request &req)
     return event;
 }
 
-void
-writeField(std::ostream &os, const char *name, uint64_t value,
-           bool &first)
-{
-    if (!first)
-        os << ", ";
-    first = false;
-    os << "\"" << name << "\": " << value;
-}
-
 /**
  * Split "host:port", resolve the host (dotted quad or "localhost"),
  * bind a non-blocking AF_INET listener. Port 0 asks the kernel for a
@@ -140,37 +130,6 @@ openTcpListener(const std::string &address, uint16_t *port_out,
 }
 
 } // namespace
-
-void
-DaemonStatsSnapshot::writeJsonFields(std::ostream &os) const
-{
-    bool first = true;
-    writeField(os, "connections", connections, first);
-    writeField(os, "disconnects", disconnects, first);
-    writeField(os, "idle_closes", idleCloses, first);
-    writeField(os, "accept_failures", acceptFailures, first);
-    writeField(os, "requests", requests, first);
-    writeField(os, "bad_requests", badRequests, first);
-    writeField(os, "immediate", immediate, first);
-    writeField(os, "jobs_admitted", jobsAdmitted, first);
-    writeField(os, "jobs_completed", jobsCompleted, first);
-    writeField(os, "jobs_failed", jobsFailed, first);
-    writeField(os, "rejected_overloaded", rejectedOverloaded, first);
-    writeField(os, "rejected_quota", rejectedQuota, first);
-    writeField(os, "rejected_draining", rejectedDraining, first);
-    writeField(os, "write_errors", writeErrors, first);
-    writeField(os, "progress_events", progressEvents, first);
-    writeField(os, "deadline_exceeded", deadlineExceeded, first);
-    writeField(os, "cancelled", cancelled, first);
-    writeField(os, "slow_reader_closes", slowReaderCloses, first);
-    writeField(os, "watchdog_flags", watchdogFlags, first);
-    writeField(os, "subscribes", subscribes, first);
-    writeField(os, "events_emitted", eventsEmitted, first);
-    writeField(os, "events_dropped", eventsDropped, first);
-    writeField(os, "queued", queued, first);
-    writeField(os, "running", running, first);
-    writeField(os, "clients", clients, first);
-}
 
 DaemonServer::DaemonServer(DaemonConfig config)
     : config_(std::move(config)),
@@ -468,8 +427,7 @@ DaemonServer::run()
             // Keep forcing pending lifecycle events toward the socket
             // while quiescing: the drain contract includes every
             // subscriber's cursor.
-            forEachSubscriber(&SubscriberFilter::lifecycle,
-                              [&](Client &c) { pumpSubscriber(c, false); });
+            forEachSubscriber([&](Client &c) { pumpSubscriber(c, false); });
             if (drainComplete())
                 break;
         }
@@ -549,8 +507,7 @@ DaemonServer::drainComplete() const
     for (const auto &[fd, client] : clients_) {
         if (client.outOff < client.outBuf.size())
             return false;
-        if (client.sub && client.sub->filter.lifecycle &&
-            client.sub->nextSeq != events_.headSeq())
+        if (client.sub && client.sub->nextSeq != events_.headSeq())
             return false;
     }
     return true;
@@ -568,10 +525,6 @@ DaemonServer::computeTimeoutMs(uint64_t now_ns) const
     bool progress_wanted = false;
     for (const auto &[fd, client] : clients_) {
         if (!client.progressIds.empty())
-            progress_wanted = true;
-        // Span/metrics subscribers are driven off the same tick.
-        if (client.sub && (client.sub->filter.spans ||
-                           client.sub->filter.metrics))
             progress_wanted = true;
         if (config_.idleTimeoutMs > 0 && client.inflight == 0)
             next = std::min(next, client.lastActivityNs +
@@ -597,10 +550,6 @@ DaemonServer::computeTimeoutMs(uint64_t now_ns) const
                 next = std::min(next,
                                 start + config_.watchdogMs * 1'000'000);
         }
-    if (telemetry::kEnabled && !config_.metricsListenPath.empty())
-        next = std::min(next, lastMetricsExportNs_ +
-                                  config_.metricsListenIntervalMs *
-                                      1'000'000);
     if (next == UINT64_MAX)
         return -1;
     if (next <= now_ns)
@@ -642,7 +591,6 @@ DaemonServer::acceptClients(int listen_fd)
         client.lastActivityNs = nowNs();
         clientFdBySerial_[client.serial] = fd;
         clients_.emplace(fd, std::move(client));
-        clientCount_.store(clients_.size(), std::memory_order_relaxed);
         counters_.connections.add();
     }
 }
@@ -858,30 +806,22 @@ DaemonServer::handleSubscribe(Client &client, const Request &req)
         return;
     }
     std::string error;
-    std::optional<SubscriberFilter> filter =
-        parseEventFilter(req.subEvents, &error);
-    if (!filter) {
+    if (!parseEventFilter(req.subEvents, &error)) {
         counters_.badRequests.add();
         sendLine(client,
                  errorResponseLine(req.id, ErrorCode::BadRequest, error,
                                    req.traceId));
         return;
     }
-    filter->sampleRate = req.sampleRate;
     Subscription sub;
-    sub.filter = *filter;
+    sub.sampleRate = req.sampleRate;
     sub.nextSeq = events_.headSeq();
-    client.sub.emplace(std::move(sub));
+    client.sub.emplace(sub);
     counters_.subscribes.add();
-    // Span streaming needs the tracer recording; arm it on demand.
-    // It stays armed after the subscriber leaves (recording is cheap
-    // and --trace-json may want the events anyway).
-    if (filter->spans)
-        telemetry::SpanTracer::instance().enable();
     std::ostringstream os;
-    os << "\"subscribed\": true, \"events\": \"" << filter->spec()
-       << "\", \"sample_rate\": "
-       << report::formatJsonNumber(filter->sampleRate)
+    os << "\"subscribed\": true, \"events\": \"lifecycle\", "
+          "\"sample_rate\": "
+       << report::formatJsonNumber(req.sampleRate)
        << ", \"ring\": " << config_.eventRingCap;
     sendLine(client,
              okResponseLine(req.id, req.cmd, os.str(), req.traceId));
@@ -940,17 +880,16 @@ DaemonServer::recordJobEvent(JobEvent event)
             std::string("job.") + jobEventKindName(event.kind),
             event.tsNs, event.traceId);
     events_.push(std::move(event));
-    forEachSubscriber(&SubscriberFilter::lifecycle,
-                      [&](Client &c) { pumpSubscriber(c); });
+    forEachSubscriber([&](Client &c) { pumpSubscriber(c); });
 }
 
 template <typename Fn>
 void
-DaemonServer::forEachSubscriber(bool SubscriberFilter::*wants, Fn fn)
+DaemonServer::forEachSubscriber(Fn fn)
 {
     std::vector<int> fds;
     for (const auto &[fd, c] : clients_)
-        if (c.sub && c.sub->filter.*wants)
+        if (c.sub)
             fds.push_back(fd);
     for (int fd : fds) {
         auto it = clients_.find(fd);
@@ -965,10 +904,6 @@ DaemonServer::pumpSubscriber(Client &client, bool bounded)
     if (!client.sub)
         return;
     Subscription &sub = *client.sub;
-    if (!sub.filter.lifecycle) {
-        sub.nextSeq = events_.headSeq();
-        return;
-    }
     // The ring evicted events this cursor never reached: each one the
     // sampler passes is a gap the subscriber sees (counted in
     // events_dropped and its own `dropped`), never a stalled daemon
@@ -986,7 +921,7 @@ DaemonServer::pumpSubscriber(Client &client, bool bounded)
     bool appended = false;
     while (sub.nextSeq < events_.headSeq()) {
         // Subscription::sample(), committed only once the event fits.
-        double acc = sub.sampleAcc + sub.filter.sampleRate;
+        double acc = sub.sampleAcc + sub.sampleRate;
         if (acc >= 1.0) {
             std::string line = jobEventJson(events_.at(sub.nextSeq));
             size_t backlog = client.outBuf.size() - client.outOff;
@@ -1017,64 +952,6 @@ DaemonServer::pumpSubscriber(Client &client, bool bounded)
     }
     if (appended)
         flushClient(client);
-}
-
-void
-DaemonServer::offerLine(const std::string &line,
-                        bool SubscriberFilter::*wants)
-{
-    forEachSubscriber(wants, [&](Client &client) {
-        int fd = client.fd;
-        pumpSubscriber(client);
-        if (!clients_.count(fd))
-            return;
-        Subscription &sub = *client.sub;
-        if (!sub.sample())
-            return;
-        size_t backlog = client.outBuf.size() - client.outOff;
-        if (sub.nextSeq != events_.headSeq() ||
-            backlog + line.size() + 1 > config_.maxClientOutBufBytes) {
-            ++sub.dropped;
-            counters_.eventsDropped.add();
-            return;
-        }
-        ++sub.delivered;
-        sendLine(client, line);
-    });
-}
-
-bool
-DaemonServer::anySubscriber(bool SubscriberFilter::*wants) const
-{
-    for (const auto &[fd, c] : clients_)
-        if (c.sub && c.sub->filter.*wants)
-            return true;
-    return false;
-}
-
-void
-DaemonServer::streamSpans()
-{
-    if (!telemetry::kEnabled || !anySubscriber(&SubscriberFilter::spans))
-        return;
-    std::vector<telemetry::SpanTracer::StreamedEvent> events;
-    telemetry::SpanTracer::instance().collectNew(spanCursors_, events,
-                                                 512);
-    for (const auto &e : events) {
-        std::ostringstream os;
-        os << "{\"event\": \"telemetry\", \"kind\": \"span\", "
-              "\"name\": \"";
-        telemetry::writeJsonEscaped(os, e.name);
-        os << "\", \"ts_ns\": " << e.startNs << ", \"dur_ns\": "
-           << (e.endNs - e.startNs) << ", \"tid\": " << e.tid;
-        if (e.traceId != 0)
-            os << ", \"trace_id\": " << e.traceId;
-        if (e.instant)
-            os << ", \"instant\": true";
-        os << "}";
-        std::string line = os.str();
-        offerLine(line, &SubscriberFilter::spans);
-    }
 }
 
 void
@@ -1317,16 +1194,6 @@ DaemonServer::handleTimers(uint64_t now_ns)
             }
         }
 
-    // Periodic Prometheus export (vpprofd --metrics-listen): a
-    // point-in-time file any scraper can collect, committed atomically
-    // so a concurrent read never sees a torn exposition.
-    if (telemetry::kEnabled && !config_.metricsListenPath.empty() &&
-        now_ns - lastMetricsExportNs_ >=
-            config_.metricsListenIntervalMs * 1'000'000) {
-        lastMetricsExportNs_ = now_ns;
-        telemetry::writePrometheusFile(config_.metricsListenPath);
-    }
-
     // Progress events for subscribed jobs, at the configured cadence.
     if (now_ns - lastProgressTickNs_ >=
         config_.progressIntervalMs * 1'000'000) {
@@ -1360,23 +1227,6 @@ DaemonServer::handleTimers(uint64_t now_ns)
                     sendLine(clients_.at(fd),
                              eventLine(id, "progress", fields));
                 }
-            }
-        }
-
-        // Telemetry streaming rides the same tick: newly recorded
-        // spans to span subscribers, a live snapshot to metrics
-        // subscribers.
-        streamSpans();
-        if (telemetry::kEnabled) {
-            if (anySubscriber(&SubscriberFilter::metrics)) {
-                std::ostringstream os;
-                os << "{\"event\": \"telemetry\", \"kind\": "
-                      "\"metrics\", \"ts_ns\": " << telemetry::nowNs()
-                   << ", \"metrics\": ";
-                telemetry::snapshotMetrics().writeJson(os);
-                os << "}";
-                std::string line = os.str();
-                offerLine(line, &SubscriberFilter::metrics);
             }
         }
     }
@@ -1462,7 +1312,6 @@ DaemonServer::closeClient(int fd, bool counted_idle)
     clientFdBySerial_.erase(serial);
     ::close(fd);
     clients_.erase(it);
-    clientCount_.store(clients_.size(), std::memory_order_relaxed);
     counters_.disconnects.add();
     if (counted_idle)
         counters_.idleCloses.add();
@@ -1491,54 +1340,28 @@ DaemonServer::closeClient(int fd, bool counted_idle)
     }
 }
 
-DaemonStatsSnapshot
-DaemonServer::statsSnapshot() const
-{
-    DaemonStatsSnapshot st;
-    st.connections = counters_.connections.value();
-    st.disconnects = counters_.disconnects.value();
-    st.idleCloses = counters_.idleCloses.value();
-    st.acceptFailures = counters_.acceptFailures.value();
-    st.requests = counters_.requests.value();
-    st.badRequests = counters_.badRequests.value();
-    st.immediate = counters_.immediate.value();
-    st.jobsAdmitted = counters_.jobsAdmitted.value();
-    st.jobsCompleted = counters_.jobsCompleted.value();
-    st.jobsFailed = counters_.jobsFailed.value();
-    st.rejectedOverloaded = counters_.rejectedOverloaded.value();
-    st.rejectedQuota = counters_.rejectedQuota.value();
-    st.rejectedDraining = counters_.rejectedDraining.value();
-    st.writeErrors = counters_.writeErrors.value();
-    st.progressEvents = counters_.progressEvents.value();
-    st.deadlineExceeded = counters_.deadlineExceeded.value();
-    st.cancelled = counters_.cancelled.value();
-    st.slowReaderCloses = counters_.slowReaderCloses.value();
-    st.watchdogFlags = counters_.watchdogFlags.value();
-    st.subscribes = counters_.subscribes.value();
-    st.eventsEmitted = counters_.eventsEmitted.value();
-    st.eventsDropped = counters_.eventsDropped.value();
-    {
-        std::lock_guard<std::mutex> lock(jobMutex_);
-        st.queued = jobQueue_.size();
-        st.running = runningJobs_;
-    }
-    st.clients = clientCount_.load(std::memory_order_relaxed);
-    return st;
-}
-
 std::string
 DaemonServer::statsFields()
 {
-    // ONE serializer for every stats surface: the daemon block uses
-    // DaemonStatsSnapshot::writeJsonFields, the trace block reuses
-    // TraceRepoStats::writeJsonFields — exactly what --stats-json and
-    // BENCH_session.json print.
-    DaemonStatsSnapshot daemon_stats = statsSnapshot();
+    // ONE serializer for every stats surface (`stats`, vpprofd
+    // --stats): the daemon block is the live counters themselves, and
+    // the trace block reuses TraceRepoStats::writeJsonFields — exactly
+    // what --stats-json and BENCH_session.json print.
+    constexpr std::string_view kPrefix = "daemon.";
+    size_t queued, running;
+    {
+        std::lock_guard<std::mutex> lock(jobMutex_);
+        queued = jobQueue_.size();
+        running = runningJobs_;
+    }
     TraceRepoStats repo_stats = session_.traces().stats();
     std::ostringstream os;
     os << "\"daemon\": {";
-    daemon_stats.writeJsonFields(os);
-    os << "}, \"slo\": {";
+    for (const telemetry::ScopedCounter *c : counters_.served())
+        os << "\"" << c->name().substr(kPrefix.size()) << "\": "
+           << c->value() << ", ";
+    os << "\"queued\": " << queued << ", \"running\": " << running
+       << ", \"clients\": " << clients_.size() << "}, \"slo\": {";
     slo_.writeJsonFields(os);
     os << "}, \"log\": {\"warnings_emitted\": " << warningsEmitted()
        << ", \"warnings_suppressed\": " << warningsSuppressed()

@@ -68,6 +68,7 @@
 #ifndef VPPROF_DAEMON_SERVER_HH
 #define VPPROF_DAEMON_SERVER_HH
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -150,54 +151,6 @@ struct DaemonConfig
 
     /** SLO evaluation window (answered jobs). */
     size_t sloWindow = 256;
-
-    /** When non-empty, periodically export the live metrics snapshot
-     *  in Prometheus text format to this path (atomic rename). */
-    std::string metricsListenPath;
-
-    /** Cadence of the --metrics-listen export. */
-    uint64_t metricsListenIntervalMs = 1'000;
-};
-
-/**
- * Point-in-time view of the daemon's serving counters (the daemon
- * analogue of TraceRepoStats): live values are telemetry-backed
- * `daemon.*` counters, so the protocol `stats` command, vpprofd
- * --stats, --metrics-out and the load bench all read one source of
- * truth through one serializer (writeJsonFields).
- */
-struct DaemonStatsSnapshot
-{
-    uint64_t connections = 0;      ///< accepted client connections
-    uint64_t disconnects = 0;      ///< closed (any reason)
-    uint64_t idleCloses = 0;       ///< closed by the idle timeout
-    uint64_t acceptFailures = 0;   ///< accept faults (failpoint/errno)
-    uint64_t requests = 0;         ///< complete request lines read
-    uint64_t badRequests = 0;      ///< lines rejected bad_request
-    uint64_t immediate = 0;        ///< ping/stats/shutdown answered inline
-    uint64_t jobsAdmitted = 0;
-    uint64_t jobsCompleted = 0;    ///< admitted jobs answered ok
-    uint64_t jobsFailed = 0;       ///< admitted jobs answered !ok
-    uint64_t rejectedOverloaded = 0;
-    uint64_t rejectedQuota = 0;
-    uint64_t rejectedDraining = 0;
-    uint64_t writeErrors = 0;      ///< client writes failed; client dropped
-    uint64_t progressEvents = 0;
-    uint64_t deadlineExceeded = 0; ///< jobs answered deadline_exceeded
-    uint64_t cancelled = 0;        ///< queued jobs removed (cancel/disconnect)
-    uint64_t slowReaderCloses = 0; ///< clients dropped over outBuf bound
-    uint64_t watchdogFlags = 0;    ///< running jobs flagged stuck
-    uint64_t subscribes = 0;       ///< subscribe commands accepted
-    uint64_t eventsEmitted = 0;    ///< lifecycle events recorded
-    uint64_t eventsDropped = 0;    ///< lines shed for slow subscribers
-
-    // Live levels (not counters).
-    uint64_t queued = 0;   ///< jobs waiting for a runner lane
-    uint64_t running = 0;  ///< jobs on runner lanes now
-    uint64_t clients = 0;  ///< open connections
-
-    /** The counters as JSON object members (no braces), snake_case. */
-    void writeJsonFields(std::ostream &os) const;
 };
 
 class DaemonServer
@@ -228,7 +181,78 @@ class DaemonServer
      */
     void requestShutdown();
 
-    DaemonStatsSnapshot statsSnapshot() const;
+    /** Live serving counters mirrored into the telemetry registry
+     *  under `daemon.*` (the TraceRepository::Counters idiom). */
+    struct Counters
+    {
+        telemetry::ScopedCounter connections{"daemon.connections"};
+        telemetry::ScopedCounter disconnects{"daemon.disconnects"};
+        telemetry::ScopedCounter idleCloses{"daemon.idle_closes"};
+        telemetry::ScopedCounter acceptFailures{
+            "daemon.accept_failures"};
+        telemetry::ScopedCounter requests{"daemon.requests"};
+        telemetry::ScopedCounter badRequests{"daemon.bad_requests"};
+        telemetry::ScopedCounter immediate{"daemon.immediate"};
+        telemetry::ScopedCounter jobsAdmitted{"daemon.jobs_admitted"};
+        telemetry::ScopedCounter jobsCompleted{"daemon.jobs_completed"};
+        telemetry::ScopedCounter jobsFailed{"daemon.jobs_failed"};
+        telemetry::ScopedCounter rejectedOverloaded{
+            "daemon.rejected_overloaded"};
+        telemetry::ScopedCounter rejectedQuota{"daemon.rejected_quota"};
+        telemetry::ScopedCounter rejectedDraining{
+            "daemon.rejected_draining"};
+        telemetry::ScopedCounter writeErrors{"daemon.write_errors"};
+        telemetry::ScopedCounter progressEvents{
+            "daemon.progress_events"};
+        telemetry::ScopedCounter deadlineExceeded{
+            "daemon.deadline_exceeded"};
+        telemetry::ScopedCounter cancelled{"daemon.cancelled"};
+        telemetry::ScopedCounter slowReaderCloses{
+            "daemon.slow_reader_closes"};
+        telemetry::ScopedCounter watchdogFlags{
+            "daemon.watchdog_flags"};
+        telemetry::ScopedCounter subscribes{"daemon.subscribes"};
+        telemetry::ScopedCounter eventsEmitted{
+            "daemon.events_emitted"};
+        telemetry::ScopedCounter eventsDropped{
+            "daemon.events_dropped"};
+        telemetry::ScopedCounter sloLatencyBurns{
+            "daemon.slo_latency_burns"};
+        telemetry::ScopedCounter sloErrorBurns{
+            "daemon.slo_error_burns"};
+        telemetry::HistogramMetric jobLatencyUs{
+            "daemon.job_latency.us"};
+        /** Admission to lane pickup, once per job a lane pops. */
+        telemetry::HistogramMetric queueWaitUs{"daemon.queue_wait.us"};
+
+        /** The counters of the `stats` daemon block, in wire order;
+         *  each key is the counter's name without `daemon.`. */
+        auto
+        served() const
+        {
+            return std::array{&connections,    &disconnects,
+                              &idleCloses,     &acceptFailures,
+                              &requests,       &badRequests,
+                              &immediate,      &jobsAdmitted,
+                              &jobsCompleted,  &jobsFailed,
+                              &rejectedOverloaded, &rejectedQuota,
+                              &rejectedDraining, &writeErrors,
+                              &progressEvents, &deadlineExceeded,
+                              &cancelled,      &slowReaderCloses,
+                              &watchdogFlags,  &subscribes,
+                              &eventsEmitted,  &eventsDropped};
+        }
+    };
+
+    /** The live serving counters (atomic loads: any thread may read). */
+    const Counters &counters() const { return counters_; }
+
+    /**
+     * The `stats` result members: the `daemon` block (the served
+     * counters, then the queued/running/clients levels), `slo`, `log`
+     * and `trace`. Event-loop thread, or after run() returns.
+     */
+    std::string statsFields();
 
     /** The TCP front-end's bound port (0 when --listen is off). */
     uint16_t tcpPort() const { return tcpPort_; }
@@ -237,11 +261,12 @@ class DaemonServer
     const DaemonConfig &config() const { return config_; }
 
   private:
-    /** Per-connection telemetry-stream state (the `subscribe` cmd):
-     *  a filter and a cursor into the event ring (pumpSubscriber). */
+    /** Per-connection lifecycle-stream state (the `subscribe` cmd):
+     *  a sample rate and a cursor into the event ring
+     *  (pumpSubscriber). */
     struct Subscription
     {
-        SubscriberFilter filter;
+        double sampleRate = 1.0;  ///< deliver this fraction, in (0, 1]
         uint64_t nextSeq = 0;  ///< next ring event to consider
         uint64_t delivered = 0;
         uint64_t dropped = 0;
@@ -253,7 +278,7 @@ class DaemonServer
         bool
         sample()
         {
-            sampleAcc += filter.sampleRate;
+            sampleAcc += sampleRate;
             if (sampleAcc < 1.0)
                 return false;
             sampleAcc -= 1.0;
@@ -320,13 +345,12 @@ class DaemonServer
     void beginDrain();
     bool drainComplete() const;
     int computeTimeoutMs(uint64_t now_ns) const;
-    std::string statsFields();
 
     // --- observability plane (event-loop thread only) --------------
     /** Record one job lifecycle event: stamp the telemetry clock,
      *  push it onto the ring (which stamps its seq), mirror it as a
      *  Perfetto instant when tracing is armed, and pump every
-     *  lifecycle subscriber. */
+     *  subscriber. */
     void recordJobEvent(JobEvent event);
     /** Advance a subscriber's cursor to the ring's head: count the
      *  events the ring evicted past it as dropped, then render and
@@ -335,22 +359,12 @@ class DaemonServer
      *  drain delivers everything retained). No-op without a
      *  subscription. */
     void pumpSubscriber(Client &client, bool bounded = true);
-    /** Run fn(client) on every subscriber that `wants` an event
-     *  class; fn may close clients (a failed flush). */
+    /** Run fn(client) on every subscriber; fn may close clients (a
+     *  failed flush). */
     template <typename Fn>
-    void forEachSubscriber(bool SubscriberFilter::*wants, Fn fn);
-    /** Offer one span/metrics line (never in the ring) to those
-     *  subscribers: after a pump, a sampled line is sent only when
-     *  the cursor is at the head and the backlog has room, so it never
-     *  overtakes an earlier lifecycle event; else it is dropped. */
-    void offerLine(const std::string &line,
-                   bool SubscriberFilter::*wants);
-    /** Stream newly recorded spans to span subscribers. */
-    void streamSpans();
+    void forEachSubscriber(Fn fn);
     /** Emit Recovery events for trace-cache healing since last check. */
     void pollRecoveryEvents();
-    /** True when any open connection subscribes to that class. */
-    bool anySubscriber(bool SubscriberFilter::*wants) const;
 
     // --- runner lanes (executor thread + runner workers) ------------
     /** Pull, run and answer admitted jobs one at a time until the
@@ -374,7 +388,6 @@ class DaemonServer
 
     std::map<int, Client> clients_;            ///< by fd
     std::map<uint64_t, int> clientFdBySerial_;
-    std::atomic<uint64_t> clientCount_{0};     ///< statsSnapshot() reads
     uint64_t nextClientSerial_ = 1;
     uint64_t lastProgressTickNs_ = 0;
 
@@ -396,61 +409,12 @@ class DaemonServer
     uint64_t nextTraceId_ = 1;
     uint64_t lastRegenerations_ = 0;
     uint64_t lastQuarantined_ = 0;
-    uint64_t lastMetricsExportNs_ = 0;
-    /** Span-streaming cursor into the tracer's thread buffers (one
-     *  consumer: the event loop fans collected spans to every span
-     *  subscriber). */
-    std::vector<size_t> spanCursors_;
 
     /** Watchdog view of the lanes: the start of each lane's running
      *  job (0 while idle); the event loop swaps a stuck job's stamp
      *  for a flagged marker, so each stuck job is flagged once. */
     std::vector<std::atomic<uint64_t>> laneStartNs_;
 
-    /** Live serving counters mirrored into the telemetry registry
-     *  under `daemon.*` (the TraceRepository::Counters idiom). */
-    struct Counters
-    {
-        telemetry::ScopedCounter connections{"daemon.connections"};
-        telemetry::ScopedCounter disconnects{"daemon.disconnects"};
-        telemetry::ScopedCounter idleCloses{"daemon.idle_closes"};
-        telemetry::ScopedCounter acceptFailures{
-            "daemon.accept_failures"};
-        telemetry::ScopedCounter requests{"daemon.requests"};
-        telemetry::ScopedCounter badRequests{"daemon.bad_requests"};
-        telemetry::ScopedCounter immediate{"daemon.immediate"};
-        telemetry::ScopedCounter jobsAdmitted{"daemon.jobs_admitted"};
-        telemetry::ScopedCounter jobsCompleted{"daemon.jobs_completed"};
-        telemetry::ScopedCounter jobsFailed{"daemon.jobs_failed"};
-        telemetry::ScopedCounter rejectedOverloaded{
-            "daemon.rejected_overloaded"};
-        telemetry::ScopedCounter rejectedQuota{"daemon.rejected_quota"};
-        telemetry::ScopedCounter rejectedDraining{
-            "daemon.rejected_draining"};
-        telemetry::ScopedCounter writeErrors{"daemon.write_errors"};
-        telemetry::ScopedCounter progressEvents{
-            "daemon.progress_events"};
-        telemetry::ScopedCounter deadlineExceeded{
-            "daemon.deadline_exceeded"};
-        telemetry::ScopedCounter cancelled{"daemon.cancelled"};
-        telemetry::ScopedCounter slowReaderCloses{
-            "daemon.slow_reader_closes"};
-        telemetry::ScopedCounter watchdogFlags{
-            "daemon.watchdog_flags"};
-        telemetry::ScopedCounter subscribes{"daemon.subscribes"};
-        telemetry::ScopedCounter eventsEmitted{
-            "daemon.events_emitted"};
-        telemetry::ScopedCounter eventsDropped{
-            "daemon.events_dropped"};
-        telemetry::ScopedCounter sloLatencyBurns{
-            "daemon.slo_latency_burns"};
-        telemetry::ScopedCounter sloErrorBurns{
-            "daemon.slo_error_burns"};
-        telemetry::HistogramMetric jobLatencyUs{
-            "daemon.job_latency.us"};
-        /** Admission to lane pickup, once per job a lane pops. */
-        telemetry::HistogramMetric queueWaitUs{"daemon.queue_wait.us"};
-    };
     Counters counters_;
 };
 

@@ -292,10 +292,6 @@ TEST(TelemetryDisabled, ScopedCountersStayExact)
     c.add(3);
     c.add();
     EXPECT_EQ(c.value(), 4u);
-    ScopedGauge g("test.off_scoped_gauge");
-    g.add(10);
-    g.add(-4);
-    EXPECT_EQ(g.value(), 6);
 }
 
 TEST(TelemetryDisabled, WritersEmitEmptyButValidJson)

@@ -126,7 +126,7 @@ TEST_F(DaemonFaultTest, AcceptFaultDropsOneConnectionNotTheDaemon)
     CallResult ping = healthy.call(1, Command::Ping, "", 0, 0, false,
                                    5000);
     EXPECT_TRUE(ping.ok) << ping.error;
-    EXPECT_EQ(server_->statsSnapshot().acceptFailures, 1u);
+    EXPECT_EQ(server_->counters().acceptFailures.value(), 1u);
     EXPECT_EQ(stopServer(), 0);
 }
 
@@ -145,7 +145,7 @@ TEST_F(DaemonFaultTest, WriteFaultDropsTheClientAndIsCounted)
     ASSERT_TRUE(client.sendLine(R"({"id": 1, "cmd": "ping"})"));
     EXPECT_FALSE(client.readLine(5000));
     EXPECT_EQ(client.lastError(), "disconnected");
-    EXPECT_EQ(server_->statsSnapshot().writeErrors, 1u);
+    EXPECT_EQ(server_->counters().writeErrors.value(), 1u);
 
     // Later connections write fine (trigger hit 1 already consumed).
     DaemonClient healthy = connectedClient();

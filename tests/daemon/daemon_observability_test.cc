@@ -17,6 +17,7 @@
 #include <regex>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -243,7 +244,7 @@ TEST_F(DaemonObservabilityTest, QueueWaitIsObservedOncePerJob)
             << *line;
     }
     ASSERT_TRUE(client.call(1, Command::Ping, "", 0, 0, false, 5000).ok);
-    EXPECT_EQ(server_->statsSnapshot().jobsCompleted, kJobs);
+    EXPECT_EQ(server_->counters().jobsCompleted.value(), kJobs);
     EXPECT_EQ(stopServer(), 0);
     EXPECT_EQ(observed() - before, kJobs);
 }
@@ -347,7 +348,7 @@ TEST_F(DaemonObservabilityTest, SlowSubscriberShedsInsteadOfBlocking)
 
     DaemonClient driver = connectedClient();
     uint64_t jobs = 0;
-    while (server_->statsSnapshot().eventsDropped == 0 && jobs < 2048) {
+    while (server_->counters().eventsDropped.value() == 0 && jobs < 2048) {
         Request job;
         job.id = 100 + jobs;
         job.cmd = Command::Profile;
@@ -357,7 +358,7 @@ TEST_F(DaemonObservabilityTest, SlowSubscriberShedsInsteadOfBlocking)
                           << " unanswered while shedding: " << r.error;
         ++jobs;
     }
-    EXPECT_GT(server_->statsSnapshot().eventsDropped, 0u)
+    EXPECT_GT(server_->counters().eventsDropped.value(), 0u)
         << "never shed after " << jobs << " jobs";
 }
 
@@ -378,12 +379,12 @@ TEST_F(DaemonObservabilityTest, SampledStalledSubscriberAccountsEveryPick)
     sub.subEvents = "lifecycle";
     sub.sampleRate = 0.5;
     ASSERT_TRUE(rawCall(stalled, sub).ok);
-    uint64_t emitted_before = server_->statsSnapshot().eventsEmitted;
+    uint64_t emitted_before = server_->counters().eventsEmitted.value();
 
     // Stall until the ring overtakes the subscriber's cursor.
     DaemonClient driver = connectedClient();
     uint64_t jobs = 0;
-    while (server_->statsSnapshot().eventsDropped == 0 && jobs < 2048) {
+    while (server_->counters().eventsDropped.value() == 0 && jobs < 2048) {
         Request job;
         job.id = 100 + jobs;
         job.cmd = Command::Profile;
@@ -391,7 +392,7 @@ TEST_F(DaemonObservabilityTest, SampledStalledSubscriberAccountsEveryPick)
         ASSERT_TRUE(rawCall(driver, job).ok);
         ++jobs;
     }
-    ASSERT_GT(server_->statsSnapshot().eventsDropped, 0u)
+    ASSERT_GT(server_->counters().eventsDropped.value(), 0u)
         << "never shed after " << jobs << " jobs";
 
     // Catch up: every event the sampler passed is either delivered or
@@ -400,10 +401,10 @@ TEST_F(DaemonObservabilityTest, SampledStalledSubscriberAccountsEveryPick)
     uint64_t delivered = 0;
     while (stalled.readLine(1000))
         ++delivered;
-    DaemonStatsSnapshot st = server_->statsSnapshot();
-    uint64_t recorded = st.eventsEmitted - emitted_before;
+    const DaemonServer::Counters &st = server_->counters();
+    uint64_t recorded = st.eventsEmitted.value() - emitted_before;
     EXPECT_EQ(recorded, 4 * jobs);
-    EXPECT_EQ(delivered + st.eventsDropped, recorded / 2);
+    EXPECT_EQ(delivered + st.eventsDropped.value(), recorded / 2);
 }
 
 TEST_F(DaemonObservabilityTest, MetricsCommandServesBothFormats)
@@ -470,7 +471,7 @@ TEST_F(DaemonObservabilityTest, PrometheusExpositionFollowsTextGrammar)
               std::string::npos);
 
     // Every line satisfies the same exposition grammar the CI lint
-    // enforces over the --metrics-listen file.
+    // enforces over `vpprof_cli daemon-client metrics --prometheus`.
     const std::regex line_re(
         R"(^(#.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})?)"
         R"( [0-9eE.+-]+(\s[0-9]+)?))");
@@ -577,29 +578,65 @@ TEST_F(DaemonObservabilityTest, SpanTreeReconstructsFromPerfettoTrace)
         << "executor span not attributed to the job's trace id";
 }
 
+TEST_F(DaemonObservabilityTest, SpansSubscriptionIsRejectedAndNeverArmsTracer)
+{
+    // A `spans` subscription used to arm the process-wide span tracer
+    // for the rest of the daemon's life, so every later job appended
+    // its spans to per-thread buffers that are never truncated. Spans
+    // leave only through --trace-json now: the request is a
+    // bad_request and recording stays off.
+    telemetry::SpanTracer &tracer = telemetry::SpanTracer::instance();
+    ASSERT_FALSE(tracer.enabled());
+    const size_t events_before = tracer.eventCount();
+    startServer(baseConfig());
+    DaemonClient client = connectedClient();
+
+    CallResult sub = client.call(
+        R"({"id": 1, "cmd": "subscribe", "events": "spans"})", 1, 5000);
+    EXPECT_FALSE(sub.ok);
+    EXPECT_EQ(sub.code, "bad_request");
+    EXPECT_NE(sub.error.find("spans"), std::string::npos) << sub.error;
+    EXPECT_EQ(server_->counters().badRequests.value(), 1u);
+    EXPECT_EQ(server_->counters().subscribes.value(), 0u);
+
+    Request job;
+    job.id = 2;
+    job.cmd = Command::Profile;
+    job.workload = "compress";
+    ASSERT_TRUE(rawCall(client, job).ok);
+    EXPECT_EQ(stopServer(), 0);
+
+    EXPECT_FALSE(tracer.enabled());
+    EXPECT_EQ(tracer.eventCount(), events_before);
+}
+
 #endif // VPPROF_TELEMETRY_ENABLED
 
 // ---- pure observe.hh units (no sockets) --------------------------
 
 TEST(EventFilter, ParsesSpecsCanonically)
 {
-    std::string error;
-    auto all = parseEventFilter("all", &error);
-    ASSERT_TRUE(all) << error;
-    EXPECT_TRUE(all->lifecycle && all->spans && all->metrics);
-
-    auto dflt = parseEventFilter("", &error);
-    ASSERT_TRUE(dflt);
-    EXPECT_TRUE(dflt->lifecycle);
-    EXPECT_FALSE(dflt->spans || dflt->metrics);
-    EXPECT_EQ(dflt->spec(), "lifecycle");
-
-    auto pair = parseEventFilter("spans,lifecycle", &error);
-    ASSERT_TRUE(pair);
-    EXPECT_EQ(pair->spec(), "lifecycle,spans");
-
-    EXPECT_FALSE(parseEventFilter("lifecycle,bogus", &error));
-    EXPECT_NE(error.find("bogus"), std::string::npos);
+    // `lifecycle` is the only event class; an empty spec means it.
+    for (const char *spec : {"", "lifecycle", "lifecycle,lifecycle"}) {
+        std::string error;
+        EXPECT_TRUE(parseEventFilter(spec, &error))
+            << "'" << spec << "': " << error;
+    }
+    // Spans and the registry have their own exporters (--trace-json,
+    // the `metrics` command); the error names the rejected token.
+    const std::pair<const char *, const char *> rejected[] = {
+        {"spans", "spans"},
+        {"metrics", "metrics"},
+        {"all", "all"},
+        {"lifecycle,bogus", "bogus"},
+    };
+    for (const auto &[spec, token] : rejected) {
+        std::string error;
+        EXPECT_FALSE(parseEventFilter(spec, &error)) << spec;
+        EXPECT_NE(error.find(std::string("'") + token + "'"),
+                  std::string::npos)
+            << spec << ": " << error;
+    }
 }
 
 TEST(SloSpec, ParsesAndRejects)

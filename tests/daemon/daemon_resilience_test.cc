@@ -110,19 +110,19 @@ class DaemonResilienceTest : public ::testing::Test
             << error;
     }
 
-    /** Poll statsSnapshot until `pred` holds or `timeout_ms` passes. */
+    /** Poll the live counters until `pred` holds or `timeout_ms` passes. */
     bool
     waitForStats(int timeout_ms,
-                 bool (*pred)(const DaemonStatsSnapshot &))
+                 bool (*pred)(const DaemonServer::Counters &))
     {
         auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
         while (std::chrono::steady_clock::now() < deadline) {
-            if (pred(server_->statsSnapshot()))
+            if (pred(server_->counters()))
                 return true;
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
         }
-        return pred(server_->statsSnapshot());
+        return pred(server_->counters());
     }
 
     std::unique_ptr<DaemonServer> server_;
@@ -176,10 +176,10 @@ TEST_F(DaemonResilienceTest, QueuedJobPastDeadlineIsRejectedUnserved)
               std::string::npos)
         << "the rejection names the queued phase";
 
-    DaemonStatsSnapshot st = server_->statsSnapshot();
-    EXPECT_EQ(st.jobsAdmitted, 2u);
-    EXPECT_EQ(st.deadlineExceeded, 1u);
-    EXPECT_EQ(st.jobsCompleted, 1u)
+    const DaemonServer::Counters &st = server_->counters();
+    EXPECT_EQ(st.jobsAdmitted.value(), 2u);
+    EXPECT_EQ(st.deadlineExceeded.value(), 1u);
+    EXPECT_EQ(st.jobsCompleted.value(), 1u)
         << "the expired job never consumed the executor";
     EXPECT_EQ(stopServer(), 0);
 }
@@ -202,7 +202,7 @@ TEST_F(DaemonResilienceTest, JobFinishingPastDeadlineIsNotServedLate)
     EXPECT_NE(responses.at(1).stringOr("error", "").find("completed"),
               std::string::npos)
         << "the rejection says the work finished late";
-    EXPECT_EQ(server_->statsSnapshot().deadlineExceeded, 1u);
+    EXPECT_EQ(server_->counters().deadlineExceeded.value(), 1u);
     EXPECT_EQ(stopServer(), 0);
 }
 
@@ -222,7 +222,7 @@ TEST_F(DaemonResilienceTest, HugeDeadlineSaturatesInsteadOfExpiring)
     ASSERT_TRUE(responses.at(1).get("ok"));
     EXPECT_TRUE(responses.at(1).get("ok")->asBool())
         << responses.at(1).stringOr("error", "");
-    EXPECT_EQ(server_->statsSnapshot().deadlineExceeded, 0u);
+    EXPECT_EQ(server_->counters().deadlineExceeded.value(), 0u);
     EXPECT_EQ(stopServer(), 0);
 }
 
@@ -255,9 +255,9 @@ TEST_F(DaemonResilienceTest, CancelRemovesAQueuedJob)
     EXPECT_TRUE(responses.at(1).get("ok")->asBool())
         << "the running job is untouched by the cancel";
 
-    DaemonStatsSnapshot st = server_->statsSnapshot();
-    EXPECT_EQ(st.cancelled, 1u);
-    EXPECT_EQ(st.jobsCompleted, 1u);
+    const DaemonServer::Counters &st = server_->counters();
+    EXPECT_EQ(st.cancelled.value(), 1u);
+    EXPECT_EQ(st.jobsCompleted.value(), 1u);
     EXPECT_EQ(stopServer(), 0);
 }
 
@@ -284,7 +284,7 @@ TEST_F(DaemonResilienceTest, CancelMissesRunningOrUnknownTargets)
     responses = collectResponses(client, {6}, 5000);
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses.at(6).stringOr("code", ""), "bad_request");
-    EXPECT_EQ(server_->statsSnapshot().cancelled, 0u);
+    EXPECT_EQ(server_->counters().cancelled.value(), 0u);
 }
 
 TEST_F(DaemonResilienceTest, DisconnectPurgesTheClientsQueuedJobs)
@@ -304,16 +304,16 @@ TEST_F(DaemonResilienceTest, DisconnectPurgesTheClientsQueuedJobs)
     }  // close: the daemon must drop job 2 from the queue
 
     EXPECT_TRUE(waitForStats(10'000,
-                             [](const DaemonStatsSnapshot &st) {
-                                 return st.cancelled >= 1;
+                             [](const DaemonServer::Counters &st) {
+                                 return st.cancelled.value() >= 1;
                              }))
         << "queued job of a departed client was not purged";
     // The running job still completes (its result is simply dropped).
     EXPECT_TRUE(waitForStats(120'000,
-                             [](const DaemonStatsSnapshot &st) {
-                                 return st.jobsCompleted >= 1;
+                             [](const DaemonServer::Counters &st) {
+                                 return st.jobsCompleted.value() >= 1;
                              }));
-    EXPECT_EQ(server_->statsSnapshot().cancelled, 1u);
+    EXPECT_EQ(server_->counters().cancelled.value(), 1u);
     EXPECT_EQ(stopServer(), 0);
 }
 
@@ -338,8 +338,8 @@ TEST_F(DaemonResilienceTest, SlowReaderIsDisconnectedAtTheBufferBound)
     }
 
     EXPECT_TRUE(waitForStats(30'000,
-                             [](const DaemonStatsSnapshot &st) {
-                                 return st.slowReaderCloses >= 1;
+                             [](const DaemonServer::Counters &st) {
+                                 return st.slowReaderCloses.value() >= 1;
                              }))
         << "slow reader was never disconnected";
 
@@ -383,9 +383,9 @@ TEST_F(DaemonResilienceTest, WatchdogFlagsEachStuckJob)
         EXPECT_TRUE(response.get("ok")->asBool())
             << "job " << id << ": the watchdog observes, never kills";
     }
-    DaemonStatsSnapshot st = server_->statsSnapshot();
-    EXPECT_EQ(st.watchdogFlags, 2u);
-    EXPECT_EQ(st.jobsCompleted, 2u);
+    const DaemonServer::Counters &st = server_->counters();
+    EXPECT_EQ(st.watchdogFlags.value(), 2u);
+    EXPECT_EQ(st.jobsCompleted.value(), 2u);
 
     // Job 2 started while job 1 was still running.
     if (!telemetry::kEnabled)
@@ -498,7 +498,7 @@ TEST_F(DaemonResilienceTest, RetryingClientCompletesWhereFixedClientIsShed)
     auto first = collectResponses(fixed, {1}, 120'000);
     ASSERT_EQ(first.size(), 1u);
     EXPECT_TRUE(first.at(1).get("ok")->asBool());
-    EXPECT_GE(server_->statsSnapshot().rejectedOverloaded, 1u);
+    EXPECT_GE(server_->counters().rejectedOverloaded.value(), 1u);
     EXPECT_EQ(stopServer(), 0);
 }
 

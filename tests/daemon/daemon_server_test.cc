@@ -16,6 +16,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -127,6 +128,75 @@ TEST_F(DaemonServerTest, PingAndStatsRoundTrip)
     const report::JsonValue *trace_block = result->get("trace");
     ASSERT_TRUE(trace_block);
     EXPECT_DOUBLE_EQ(trace_block->numberOr("vm_runs", -1), 0.0);
+}
+
+/**
+ * The member names of a JSON object's top level, in wire order
+ * (report::JsonValue keeps objects in a std::map, so order is read
+ * off the raw text). `text` starts at the object's opening brace.
+ */
+std::vector<std::string>
+topLevelKeys(const std::string &text)
+{
+    std::vector<std::string> keys;
+    int depth = 0;
+    bool expect_key = false;
+    for (size_t i = 0; i < text.size(); ++i) {
+        char c = text[i];
+        if (c == '"') {
+            size_t end = i + 1;
+            while (end < text.size() && text[end] != '"')
+                end += text[end] == '\\' ? 2 : 1;
+            if (depth == 1 && expect_key)
+                keys.push_back(text.substr(i + 1, end - i - 1));
+            expect_key = false;
+            i = end;
+        } else if (c == '{' || c == '[') {
+            ++depth;
+            expect_key = c == '{' && depth == 1;
+        } else if (c == '}' || c == ']') {
+            if (--depth == 0)
+                break;
+        } else if (c == ',' && depth == 1) {
+            expect_key = true;
+        }
+    }
+    return keys;
+}
+
+TEST_F(DaemonServerTest, StatsResponseKeepsItsKeyOrder)
+{
+    startServer(baseConfig());
+    DaemonClient client = connectedClient();
+    CallResult stats = client.call(1, Command::Stats, "", 0, 0, false,
+                                   5000);
+    ASSERT_TRUE(stats.ok) << stats.error;
+
+    size_t result = stats.raw.find("\"result\": ");
+    ASSERT_NE(result, std::string::npos) << stats.raw;
+    std::string result_text = stats.raw.substr(result + 10);
+    EXPECT_EQ(topLevelKeys(result_text),
+              (std::vector<std::string>{"daemon", "slo", "log", "trace"}));
+
+    size_t daemon = result_text.find("\"daemon\": ");
+    ASSERT_NE(daemon, std::string::npos);
+    const std::vector<std::string> daemon_keys = {
+        "connections",        "disconnects",
+        "idle_closes",        "accept_failures",
+        "requests",           "bad_requests",
+        "immediate",          "jobs_admitted",
+        "jobs_completed",     "jobs_failed",
+        "rejected_overloaded", "rejected_quota",
+        "rejected_draining",  "write_errors",
+        "progress_events",    "deadline_exceeded",
+        "cancelled",          "slow_reader_closes",
+        "watchdog_flags",     "subscribes",
+        "events_emitted",     "events_dropped",
+        "queued",             "running",
+        "clients"};
+    ASSERT_EQ(daemon_keys.size(), 25u);
+    EXPECT_EQ(topLevelKeys(result_text.substr(daemon + 10)), daemon_keys)
+        << stats.raw;
 }
 
 TEST_F(DaemonServerTest, BadRequestsAreStructuredRejections)
@@ -288,10 +358,10 @@ TEST_F(DaemonServerTest, OverloadRejectionIsExplicit)
     EXPECT_TRUE(responses.at(1).get("ok")->asBool());
     EXPECT_EQ(responses.at(2).stringOr("code", ""), "overloaded");
 
-    DaemonStatsSnapshot st = server_->statsSnapshot();
-    EXPECT_EQ(st.rejectedOverloaded, 1u);
-    EXPECT_EQ(st.jobsAdmitted, 1u);
-    EXPECT_EQ(st.jobsCompleted, 1u);
+    const DaemonServer::Counters &st = server_->counters();
+    EXPECT_EQ(st.rejectedOverloaded.value(), 1u);
+    EXPECT_EQ(st.jobsAdmitted.value(), 1u);
+    EXPECT_EQ(st.jobsCompleted.value(), 1u);
 }
 
 TEST_F(DaemonServerTest, PerClientQuotaIsEnforced)
@@ -313,7 +383,7 @@ TEST_F(DaemonServerTest, PerClientQuotaIsEnforced)
     ASSERT_TRUE(responses.at(1).get("ok"));
     EXPECT_TRUE(responses.at(1).get("ok")->asBool());
     EXPECT_EQ(responses.at(2).stringOr("code", ""), "quota");
-    EXPECT_EQ(server_->statsSnapshot().rejectedQuota, 1u);
+    EXPECT_EQ(server_->counters().rejectedQuota.value(), 1u);
 
     // The quota freed up once job 1 answered: job 3 is admitted.
     CallResult r3 = client.call(3, Command::Profile, "compress", 0, 0,
@@ -411,7 +481,7 @@ TEST_F(DaemonServerTest, IdleConnectionsAreClosed)
     auto line = client.readLine(5000);
     EXPECT_FALSE(line);
     EXPECT_EQ(client.lastError(), "disconnected");
-    EXPECT_GE(server_->statsSnapshot().idleCloses, 1u);
+    EXPECT_GE(server_->counters().idleCloses.value(), 1u);
 }
 
 TEST_F(DaemonServerTest, ProgressEventsStreamForSubscribedJobs)

@@ -113,8 +113,8 @@ usage()
                  "retry budget\n"
                  "  --prometheus      metrics: print the Prometheus "
                  "text exposition\n"
-                 "  --events SPEC     subscribe: event classes "
-                 "(lifecycle|spans|metrics|all)\n"
+                 "  --events SPEC     subscribe: event class "
+                 "(lifecycle, the only one)\n"
                  "  --event-sample-rate R  subscribe: deliver ~R of "
                  "lifecycle events (0,1]\n"
                  "  --journal-limit N journal: newest N events only "
@@ -170,7 +170,7 @@ usage()
                  "journal | subscribe;\n"
                  "           prints the daemon's JSON response line on "
                  "stdout\n"
-                 "           (subscribe then streams telemetry event "
+                 "           (subscribe then streams lifecycle event "
                  "lines);\n"
                  "           exit 0 = daemon answered ok, 1 = daemon "
                  "error response,\n"
@@ -608,7 +608,7 @@ struct DaemonClientOptions
 
 /**
  * subscribe: after the daemon acks the subscription, the connection
- * becomes a telemetry stream — print each event line verbatim until
+ * becomes a lifecycle event stream — print each line verbatim until
  * --max-events / --duration-ms is reached (exit 0) or the daemon
  * closes the connection (clean EOF, also exit 0). Read timeouts keep
  * waiting: an idle daemon emits nothing, which is not a failure.
@@ -843,7 +843,7 @@ main(int argc, char **argv)
         } else if (flag == "--events") {
             if (!value)
                 vpprof_fatal("--events requires a class list "
-                             "(lifecycle|spans|metrics|all)");
+                             "(lifecycle)");
             daemon_opts.events = value;
         } else if (flag == "--event-sample-rate") {
             if (!value)

@@ -19,7 +19,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <string>
 
 #include "common/atomic_file.hh"
@@ -75,16 +74,14 @@ usage()
         "                       burn counters surface in `stats`\n"
         "  --slo-window N       answered jobs in the SLO window "
         "(default 256)\n"
-        "  --metrics-listen FILE  export the live metrics snapshot in\n"
-        "                       Prometheus text format to FILE "
-        "periodically\n"
-        "  --metrics-listen-interval-ms N  export cadence "
-        "(default 1000)\n"
         "  --trace-json FILE    Chrome trace_event span timeline\n"
         "  --metrics-out FILE   metrics snapshot JSON (written on "
         "drain)\n"
-        "  --stats              print serving + trace counters on exit "
-        "(stderr)\n");
+        "  --stats              print the `stats` result object on exit\n"
+        "                       (stderr)\n"
+        "The live registry is the `metrics` command (JSON or Prometheus\n"
+        "text; scrape it with `vpprof_cli daemon-client metrics\n"
+        "--prometheus`); lifecycle events are `subscribe` and `journal`.\n");
     return 2;
 }
 
@@ -194,16 +191,6 @@ main(int argc, char **argv)
                 parseUintFlag("--slo-window", value));
             if (cfg.sloWindow == 0)
                 vpprof_fatal("--slo-window must be >= 1 (got 0)");
-        } else if (flag == "--metrics-listen") {
-            if (!value)
-                vpprof_fatal("--metrics-listen requires a file path");
-            cfg.metricsListenPath = value;
-        } else if (flag == "--metrics-listen-interval-ms") {
-            cfg.metricsListenIntervalMs = parseUintFlag(
-                "--metrics-listen-interval-ms", value);
-            if (cfg.metricsListenIntervalMs == 0)
-                vpprof_fatal("--metrics-listen-interval-ms must be "
-                             ">= 1 (got 0)");
         } else if (flag == "--trace-json") {
             if (!value)
                 vpprof_fatal("--trace-json requires a file path");
@@ -261,17 +248,8 @@ main(int argc, char **argv)
                   cfg.maxInflightPerClient, ")");
     int rc = server.run();
 
-    if (show_stats) {
-        daemon::DaemonStatsSnapshot st = server.statsSnapshot();
-        std::ostringstream os;
-        os << "{";
-        st.writeJsonFields(os);
-        os << "}";
-        std::fprintf(stderr, "[daemon] %s\n", os.str().c_str());
-        std::fprintf(
-            stderr, "[trace-repo] %s\n",
-            repoStatsJson(server.session().traces().stats()).c_str());
-    }
+    if (show_stats)
+        std::fprintf(stderr, "{%s}\n", server.statsFields().c_str());
     vpprof_inform("vpprofd: drained, exiting ", rc);
     return rc;
 }
