@@ -215,7 +215,7 @@ main(int argc, char **argv)
                      {Command::Profile, Command::Evaluate,
                       Command::Verify}) {
                     CallResult r = warm.call(id++, cmd, w, 0, 70.0,
-                                             false, kCallTimeoutMs);
+                                             kCallTimeoutMs);
                     if (!r.ok)
                         vpprof_panic("warm-up ", commandName(cmd), " ",
                                      w, " failed: ", r.error);

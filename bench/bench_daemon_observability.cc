@@ -129,29 +129,23 @@ overheadCall(DaemonClient &client, uint64_t id, size_t slot)
     const char *odd = "li";
     switch (slot % 8) {
       case 0:
-        return client.call(id, Command::Ping, "", 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Ping, "", 0, 0, kCallTimeoutMs);
       case 1:
-        return client.call(id, Command::Stats, "", 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Stats, "", 0, 0, kCallTimeoutMs);
       case 2:
-        return client.call(id, Command::Profile, even, 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Profile, even, 0, 0, kCallTimeoutMs);
       case 3:
-        return client.call(id, Command::Profile, odd, 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Profile, odd, 0, 0, kCallTimeoutMs);
       case 4:
         return client.call(id, Command::Evaluate, even, 0, 70.0,
-                           false, kCallTimeoutMs);
+                           kCallTimeoutMs);
       case 5:
-        return client.call(id, Command::Evaluate, odd, 0, 70.0, false,
+        return client.call(id, Command::Evaluate, odd, 0, 70.0,
                            kCallTimeoutMs);
       case 6:
-        return client.call(id, Command::Verify, even, 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Verify, even, 0, 0, kCallTimeoutMs);
       default:
-        return client.call(id, Command::Verify, odd, 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Verify, odd, 0, 0, kCallTimeoutMs);
     }
 }
 
@@ -317,7 +311,7 @@ measureOverhead(const std::string &cache_dir)
         for (const char *w : {"compress", "li"}) {
             for (Command cmd : {Command::Profile, Command::Evaluate,
                                 Command::Verify}) {
-                CallResult r = warm.call(id++, cmd, w, 0, 70.0, false,
+                CallResult r = warm.call(id++, cmd, w, 0, 70.0,
                                          kCallTimeoutMs);
                 if (!r.ok)
                     vpprof_panic("overhead warm-up ",
@@ -387,16 +381,6 @@ main()
            "beyond the paper -- the telemetry plane's acceptance "
            "gates");
 
-    if (!telemetry::kEnabled) {
-        // The whole plane degrades by design when telemetry is
-        // compiled out; there is nothing to measure. Exit 0 WITHOUT
-        // result files so `verify` reports the rules as skipped
-        // rather than failed.
-        std::printf("SKIP: built with VPPROF_TELEMETRY=OFF — the "
-                    "observability plane is degraded by design\n");
-        return 0;
-    }
-
     const std::string cache_dir =
         std::filesystem::temp_directory_path().string() +
         "/vpprof_bench_observability";
@@ -429,15 +413,14 @@ main()
         for (size_t i = 0; i < 10; ++i) {
             CallResult r = client.call(
                 id++, i % 2 ? Command::Evaluate : Command::Profile,
-                i % 2 ? "li" : "compress", 0, 70.0, false,
-                kCallTimeoutMs);
+                i % 2 ? "li" : "compress", 0, 70.0, kCallTimeoutMs);
             if (!r.ok)
                 vpprof_panic("agreement warm job failed: ", r.error);
         }
         for (size_t i = 0; i < 2; ++i) {
             CallResult r =
                 client.call(id++, Command::Profile, "no_such_workload",
-                            0, 0, false, kCallTimeoutMs);
+                            0, 0, kCallTimeoutMs);
             if (r.ok)
                 vpprof_panic("job on unknown workload answered ok");
         }
@@ -548,7 +531,7 @@ main()
         for (size_t i = 0; i < 10; ++i) {
             CallResult r = client.call(
                 i + 1, Command::Profile, i % 2 ? "li" : "compress", 0,
-                0, false, kCallTimeoutMs);
+                0, kCallTimeoutMs);
             if (!r.ok)
                 vpprof_panic("slo-control job failed: ", r.error);
         }
@@ -640,8 +623,7 @@ main()
             for (size_t i = 0; i < 64; ++i, ++shed_jobs) {
                 CallResult r = driver.call(
                     id++, Command::Profile,
-                    shed_jobs % 2 ? "li" : "compress", 0, 0, false,
-                    kCallTimeoutMs);
+                    shed_jobs % 2 ? "li" : "compress", 0, 0, kCallTimeoutMs);
                 if (r.code == "timeout" || r.code == "disconnected")
                     ++shed_unanswered;
                 else if (!r.ok)

@@ -62,29 +62,23 @@ steadyCall(DaemonClient &client, uint64_t id, size_t slot)
     const char *odd = "li";
     switch (slot % 8) {
       case 0:
-        return client.call(id, Command::Ping, "", 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Ping, "", 0, 0, kCallTimeoutMs);
       case 1:
-        return client.call(id, Command::Stats, "", 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Stats, "", 0, 0, kCallTimeoutMs);
       case 2:
-        return client.call(id, Command::Profile, even, 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Profile, even, 0, 0, kCallTimeoutMs);
       case 3:
-        return client.call(id, Command::Profile, odd, 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Profile, odd, 0, 0, kCallTimeoutMs);
       case 4:
         return client.call(id, Command::Evaluate, even, 0, 70.0,
-                           false, kCallTimeoutMs);
+                           kCallTimeoutMs);
       case 5:
-        return client.call(id, Command::Evaluate, odd, 0, 70.0, false,
+        return client.call(id, Command::Evaluate, odd, 0, 70.0,
                            kCallTimeoutMs);
       case 6:
-        return client.call(id, Command::Verify, even, 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Verify, even, 0, 0, kCallTimeoutMs);
       default:
-        return client.call(id, Command::Verify, odd, 0, 0, false,
-                           kCallTimeoutMs);
+        return client.call(id, Command::Verify, odd, 0, 0, kCallTimeoutMs);
     }
 }
 
@@ -124,7 +118,7 @@ main()
         for (const char *w : {"compress", "li"}) {
             for (Command cmd : {Command::Profile, Command::Evaluate,
                                 Command::Verify}) {
-                CallResult r = warm.call(id++, cmd, w, 0, 70.0, false,
+                CallResult r = warm.call(id++, cmd, w, 0, 70.0,
                                          kCallTimeoutMs);
                 if (!r.ok)
                     vpprof_panic("warm-up ", commandName(cmd), " ", w,
@@ -241,8 +235,6 @@ main()
                     if (!doc)
                         vpprof_panic("burst: bad response line: ",
                                      *line);
-                    if (doc->stringOr("event", "") != "")
-                        continue;  // progress lines, not answers
                     uint64_t id = static_cast<uint64_t>(
                         doc->numberOr("id", 0));
                     if (!pending.erase(id))

@@ -89,8 +89,7 @@ uint64_t warningsEmitted();
 /**
  * Warnings suppressed so far (by the level knob or a call site's rate
  * limit), process wide. Mirrors the `log.warnings.suppressed`
- * telemetry counter so surfaces like the daemon `stats` response can
- * report it with telemetry compiled out.
+ * telemetry counter for surfaces like the daemon `stats` response.
  */
 uint64_t warningsSuppressed();
 

@@ -58,8 +58,6 @@ HistogramSnapshot::percentile(double p) const
     return toHistogram().percentile(p);
 }
 
-#if VPPROF_TELEMETRY_ENABLED
-
 namespace
 {
 
@@ -268,16 +266,6 @@ snapshotMetrics()
 {
     return Registry::instance().snapshot();
 }
-
-#else // !VPPROF_TELEMETRY_ENABLED
-
-MetricsSnapshot
-snapshotMetrics()
-{
-    return {};
-}
-
-#endif // VPPROF_TELEMETRY_ENABLED
 
 namespace
 {

@@ -18,13 +18,6 @@
  * Naming scheme (DESIGN.md §10): dotted lower_snake components,
  * `<subsystem>.<event>`, e.g. `trace.vm_runs`, `runner.queue_wait.us`.
  * Latency histograms carry their unit as the last component (`.us`).
- *
- * The whole layer is compiled behind VPPROF_TELEMETRY_ENABLED (the
- * VPPROF_TELEMETRY CMake option): when OFF, Counter/Gauge/
- * HistogramMetric/Span are empty types whose calls fold to nothing,
- * and snapshot() reports no metrics. The per-instance Scoped* types
- * keep their local values in either build — subsystem stats structs
- * (e.g. TraceRepoStats) stay exact with telemetry compiled out.
  */
 
 #ifndef VPPROF_COMMON_TELEMETRY_METRICS_HH
@@ -41,17 +34,10 @@
 
 #include "common/histogram.hh"
 
-#ifndef VPPROF_TELEMETRY_ENABLED
-#define VPPROF_TELEMETRY_ENABLED 1
-#endif
-
 namespace vpprof
 {
 namespace telemetry
 {
-
-/** True when the telemetry layer is compiled in (VPPROF_TELEMETRY). */
-inline constexpr bool kEnabled = VPPROF_TELEMETRY_ENABLED != 0;
 
 /**
  * Merged view of one log-scale latency histogram: bucket 0 holds
@@ -85,8 +71,6 @@ struct MetricsSnapshot
      */
     void writeJson(std::ostream &os) const;
 };
-
-#if VPPROF_TELEMETRY_ENABLED
 
 /**
  * The process-wide registry. Use through the Counter/Gauge/
@@ -192,44 +176,15 @@ class HistogramMetric
     uint32_t id_;
 };
 
-#else // !VPPROF_TELEMETRY_ENABLED
-
-// No-op handles: same API, no storage, calls fold away entirely.
-
-class Counter
-{
-  public:
-    explicit Counter(std::string_view) {}
-    void add(uint64_t = 1) const {}
-};
-
-class Gauge
-{
-  public:
-    explicit Gauge(std::string_view) {}
-    void add(int64_t) const {}
-    void set(int64_t) const {}
-};
-
-class HistogramMetric
-{
-  public:
-    explicit HistogramMetric(std::string_view) {}
-    void observe(uint64_t) const {}
-};
-
-#endif // VPPROF_TELEMETRY_ENABLED
-
-/** The process-wide snapshot (empty when telemetry is compiled out). */
+/** The process-wide snapshot. */
 MetricsSnapshot snapshotMetrics();
 
 /**
  * A per-instance counter mirrored into a process-wide registry
  * counter: value() serves the owning object's typed stats view (e.g.
  * one TraceRepository's TraceRepoStats), while the registry aggregates
- * across instances for --metrics-out. The local value and the name
- * exist in both builds, so stats stay exact with telemetry compiled
- * out. `name` must outlive the counter (callers pass literals).
+ * across instances for --metrics-out. `name` must outlive the
+ * counter (callers pass literals).
  */
 class ScopedCounter
 {

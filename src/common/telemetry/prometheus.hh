@@ -9,9 +9,8 @@
  * Metric names are sanitized to the Prometheus grammar
  * ([a-zA-Z_:][a-zA-Z0-9_:]*): dots and any other illegal characters
  * become underscores, and everything is prefixed `vpprof_`. The
- * serializer is pure over MetricsSnapshot, so it works identically on
- * a live daemon's merged registry and on the empty snapshot of a
- * VPPROF_TELEMETRY=OFF build (it then emits only the header comment).
+ * serializer is pure over MetricsSnapshot: an empty snapshot emits
+ * only the header comment.
  */
 
 #ifndef VPPROF_COMMON_TELEMETRY_PROMETHEUS_HH

@@ -60,8 +60,6 @@ writeJsonEscaped(std::ostream &os, std::string_view s)
     }
 }
 
-#if VPPROF_TELEMETRY_ENABLED
-
 namespace
 {
 
@@ -101,9 +99,10 @@ SpanTracer::instance()
     return *tracer;
 }
 
-SpanTracer::ThreadBuffer &
-SpanTracer::localBuffer()
+void
+SpanTracer::push(Event event)
 {
+    static const Counter dropped("telemetry.spans_dropped");
     if (!tls_buffer) {
         auto *buffer = new ThreadBuffer;
         {
@@ -113,28 +112,31 @@ SpanTracer::localBuffer()
         }
         tls_buffer = buffer;
     }
-    return *tls_buffer;
+    ThreadBuffer &buffer = *tls_buffer;
+    // Uncontended in steady state: only the owner appends; the
+    // write-file path briefly takes each buffer's mutex to read.
+    std::lock_guard<std::mutex> lock(buffer.mutex);
+    if (buffer.events.size() < kMaxEventsPerThread) {
+        buffer.events.push_back(std::move(event));
+        return;
+    }
+    buffer.events[buffer.oldest] = std::move(event);
+    buffer.oldest = (buffer.oldest + 1) % kMaxEventsPerThread;
+    dropped.add();
 }
 
 void
 SpanTracer::record(const char *name, uint64_t start_ns, uint64_t end_ns)
 {
-    ThreadBuffer &buffer = localBuffer();
-    // Uncontended in steady state: only the owner appends; the
-    // write-file path briefly takes each buffer's mutex to read.
-    std::lock_guard<std::mutex> lock(buffer.mutex);
-    buffer.events.push_back(Event{name, std::string(), start_ns,
-                                  end_ns, tls_trace_id, false});
+    push(Event{name, std::string(), start_ns, end_ns, tls_trace_id,
+               false});
 }
 
 void
 SpanTracer::recordInstant(std::string name, uint64_t ts_ns,
                           uint64_t trace_id)
 {
-    ThreadBuffer &buffer = localBuffer();
-    std::lock_guard<std::mutex> lock(buffer.mutex);
-    buffer.events.push_back(Event{nullptr, std::move(name), ts_ns,
-                                  ts_ns, trace_id, true});
+    push(Event{nullptr, std::move(name), ts_ns, ts_ns, trace_id, true});
 }
 
 size_t
@@ -199,37 +201,6 @@ SpanTracer::writeFile(const std::string &path) const
     writeJson(os);
     return writeFileAtomically(path, os.str());
 }
-
-#else // !VPPROF_TELEMETRY_ENABLED
-
-uint64_t
-currentTraceId()
-{
-    return 0;
-}
-
-SpanTracer &
-SpanTracer::instance()
-{
-    static SpanTracer tracer;
-    return tracer;
-}
-
-void
-SpanTracer::writeJson(std::ostream &os) const
-{
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
-}
-
-bool
-SpanTracer::writeFile(const std::string &path) const
-{
-    std::ostringstream os;
-    writeJson(os);
-    return writeFileAtomically(path, os.str());
-}
-
-#endif // VPPROF_TELEMETRY_ENABLED
 
 } // namespace telemetry
 } // namespace vpprof

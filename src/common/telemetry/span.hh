@@ -14,14 +14,16 @@
  * (recordInstant, "ph":"i") may carry dynamic names, which are owned
  * by the buffer and JSON-escaped at write time.
  *
+ * A buffer holds at most kMaxEventsPerThread events; past that each
+ * new event overwrites the thread's oldest one and counts in
+ * `telemetry.spans_dropped`, so a long-running traced process keeps
+ * each thread's latest window in bounded memory.
+ *
  * Job attribution: a thread may set a *current trace id*
  * (ScopedTraceId); every span and instant event recorded while it is
  * set carries that id in its "args", so one request's full span tree
  * is reconstructible from the merged trace (vpprofd tags executor
  * lanes with the owning job's trace id this way).
- *
- * Compiled out entirely by VPPROF_TELEMETRY=OFF: Span becomes an
- * empty type and the tracer records nothing.
  */
 
 #ifndef VPPROF_COMMON_TELEMETRY_SPAN_HH
@@ -51,8 +53,6 @@ uint64_t nowNs();
  */
 uint64_t currentTraceId();
 
-#if VPPROF_TELEMETRY_ENABLED
-
 /** Set the calling thread's current trace id; returns the old one. */
 uint64_t setCurrentTraceId(uint64_t id);
 
@@ -80,6 +80,10 @@ class SpanTracer
     /** The singleton (leaked: usable from atexit writers). */
     static SpanTracer &instance();
 
+    /** Events one thread's buffer keeps before overwriting its oldest
+     *  (about 1.2 MB at 72 bytes an event). */
+    static constexpr size_t kMaxEventsPerThread = size_t{1} << 14;
+
     void enable() { enabled_.store(true, std::memory_order_relaxed); }
     void disable() { enabled_.store(false, std::memory_order_relaxed); }
 
@@ -100,7 +104,7 @@ class SpanTracer
     void recordInstant(std::string name, uint64_t ts_ns,
                        uint64_t trace_id);
 
-    /** Events buffered so far across all threads (tests, reports). */
+    /** Events buffered now across all threads (tests, reports). */
     size_t eventCount() const;
 
     /** Chrome trace_event JSON ({"traceEvents":[...]}). */
@@ -122,14 +126,16 @@ class SpanTracer
     struct ThreadBuffer
     {
         mutable std::mutex mutex;  ///< owner appends; writers read
-        std::vector<Event> events;
+        std::vector<Event> events;  ///< at most kMaxEventsPerThread
+        size_t oldest = 0;  ///< slot the next event overwrites when full
         uint32_t tid;
     };
 
   private:
     SpanTracer() = default;
 
-    ThreadBuffer &localBuffer();
+    /** Append to the calling thread's buffer, overwriting when full. */
+    void push(Event event);
 
     std::atomic<bool> enabled_{false};
     mutable std::mutex mutex_;  ///< guards buffers_
@@ -187,57 +193,6 @@ class TimedSpan
     uint64_t startNs_;
 };
 
-#else // !VPPROF_TELEMETRY_ENABLED
-
-// Disabled build: empty types, no recording, no clock reads.
-
-inline uint64_t
-setCurrentTraceId(uint64_t)
-{
-    return 0;
-}
-
-class ScopedTraceId
-{
-  public:
-    explicit ScopedTraceId(uint64_t) {}
-    ScopedTraceId(const ScopedTraceId &) = delete;
-    ScopedTraceId &operator=(const ScopedTraceId &) = delete;
-};
-
-class SpanTracer
-{
-  public:
-    static SpanTracer &instance();
-
-    void enable() {}
-    void disable() {}
-    bool enabled() const { return false; }
-    void record(const char *, uint64_t, uint64_t) {}
-    void recordInstant(const std::string &, uint64_t, uint64_t) {}
-    size_t eventCount() const { return 0; }
-    void writeJson(std::ostream &os) const;
-    bool writeFile(const std::string &path) const;
-};
-
-class Span
-{
-  public:
-    explicit Span(const char *) {}
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
-};
-
-class TimedSpan
-{
-  public:
-    TimedSpan(const char *, const HistogramMetric &) {}
-    TimedSpan(const TimedSpan &) = delete;
-    TimedSpan &operator=(const TimedSpan &) = delete;
-};
-
-#endif // VPPROF_TELEMETRY_ENABLED
-
 /**
  * JSON string escaping for trace output: quotes, backslashes and all
  * control characters (RFC 8259 \u00XX for the ones without short
@@ -250,12 +205,12 @@ void writeJsonEscaped(std::ostream &os, std::string_view s);
 } // namespace vpprof
 
 /** Token pasting for unique locals in the span macros. */
-#define VPPROF_TELEMETRY_CONCAT_(a, b) a##b
-#define VPPROF_TELEMETRY_CONCAT(a, b) VPPROF_TELEMETRY_CONCAT_(a, b)
+#define VPPROF_SPAN_CONCAT_(a, b) a##b
+#define VPPROF_SPAN_CONCAT(a, b) VPPROF_SPAN_CONCAT_(a, b)
 
 /** Trace-only span over the enclosing scope; `name` is a literal. */
 #define VPPROF_SPAN(name) \
-    ::vpprof::telemetry::Span VPPROF_TELEMETRY_CONCAT( \
+    ::vpprof::telemetry::Span VPPROF_SPAN_CONCAT( \
         vpprof_span_, __LINE__){name}
 
 /**
@@ -264,11 +219,11 @@ void writeJsonEscaped(std::ostream &os, std::string_view s);
  */
 #define VPPROF_TIMED_SPAN(name) \
     static const ::vpprof::telemetry::HistogramMetric \
-        VPPROF_TELEMETRY_CONCAT(vpprof_span_hist_, __LINE__){name \
-                                                             ".us"}; \
-    ::vpprof::telemetry::TimedSpan VPPROF_TELEMETRY_CONCAT( \
+        VPPROF_SPAN_CONCAT(vpprof_span_hist_, __LINE__){name \
+                                                        ".us"}; \
+    ::vpprof::telemetry::TimedSpan VPPROF_SPAN_CONCAT( \
         vpprof_timed_span_, \
         __LINE__){name, \
-                  VPPROF_TELEMETRY_CONCAT(vpprof_span_hist_, __LINE__)}
+                  VPPROF_SPAN_CONCAT(vpprof_span_hist_, __LINE__)}
 
 #endif // VPPROF_COMMON_TELEMETRY_SPAN_HH

@@ -75,9 +75,8 @@ ExperimentRunner::workerLoop()
             seen = generation_;
             // Publish-to-pickup latency of this worker for the batch:
             // how long cells sat queued before a lane started pulling.
-            if constexpr (telemetry::kEnabled)
-                queue_wait.observe(
-                    (telemetry::nowNs() - batchPublishNs_) / 1000);
+            queue_wait.observe((telemetry::nowNs() - batchPublishNs_) /
+                               1000);
         }
         drainBatch();
     }
@@ -101,8 +100,7 @@ ExperimentRunner::forEach(size_t n, const std::function<void(size_t)> &fn)
         next_ = 0;
         completed_ = 0;
         ++generation_;
-        if constexpr (telemetry::kEnabled)
-            batchPublishNs_ = telemetry::nowNs();
+        batchPublishNs_ = telemetry::nowNs();
     }
     wake_.notify_all();
     drainBatch();

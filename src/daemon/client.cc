@@ -315,11 +315,8 @@ DaemonClient::call(const std::string &request_line, uint64_t id,
             line_id && line_id->isNumber()
                 ? static_cast<uint64_t>(line_id->asNumber())
                 : 0;
-        if (doc->get("event")) {
-            if (got_id == id)
-                result.events.push_back(*line);
+        if (doc->get("event"))
             continue;
-        }
         if (got_id != id) {
             // A pipelined answer for another id on a synchronous
             // connection is a protocol violation worth surfacing.
@@ -352,8 +349,7 @@ DaemonClient::call(const std::string &request_line, uint64_t id,
 
 CallResult
 DaemonClient::call(uint64_t id, Command cmd, const std::string &workload,
-                   size_t input, double threshold, bool progress,
-                   int timeout_ms)
+                   size_t input, double threshold, int timeout_ms)
 {
     Request req;
     req.id = id;
@@ -361,7 +357,6 @@ DaemonClient::call(uint64_t id, Command cmd, const std::string &workload,
     req.workload = workload;
     req.input = input;
     req.threshold = threshold;
-    req.progress = progress;
     return call(requestLine(req), id, timeout_ms);
 }
 

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "daemon/protocol.hh"
 #include "report/json.hh"
@@ -81,8 +80,6 @@ struct CallResult
     report::JsonValue response;
     /** The raw response line (empty when transport failed). */
     std::string raw;
-    /** Raw `event` lines received for this id before the answer. */
-    std::vector<std::string> events;
 };
 
 class DaemonClient
@@ -134,8 +131,9 @@ class DaemonClient
 
     /**
      * Send `request_line` (which must carry `id`) and read until the
-     * response for that id arrives; event lines for the id accumulate
-     * in CallResult::events. timeout_ms bounds the WHOLE call.
+     * response for that id arrives, skipping `event` lines (a
+     * subscribed connection's lifecycle stream). timeout_ms bounds
+     * the WHOLE call.
      */
     CallResult call(const std::string &request_line, uint64_t id,
                     int timeout_ms);
@@ -143,7 +141,7 @@ class DaemonClient
     /** Convenience: build + send a command request. */
     CallResult call(uint64_t id, Command cmd,
                     const std::string &workload, size_t input,
-                    double threshold, bool progress, int timeout_ms);
+                    double threshold, int timeout_ms);
 
     /**
      * call() under a RetryPolicy: on a retryable failure (see

@@ -206,9 +206,9 @@ SloTracker::observe(double latency_ms, bool ok)
     if (samples_.size() < minSamples())
         return;
     if (config_.p99Ms > 0 && windowP99Ms() > config_.p99Ms)
-        ++latencyBurns_;
+        latencyBurns_.add();
     if (config_.errorRate >= 0 && windowErrorRate() > config_.errorRate)
-        ++errorBurns_;
+        errorBurns_.add();
 }
 
 double
@@ -254,8 +254,8 @@ SloTracker::writeJsonFields(std::ostream &os) const
        << report::formatJsonNumber(windowP99Ms())
        << ", \"window_error_rate\": "
        << report::formatJsonNumber(windowErrorRate())
-       << ", \"latency_burns\": " << latencyBurns_
-       << ", \"error_burns\": " << errorBurns_;
+       << ", \"latency_burns\": " << latencyBurns()
+       << ", \"error_burns\": " << errorBurns();
 }
 
 } // namespace daemon

@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/telemetry/metrics.hh"
 #include "daemon/protocol.hh"
 
 namespace vpprof
@@ -156,7 +157,9 @@ std::optional<SloConfig> parseSloSpec(std::string_view spec,
  * BURN counter (ditto error rate). Burns therefore accumulate at
  * request rate while an objective is violated — a cheap, windowless
  * integral of "how long and how hard we were out of budget" that
- * `stats` exposes and the bench gates on.
+ * `stats` exposes and the bench gates on. The burn counters are
+ * registry counters (`daemon.slo_*_burns`), so a Prometheus scrape
+ * reads the same numbers.
  */
 class SloTracker
 {
@@ -168,8 +171,8 @@ class SloTracker
     /** Samples before evaluation starts: min(8, window). */
     size_t minSamples() const;
 
-    uint64_t latencyBurns() const { return latencyBurns_; }
-    uint64_t errorBurns() const { return errorBurns_; }
+    uint64_t latencyBurns() const { return latencyBurns_.value(); }
+    uint64_t errorBurns() const { return errorBurns_.value(); }
     uint64_t observed() const { return observed_; }
 
     /** Current window p99 latency (ms); 0 while under-sampled. */
@@ -192,8 +195,8 @@ class SloTracker
     std::deque<Sample> samples_;
     uint64_t observed_ = 0;
     uint64_t windowErrors_ = 0;
-    uint64_t latencyBurns_ = 0;
-    uint64_t errorBurns_ = 0;
+    telemetry::ScopedCounter latencyBurns_{"daemon.slo_latency_burns"};
+    telemetry::ScopedCounter errorBurns_{"daemon.slo_error_burns"};
 };
 
 } // namespace daemon

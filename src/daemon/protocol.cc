@@ -167,14 +167,6 @@ parseRequest(std::string_view line, std::string *error,
         }
         req.threshold = t->asNumber();
     }
-    if (const report::JsonValue *p = doc->get("progress")) {
-        if (!p->isBool()) {
-            if (error)
-                *error = "'progress' must be a boolean";
-            return std::nullopt;
-        }
-        req.progress = p->asBool();
-    }
     if (!readInteger<uint64_t>(*doc, "deadline_ms", 0, &req.deadlineMs,
                                error) ||
         !readInteger<uint64_t>(*doc, "target", 1, &req.cancelTarget,
@@ -244,8 +236,6 @@ requestLine(const Request &req)
     if (req.cmd == Command::Evaluate)
         os << ", \"threshold\": "
            << report::formatJsonNumber(req.threshold);
-    if (req.progress)
-        os << ", \"progress\": true";
     if (req.deadlineMs > 0)
         os << ", \"deadline_ms\": "
            << report::formatJsonNumber(
@@ -328,21 +318,6 @@ rejectionResponseLine(uint64_t id, ErrorCode code,
        << ", \"queued\": "
        << report::formatJsonNumber(static_cast<double>(queued));
     writeTraceId(os, trace_id);
-    os << "}";
-    return os.str();
-}
-
-std::string
-eventLine(uint64_t id, std::string_view event, const std::string &fields,
-          uint64_t trace_id)
-{
-    std::ostringstream os;
-    os << "{\"id\": "
-       << report::formatJsonNumber(static_cast<double>(id))
-       << ", \"event\": \"" << event << "\"";
-    writeTraceId(os, trace_id);
-    if (!fields.empty())
-        os << ", " << fields;
     os << "}";
     return os.str();
 }

@@ -6,15 +6,17 @@
  * Every line the client sends is one complete request object; every
  * line the daemon sends is one complete response or event object. A
  * request names a command and carries an `id` the daemon echoes on
- * everything it emits for that request, so a client may pipeline
- * requests freely and match answers by id (answers arrive in
- * completion order, not request order):
+ * its one answer line, so a client may pipeline requests freely and
+ * match answers by id (answers arrive in completion order, not
+ * request order):
  *
  *   -> {"id": 1, "cmd": "evaluate", "workload": "li", "input": 0,
- *       "threshold": 70, "progress": true}
- *   <- {"id": 1, "event": "accepted", "queued": 1}
- *   <- {"id": 1, "event": "progress", "queued": 0, "running": 1, ...}
+ *       "threshold": 70}
  *   <- {"id": 1, "ok": true, "cmd": "evaluate", "result": {...}}
+ *
+ * Event lines reach only a connection that issued `subscribe`; a
+ * job's lifecycle (admitted, started, completed, ...) is told there
+ * and in `journal`, never on the requesting connection.
  *
  * Failures are structured, never silent: a request the daemon will
  * not run gets `{"id": N, "ok": false, "code": "...", "error": ...}`
@@ -122,7 +124,6 @@ struct Request
     std::string workload;     ///< profile / evaluate / verify
     size_t input = 0;         ///< input-set index (default 0)
     double threshold = 70.0;  ///< evaluate: annotation threshold (%)
-    bool progress = false;    ///< subscribe to accepted/progress events
     uint64_t deadlineMs = 0;  ///< relative deadline; 0 = none
     uint64_t cancelTarget = 0;///< cancel: the request id to remove
     uint64_t traceId = 0;     ///< client-chosen trace id; 0 = mint one
@@ -154,8 +155,8 @@ std::optional<Request> parseRequest(std::string_view line,
 std::string requestLine(const Request &req);
 
 /**
- * Response/event lines (no trailing newline; the channel appends it).
- * `result_fields` / `fields` are pre-rendered JSON object members
+ * Response lines (no trailing newline; the channel appends it).
+ * `result_fields` are pre-rendered JSON object members
  * ("\"a\": 1, \"b\": 2"), empty for an empty object. A non-zero
  * `trace_id` is echoed as `"trace_id"` so clients can correlate the
  * answer with lifecycle events and the Perfetto trace.
@@ -178,9 +179,6 @@ std::string rejectionResponseLine(uint64_t id, ErrorCode code,
                                   uint64_t retry_after_ms,
                                   uint64_t queued,
                                   uint64_t trace_id = 0);
-std::string eventLine(uint64_t id, std::string_view event,
-                      const std::string &fields,
-                      uint64_t trace_id = 0);
 
 } // namespace daemon
 } // namespace vpprof

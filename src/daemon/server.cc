@@ -39,6 +39,10 @@ nowNs()
 /** A lane's start stamp once the watchdog has flagged its job. */
 constexpr uint64_t kFlaggedJob = UINT64_MAX;
 
+/** Base of the retry_after_ms hint on shedding rejections; the hint
+ *  scales with the backlog (base + 2*queued). */
+constexpr uint64_t kRetryHintBaseMs = 25;
+
 bool
 setNonBlocking(int fd)
 {
@@ -291,7 +295,7 @@ DaemonServer::laneLoop(size_t lane)
         } else {
             // The Started notice rides the completion FIFO ahead of
             // the result: the event loop owns the ring.
-            if (telemetry::kEnabled) {
+            {
                 std::lock_guard<std::mutex> lock(completionMutex_);
                 completions_.push_back(
                     {job, std::nullopt, telemetry::nowNs()});
@@ -522,17 +526,10 @@ DaemonServer::computeTimeoutMs(uint64_t now_ns) const
         return 20;
 
     uint64_t next = UINT64_MAX;
-    bool progress_wanted = false;
-    for (const auto &[fd, client] : clients_) {
-        if (!client.progressIds.empty())
-            progress_wanted = true;
+    for (const auto &[fd, client] : clients_)
         if (config_.idleTimeoutMs > 0 && client.inflight == 0)
             next = std::min(next, client.lastActivityNs +
                                       config_.idleTimeoutMs * 1'000'000);
-    }
-    if (progress_wanted)
-        next = std::min(next, lastProgressTickNs_ +
-                                  config_.progressIntervalMs * 1'000'000);
     {
         // Queued deadlines must wake the loop even when no socket is
         // readable — an expired job is answered by the timer sweep.
@@ -753,7 +750,7 @@ DaemonServer::rejectShedding(Client &client, const Request &req,
     }
     // The hint scales with the backlog the daemon can actually see:
     // an empty queue says "come right back", a deep one says wait.
-    uint64_t hint = config_.retryHintMs + 2 * queued;
+    uint64_t hint = kRetryHintBaseMs + 2 * queued;
     sendLine(client,
              rejectionResponseLine(
                  req.id, code,
@@ -766,7 +763,7 @@ void
 DaemonServer::handleCancel(Client &client, const Request &req)
 {
     // Only the caller's own QUEUED job is cancellable; a running job
-    // finishes (its completion still settles quota/progress state).
+    // finishes (its completion still settles quota).
     std::optional<Job> removed;
     {
         std::lock_guard<std::mutex> lock(jobMutex_);
@@ -794,17 +791,6 @@ DaemonServer::handleCancel(Client &client, const Request &req)
 void
 DaemonServer::handleSubscribe(Client &client, const Request &req)
 {
-    if (!telemetry::kEnabled) {
-        // Degraded mode (VPPROF_TELEMETRY=OFF): the command still
-        // parses and answers — explicitly not subscribed, so clients
-        // can tell "no events will ever come" from a hang.
-        sendLine(client,
-                 okResponseLine(req.id, req.cmd,
-                                "\"subscribed\": false, "
-                                "\"degraded\": true",
-                                req.traceId));
-        return;
-    }
     std::string error;
     if (!parseEventFilter(req.subEvents, &error)) {
         counters_.badRequests.add();
@@ -833,8 +819,7 @@ DaemonServer::handleMetrics(Client &client, const Request &req)
     // A live snapshot: merged across every thread's slots, never
     // flushed or reset — scraping is free of observable side effects.
     std::ostringstream os;
-    os << "\"telemetry_enabled\": "
-       << (telemetry::kEnabled ? "true" : "false") << ", ";
+    os << "\"telemetry_enabled\": true, ";
     if (req.format == "prometheus") {
         os << "\"text\": "
            << report::quoteJsonString(
@@ -852,14 +837,9 @@ void
 DaemonServer::handleJournal(Client &client, const Request &req)
 {
     std::ostringstream os;
-    if (!telemetry::kEnabled) {
-        os << "\"degraded\": true, \"total\": 0, \"retained\": 0, "
-              "\"events\": []";
-    } else {
-        os << "\"total\": " << events_.total()
-           << ", \"retained\": " << events_.size()
-           << ", \"events\": " << events_.renderJsonArray(req.limit);
-    }
+    os << "\"total\": " << events_.total()
+       << ", \"retained\": " << events_.size()
+       << ", \"events\": " << events_.renderJsonArray(req.limit);
     sendLine(client,
              okResponseLine(req.id, req.cmd, os.str(), req.traceId));
 }
@@ -867,8 +847,6 @@ DaemonServer::handleJournal(Client &client, const Request &req)
 void
 DaemonServer::recordJobEvent(JobEvent event)
 {
-    if (!telemetry::kEnabled)
-        return;
     if (event.tsNs == 0)
         event.tsNs = telemetry::nowNs();
     counters_.eventsEmitted.add();
@@ -957,8 +935,6 @@ DaemonServer::pumpSubscriber(Client &client, bool bounded)
 void
 DaemonServer::pollRecoveryEvents()
 {
-    if (!telemetry::kEnabled)
-        return;
     // Trace-cache self-healing (PR 3's quarantine + regeneration)
     // becomes visible in the event stream: any counter movement since
     // the last look is narrated as one Recovery event.
@@ -1000,7 +976,6 @@ DaemonServer::settleDeadJob(const Job &job, ErrorCode code,
     Client &client = clients_.at(it->second);
     if (client.inflight > 0)
         --client.inflight;
-    client.progressIds.erase(job.req.id);
     sendLine(client,
              errorResponseLine(job.req.id, code, detail,
                                job.req.traceId));
@@ -1057,13 +1032,6 @@ DaemonServer::handleJobRequest(Client &client, const Request &req)
         event.queued = admitted;
         recordJobEvent(std::move(event));
     }
-    if (req.progress) {
-        client.progressIds.insert(req.id);
-        std::ostringstream os;
-        os << "\"queued\": " << admitted;
-        sendLine(client,
-                 eventLine(req.id, "accepted", os.str(), req.traceId));
-    }
     jobCv_.notify_one();
 }
 
@@ -1104,19 +1072,7 @@ DaemonServer::drainCompletions()
             counters_.jobsFailed.add();
         uint64_t latency_ns = nowNs() - job.admitNs;
         counters_.jobLatencyUs.observe(latency_ns / 1000);
-        if (telemetry::kEnabled) {
-            // Mirror burn increments into the registry so a
-            // Prometheus scrape can alert on them; the tracker's own
-            // counters stay the `stats` source of truth.
-            uint64_t lat0 = slo_.latencyBurns();
-            uint64_t err0 = slo_.errorBurns();
-            slo_.observe(static_cast<double>(latency_ns) / 1e6,
-                         outcome.ok);
-            if (uint64_t d = slo_.latencyBurns() - lat0)
-                counters_.sloLatencyBurns.add(d);
-            if (uint64_t d = slo_.errorBurns() - err0)
-                counters_.sloErrorBurns.add(d);
-        }
+        slo_.observe(static_cast<double>(latency_ns) / 1e6, outcome.ok);
         {
             JobEvent event = jobEvent(
                 outcome.ok ? JobEventKind::Completed
@@ -1135,7 +1091,6 @@ DaemonServer::drainCompletions()
         Client &client = clients_.at(it->second);
         if (client.inflight > 0)
             --client.inflight;
-        client.progressIds.erase(job.req.id);
         if (outcome.ok)
             sendLine(client,
                      okResponseLine(job.req.id, job.req.cmd,
@@ -1193,43 +1148,6 @@ DaemonServer::handleTimers(uint64_t now_ns)
                             config_.watchdogMs, " ms (stuck job?)");
             }
         }
-
-    // Progress events for subscribed jobs, at the configured cadence.
-    if (now_ns - lastProgressTickNs_ >=
-        config_.progressIntervalMs * 1'000'000) {
-        lastProgressTickNs_ = now_ns;
-        size_t queued, running;
-        {
-            std::lock_guard<std::mutex> lock(jobMutex_);
-            queued = jobQueue_.size();
-            running = runningJobs_;
-        }
-        if (queued + running > 0) {
-            TraceRepoStats st = session_.traces().stats();
-            std::ostringstream os;
-            os << "\"queued\": " << queued << ", \"running\": "
-               << running << ", ";
-            st.writeJsonFields(os);
-            std::string fields = os.str();
-            std::vector<int> to_notify;
-            for (auto &[fd, client] : clients_)
-                if (!client.progressIds.empty())
-                    to_notify.push_back(fd);
-            for (int fd : to_notify) {
-                if (!clients_.count(fd))
-                    continue;
-                Client &client = clients_.at(fd);
-                std::set<uint64_t> ids = client.progressIds;
-                for (uint64_t id : ids) {
-                    if (!clients_.count(fd))
-                        break;
-                    counters_.progressEvents.add();
-                    sendLine(clients_.at(fd),
-                             eventLine(id, "progress", fields));
-                }
-            }
-        }
-    }
 
     // Idle closes: no complete request and nothing in flight.
     if (config_.idleTimeoutMs == 0)

@@ -21,7 +21,10 @@
  *    event-loop channel; a job's Started notice is queued before its
  *    result, so the loop records them in that order. Responses to
  *    pipelined requests go out in completion order, not request
- *    order: clients match them by `id`.
+ *    order: clients match them by `id`;
+ *  - a request gets exactly one answer line; a job's lifecycle
+ *    (admitted, started, completed, ...) is told only through the
+ *    event ring, to `subscribe` connections and `journal`.
  *
  * Robustness is first-class:
  *  - admission control: a bounded queue (maxQueue admitted jobs) with
@@ -76,7 +79,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,9 +124,6 @@ struct DaemonConfig
      *  long; 0 disables the timeout. */
     uint64_t idleTimeoutMs = 30'000;
 
-    /** Cadence of `progress` events for subscribed jobs. */
-    uint64_t progressIntervalMs = 200;
-
     /** A request line longer than this is a protocol error. */
     size_t maxLineBytes = 1 << 16;
 
@@ -135,10 +134,6 @@ struct DaemonConfig
     /** Flag a job still running after this long into telemetry +
      *  the log; 0 disables the watchdog. */
     uint64_t watchdogMs = 10'000;
-
-    /** Base of the retry_after_ms hint on shedding rejections; the
-     *  hint scales with the backlog (base + 2*queued). */
-    uint64_t retryHintMs = 25;
 
     /** Job lifecycle events the one event ring keeps (0 acts as 1):
      *  the `journal` tail, and how far a subscriber may lag before
@@ -202,8 +197,6 @@ class DaemonServer
         telemetry::ScopedCounter rejectedDraining{
             "daemon.rejected_draining"};
         telemetry::ScopedCounter writeErrors{"daemon.write_errors"};
-        telemetry::ScopedCounter progressEvents{
-            "daemon.progress_events"};
         telemetry::ScopedCounter deadlineExceeded{
             "daemon.deadline_exceeded"};
         telemetry::ScopedCounter cancelled{"daemon.cancelled"};
@@ -216,10 +209,6 @@ class DaemonServer
             "daemon.events_emitted"};
         telemetry::ScopedCounter eventsDropped{
             "daemon.events_dropped"};
-        telemetry::ScopedCounter sloLatencyBurns{
-            "daemon.slo_latency_burns"};
-        telemetry::ScopedCounter sloErrorBurns{
-            "daemon.slo_error_burns"};
         telemetry::HistogramMetric jobLatencyUs{
             "daemon.job_latency.us"};
         /** Admission to lane pickup, once per job a lane pops. */
@@ -237,10 +226,10 @@ class DaemonServer
                               &jobsCompleted,  &jobsFailed,
                               &rejectedOverloaded, &rejectedQuota,
                               &rejectedDraining, &writeErrors,
-                              &progressEvents, &deadlineExceeded,
-                              &cancelled,      &slowReaderCloses,
-                              &watchdogFlags,  &subscribes,
-                              &eventsEmitted,  &eventsDropped};
+                              &deadlineExceeded, &cancelled,
+                              &slowReaderCloses, &watchdogFlags,
+                              &subscribes,     &eventsEmitted,
+                              &eventsDropped};
         }
     };
 
@@ -295,7 +284,6 @@ class DaemonServer
         size_t outOff = 0;
         size_t inflight = 0;       ///< admitted, unanswered jobs
         uint64_t lastActivityNs = 0;
-        std::set<uint64_t> progressIds;  ///< jobs streaming progress
         std::optional<Subscription> sub;
     };
 
@@ -331,8 +319,8 @@ class DaemonServer
     void rejectShedding(Client &client, const Request &req,
                         ErrorCode code, const std::string &detail);
     /** Answer + settle one job that will never reach a lane
-     *  (deadline expiry / cancel): decrement inflight, drop progress
-     *  subscription, send the error line. */
+     *  (deadline expiry / cancel): decrement inflight, send the
+     *  error line. */
     void settleDeadJob(const Job &job, ErrorCode code,
                        const std::string &detail);
     /** Remove queued jobs past their deadline (timer sweep). */
@@ -389,7 +377,6 @@ class DaemonServer
     std::map<int, Client> clients_;            ///< by fd
     std::map<uint64_t, int> clientFdBySerial_;
     uint64_t nextClientSerial_ = 1;
-    uint64_t lastProgressTickNs_ = 0;
 
     std::thread executor_;
     mutable std::mutex jobMutex_;

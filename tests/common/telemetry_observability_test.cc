@@ -2,7 +2,8 @@
  * @file
  * Tests of the observability-plane telemetry primitives (DESIGN.md
  * §14): instant-event names surviving the strict JSON round trip
- * (escaping of quotes, control bytes and UTF-8), the Prometheus text
+ * (escaping of quotes, control bytes and UTF-8), a full per-thread
+ * span buffer overwriting its oldest events, the Prometheus text
  * serializer (naming grammar, counter/gauge/histogram shapes,
  * cumulative le buckets), and the registry's snapshot-under-load
  * guarantee — concurrent snapshots racing shard owners always read
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -45,8 +47,6 @@ TEST(JsonEscaping, ControlBytesAndUtf8SurviveStrictParsing)
     EXPECT_EQ(doc->stringOr("name", ""), nasty);
 }
 
-#if VPPROF_TELEMETRY_ENABLED
-
 TEST(JsonEscaping, InstantEventNamesRoundTripThroughTraceJson)
 {
     // Dynamic instant-event names (job lifecycle markers carry
@@ -79,7 +79,48 @@ TEST(JsonEscaping, InstantEventNamesRoundTripThroughTraceJson)
     EXPECT_TRUE(found) << "instant event not present in trace JSON";
 }
 
-#endif // VPPROF_TELEMETRY_ENABLED
+TEST(TelemetrySpans, FullThreadBufferOverwritesItsOldestEvents)
+{
+    // A thread's buffer keeps its newest kMaxEventsPerThread events:
+    // each event past the cap overwrites the oldest one and counts in
+    // telemetry.spans_dropped, and the merged trace still parses.
+    constexpr size_t kCap = SpanTracer::kMaxEventsPerThread;
+    constexpr size_t kOver = 5;
+    auto dropped = [] {
+        MetricsSnapshot snap = snapshotMetrics();
+        auto it = snap.counters.find("telemetry.spans_dropped");
+        return it == snap.counters.end() ? uint64_t{0} : it->second;
+    };
+    SpanTracer &tracer = SpanTracer::instance();
+    const size_t events_before = tracer.eventCount();
+    const uint64_t dropped_before = dropped();
+    std::thread recorder([&] {
+        // Start i us: the trace's "ts" reads back as i.
+        for (uint64_t i = 0; i < kCap + kOver; ++i)
+            tracer.record("test.ring", i * 1000, i * 1000 + 1);
+    });
+    recorder.join();
+    EXPECT_EQ(tracer.eventCount() - events_before, kCap);
+    EXPECT_EQ(dropped() - dropped_before, kOver);
+
+    std::ostringstream os;
+    tracer.writeJson(os);
+    std::string error;
+    auto doc = report::parseJson(os.str(), &error);
+    ASSERT_TRUE(doc) << error;
+    size_t kept = 0;
+    double oldest = -1;
+    for (const report::JsonValue &event :
+         doc->get("traceEvents")->asArray()) {
+        if (event.stringOr("name", "") != "test.ring")
+            continue;
+        ++kept;
+        double ts = event.numberOr("ts", -1);
+        oldest = oldest < 0 ? ts : std::min(oldest, ts);
+    }
+    EXPECT_EQ(kept, kCap);
+    EXPECT_EQ(oldest, static_cast<double>(kOver));
+}
 
 TEST(Prometheus, NameSanitization)
 {
@@ -135,9 +176,8 @@ TEST(Prometheus, CounterGaugeAndHistogramShapes)
 
 TEST(Prometheus, EmptySnapshotIsHeaderOnly)
 {
-    // The degraded (VPPROF_TELEMETRY=OFF) daemon serves an empty
-    // snapshot; the exposition must still be well-formed: comment
-    // lines only, no series.
+    // A registry with nothing recorded yet still scrapes as a
+    // well-formed exposition: comment lines only, no series.
     std::string text = prometheusText(MetricsSnapshot{});
     std::istringstream is(text);
     std::string line;
@@ -145,8 +185,6 @@ TEST(Prometheus, EmptySnapshotIsHeaderOnly)
         if (!line.empty())
             EXPECT_EQ(line[0], '#') << line;
 }
-
-#if VPPROF_TELEMETRY_ENABLED
 
 TEST(TelemetryRegistry, SnapshotUnderLoadIsMonotonic)
 {
@@ -194,8 +232,6 @@ TEST(TelemetryRegistry, SnapshotUnderLoadIsMonotonic)
     // one quiescent state.
     EXPECT_GE(snapshots, 2u);
 }
-
-#endif // VPPROF_TELEMETRY_ENABLED
 
 } // namespace
 } // namespace telemetry

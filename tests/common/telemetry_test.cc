@@ -2,9 +2,8 @@
  * @file
  * Tests of the telemetry layer: registry counters/gauges/histograms
  * merge correctly across threads, log-scale bucket boundaries land
- * where the (lo, hi] convention says, the span tracer emits valid
- * Chrome trace_event JSON (the schema Perfetto loads), and the
- * VPPROF_TELEMETRY=OFF build folds the whole layer to no-ops.
+ * where the (lo, hi] convention says, and the span tracer emits valid
+ * Chrome trace_event JSON (the schema Perfetto loads).
  */
 
 #include <gtest/gtest.h>
@@ -32,8 +31,6 @@ counterValue(const char *name)
     auto it = snap.counters.find(name);
     return it == snap.counters.end() ? 0 : it->second;
 }
-
-#if VPPROF_TELEMETRY_ENABLED
 
 TEST(TelemetryRegistry, CounterAccumulates)
 {
@@ -256,57 +253,6 @@ TEST(TelemetryOutputs, WriteMetricsFileCommitsAtomically)
         std::ifstream(path + ".tmp." + std::to_string(::getpid()))
             .good());
 }
-
-#else // !VPPROF_TELEMETRY_ENABLED
-
-TEST(TelemetryDisabled, LayerFoldsToNoOps)
-{
-    static_assert(!kEnabled);
-    // Handles exist with the same API but hold nothing.
-    Counter c("test.off_counter");
-    c.add(100);
-    Gauge g("test.off_gauge");
-    g.set(5);
-    HistogramMetric h("test.off_hist");
-    h.observe(1);
-    MetricsSnapshot snap = snapshotMetrics();
-    EXPECT_TRUE(snap.counters.empty());
-    EXPECT_TRUE(snap.gauges.empty());
-    EXPECT_TRUE(snap.histograms.empty());
-
-    // Span is an empty type: no name pointer, no timestamps.
-    static_assert(sizeof(Span) == 1);
-    SpanTracer::instance().enable();
-    {
-        VPPROF_SPAN("test.off_span");
-    }
-    EXPECT_EQ(SpanTracer::instance().eventCount(), 0u);
-    EXPECT_FALSE(SpanTracer::instance().enabled());
-}
-
-TEST(TelemetryDisabled, ScopedCountersStayExact)
-{
-    // The per-instance side must keep counting with telemetry off:
-    // TraceRepoStats is built from these values in both builds.
-    ScopedCounter c("test.off_scoped");
-    c.add(3);
-    c.add();
-    EXPECT_EQ(c.value(), 4u);
-}
-
-TEST(TelemetryDisabled, WritersEmitEmptyButValidJson)
-{
-    std::ostringstream os;
-    SpanTracer::instance().writeJson(os);
-    EXPECT_EQ(os.str(),
-              "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
-    std::ostringstream ms;
-    snapshotMetrics().writeJson(ms);
-    EXPECT_EQ(ms.str(),
-              "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
-}
-
-#endif // VPPROF_TELEMETRY_ENABLED
 
 } // namespace
 } // namespace telemetry

@@ -292,14 +292,11 @@ TEST(Session, RegistryCountersMirrorTypedStatsView)
     EXPECT_EQ(st.vmRuns, 1u);
     EXPECT_EQ(st.replays, 2u);
     EXPECT_EQ(st.uniqueTraces, 1u);
-    if (telemetry::kEnabled) {
-        EXPECT_EQ(registryCounter("trace.vm_runs") - vm_before,
-                  st.vmRuns);
-        EXPECT_EQ(registryCounter("trace.replays") - replays_before,
-                  st.replays);
-        EXPECT_EQ(registryCounter("trace.unique_traces") - unique_before,
-                  st.uniqueTraces);
-    }
+    EXPECT_EQ(registryCounter("trace.vm_runs") - vm_before, st.vmRuns);
+    EXPECT_EQ(registryCounter("trace.replays") - replays_before,
+              st.replays);
+    EXPECT_EQ(registryCounter("trace.unique_traces") - unique_before,
+              st.uniqueTraces);
 }
 
 TEST(Session, RegistryKeepsRegenerationsOutOfVmRunsUnderFaults)
@@ -333,14 +330,11 @@ TEST(Session, RegistryKeepsRegenerationsOutOfVmRunsUnderFaults)
     EXPECT_EQ(st.regenerations, 1u);
     EXPECT_EQ(st.corruptQuarantined, 1u);
     EXPECT_LE(st.vmRuns, st.uniqueTraces);
-    if (telemetry::kEnabled) {
-        EXPECT_EQ(registryCounter("trace.vm_runs") - vm_before, 1u);
-        EXPECT_EQ(registryCounter("trace.regenerations") - regen_before,
-                  1u);
-        EXPECT_EQ(registryCounter("trace.corrupt_quarantined") -
-                      quarantine_before,
-                  1u);
-    }
+    EXPECT_EQ(registryCounter("trace.vm_runs") - vm_before, 1u);
+    EXPECT_EQ(registryCounter("trace.regenerations") - regen_before, 1u);
+    EXPECT_EQ(registryCounter("trace.corrupt_quarantined") -
+                  quarantine_before,
+              1u);
     std::filesystem::remove_all(dir);
 }
 

@@ -123,8 +123,7 @@ TEST_F(DaemonFaultTest, AcceptFaultDropsOneConnectionNotTheDaemon)
     EXPECT_FALSE(doomed.connected());
 
     DaemonClient healthy = connectedClient();
-    CallResult ping = healthy.call(1, Command::Ping, "", 0, 0, false,
-                                   5000);
+    CallResult ping = healthy.call(1, Command::Ping, "", 0, 0, 5000);
     EXPECT_TRUE(ping.ok) << ping.error;
     EXPECT_EQ(server_->counters().acceptFailures.value(), 1u);
     EXPECT_EQ(stopServer(), 0);
@@ -149,8 +148,7 @@ TEST_F(DaemonFaultTest, WriteFaultDropsTheClientAndIsCounted)
 
     // Later connections write fine (trigger hit 1 already consumed).
     DaemonClient healthy = connectedClient();
-    CallResult ping = healthy.call(2, Command::Ping, "", 0, 0, false,
-                                   5000);
+    CallResult ping = healthy.call(2, Command::Ping, "", 0, 0, 5000);
     EXPECT_TRUE(ping.ok) << ping.error;
     EXPECT_EQ(stopServer(), 0);
 }
@@ -166,7 +164,7 @@ TEST_F(DaemonFaultTest, CorruptCacheMidJobCompletesViaRegeneration)
         startServer(cfg);
         DaemonClient client = connectedClient();
         CallResult r = client.call(1, Command::Profile, "compress", 0,
-                                   0, false, 120'000);
+                                   0, 120'000);
         ASSERT_TRUE(r.ok) << r.error;
         clean_digest = r.response.get("result")->numberOr("digest", -2);
         ASSERT_EQ(stopServer(), 0);
@@ -194,14 +192,12 @@ TEST_F(DaemonFaultTest, CorruptCacheMidJobCompletesViaRegeneration)
     // fail, and the recovery must be visible in the stats counters.
     startServer(cfg);
     DaemonClient client = connectedClient();
-    CallResult r = client.call(1, Command::Profile, "compress", 0, 0,
-                               false, 120'000);
+    CallResult r = client.call(1, Command::Profile, "compress", 0, 0, 120'000);
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.response.get("result")->numberOr("digest", -3),
               clean_digest);
 
-    CallResult stats = client.call(2, Command::Stats, "", 0, 0, false,
-                                   5000);
+    CallResult stats = client.call(2, Command::Stats, "", 0, 0, 5000);
     ASSERT_TRUE(stats.ok) << stats.error;
     const report::JsonValue *trace_block =
         stats.response.get("result")->get("trace");
@@ -226,15 +222,13 @@ TEST_F(DaemonFaultTest, TraceIoFaultUnderAdmittedJobStillAnswers)
     FailpointRegistry::instance().arm("trace_io.write",
                                       {FailpointAction::Fail, 0});
     DaemonClient client = connectedClient();
-    CallResult r = client.call(1, Command::Profile, "compress", 0, 0,
-                               false, 120'000);
+    CallResult r = client.call(1, Command::Profile, "compress", 0, 0, 120'000);
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_GT(r.response.get("result")->numberOr("profiled_pcs", 0),
               0.0);
 
     FailpointRegistry::instance().reset();
-    CallResult stats = client.call(2, Command::Stats, "", 0, 0, false,
-                                   5000);
+    CallResult stats = client.call(2, Command::Stats, "", 0, 0, 5000);
     ASSERT_TRUE(stats.ok) << stats.error;
     const report::JsonValue *trace_block =
         stats.response.get("result")->get("trace");

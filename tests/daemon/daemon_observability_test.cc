@@ -122,15 +122,11 @@ TEST_F(DaemonObservabilityTest, ClientTraceIdIsEchoed)
 
 TEST_F(DaemonObservabilityTest, MintedTraceIdsAreDistinct)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "trace ids degrade to 0 with telemetry off";
     startServer(baseConfig());
     DaemonClient client = connectedClient();
 
-    CallResult a = client.call(1, Command::Ping, "", 0, 0, false,
-                               5000);
-    CallResult b = client.call(2, Command::Ping, "", 0, 0, false,
-                               5000);
+    CallResult a = client.call(1, Command::Ping, "", 0, 0, 5000);
+    CallResult b = client.call(2, Command::Ping, "", 0, 0, 5000);
     ASSERT_TRUE(a.ok && b.ok);
     double ta = a.response.numberOr("trace_id", 0);
     double tb = b.response.numberOr("trace_id", 0);
@@ -141,8 +137,6 @@ TEST_F(DaemonObservabilityTest, MintedTraceIdsAreDistinct)
 
 TEST_F(DaemonObservabilityTest, JournalNarratesJobLifecycleInOrder)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "journal is degraded with telemetry off";
     startServer(baseConfig());
     DaemonClient client = connectedClient();
 
@@ -215,8 +209,6 @@ TEST_F(DaemonObservabilityTest, JournalNarratesJobLifecycleInOrder)
 
 TEST_F(DaemonObservabilityTest, QueueWaitIsObservedOncePerJob)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "registry histograms are no-ops with telemetry off";
     auto observed = [] {
         telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
         auto it = snap.histograms.find("daemon.queue_wait.us");
@@ -243,7 +235,7 @@ TEST_F(DaemonObservabilityTest, QueueWaitIsObservedOncePerJob)
         EXPECT_NE(line->find("\"ok\": true"), std::string::npos)
             << *line;
     }
-    ASSERT_TRUE(client.call(1, Command::Ping, "", 0, 0, false, 5000).ok);
+    ASSERT_TRUE(client.call(1, Command::Ping, "", 0, 0, 5000).ok);
     EXPECT_EQ(server_->counters().jobsCompleted.value(), kJobs);
     EXPECT_EQ(stopServer(), 0);
     EXPECT_EQ(observed() - before, kJobs);
@@ -251,8 +243,6 @@ TEST_F(DaemonObservabilityTest, QueueWaitIsObservedOncePerJob)
 
 TEST_F(DaemonObservabilityTest, SubscribeStreamsLifecycleEvents)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "subscriptions are degraded with telemetry off";
     startServer(baseConfig());
     DaemonClient subscriber = connectedClient();
 
@@ -297,8 +287,6 @@ TEST_F(DaemonObservabilityTest, SubscribeStreamsLifecycleEvents)
 
 TEST_F(DaemonObservabilityTest, SampleRateDownsamplesDeterministically)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "subscriptions are degraded with telemetry off";
     startServer(baseConfig());
     DaemonClient subscriber = connectedClient();
 
@@ -328,8 +316,6 @@ TEST_F(DaemonObservabilityTest, SampleRateDownsamplesDeterministically)
 
 TEST_F(DaemonObservabilityTest, SlowSubscriberShedsInsteadOfBlocking)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "subscriptions are degraded with telemetry off";
     DaemonConfig cfg = baseConfig();
     cfg.eventRingCap = 2;
     cfg.maxClientOutBufBytes = 512;
@@ -364,8 +350,6 @@ TEST_F(DaemonObservabilityTest, SlowSubscriberShedsInsteadOfBlocking)
 
 TEST_F(DaemonObservabilityTest, SampledStalledSubscriberAccountsEveryPick)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "subscriptions are degraded with telemetry off";
     DaemonConfig cfg = baseConfig();
     cfg.eventRingCap = 2;
     cfg.maxClientOutBufBytes = 512;
@@ -420,9 +404,8 @@ TEST_F(DaemonObservabilityTest, MetricsCommandServesBothFormats)
     const report::JsonValue *result = json.response.get("result");
     ASSERT_TRUE(result);
     ASSERT_TRUE(result->get("telemetry_enabled"));
-    if (telemetry::kEnabled)
-        EXPECT_TRUE(result->get("metrics") &&
-                    result->get("metrics")->get("counters"));
+    EXPECT_TRUE(result->get("metrics") &&
+                result->get("metrics")->get("counters"));
 
     req.id = 2;
     req.format = "prometheus";
@@ -432,16 +415,12 @@ TEST_F(DaemonObservabilityTest, MetricsCommandServesBothFormats)
         prom.response.get("result")->stringOr("text", "");
     ASSERT_FALSE(text.empty());
     EXPECT_EQ(text[0], '#') << "exposition must open with a comment";
-    if (telemetry::kEnabled)
-        EXPECT_NE(text.find("vpprof_daemon_requests_total"),
-                  std::string::npos)
-            << text;
+    EXPECT_NE(text.find("vpprof_daemon_requests_total"), std::string::npos)
+        << text;
 }
 
 TEST_F(DaemonObservabilityTest, PrometheusExpositionFollowsTextGrammar)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "telemetry disabled at build time";
     startServer(baseConfig());
     DaemonClient driver = connectedClient();
     DaemonClient scraper = connectedClient();
@@ -490,8 +469,6 @@ TEST_F(DaemonObservabilityTest, PrometheusExpositionFollowsTextGrammar)
 
 TEST_F(DaemonObservabilityTest, DrainDeliversPendingCompletedEventBeforeEof)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "telemetry disabled at build time";
     startServer(baseConfig());
 
     DaemonClient sub = connectedClient();
@@ -500,16 +477,21 @@ TEST_F(DaemonObservabilityTest, DrainDeliversPendingCompletedEventBeforeEof)
         5000);
     ASSERT_TRUE(ack.ok) << ack.error;
 
-    // progress=true: the `accepted` event proves ADMISSION before the
+    // The subscriber's `admitted` event proves ADMISSION before the
     // drain begins (a drain-rejected job would void the test).
     DaemonClient job = connectedClient();
     ASSERT_TRUE(job.sendLine(
         R"({"id": 2, "cmd": "verify", "workload": "li", "input": 0,)"
-        R"( "progress": true})"));
-    std::optional<std::string> accepted = job.readLine(30'000);
-    ASSERT_TRUE(accepted) << job.lastError();
-    EXPECT_NE(accepted->find("\"accepted\""), std::string::npos)
-        << *accepted;
+        R"( "trace_id": 31})"));
+    bool admitted = false;
+    while (!admitted) {
+        std::optional<std::string> line = sub.readLine(30'000);
+        ASSERT_TRUE(line) << sub.lastError();
+        auto doc = report::parseJson(*line);
+        ASSERT_TRUE(doc) << *line;
+        admitted = doc->numberOr("trace_id", 0) == 31.0 &&
+                   doc->stringOr("kind", "") == "admitted";
+    }
 
     // Drain mid-flight: the admitted job completes, and the subscriber
     // receives its completed lifecycle event before a clean EOF.
@@ -525,8 +507,6 @@ TEST_F(DaemonObservabilityTest, DrainDeliversPendingCompletedEventBeforeEof)
     EXPECT_EQ(sub.lastReason(), CallReason::Eof);
     EXPECT_EQ(stopServer(), 0);
 }
-
-#if VPPROF_TELEMETRY_ENABLED
 
 TEST_F(DaemonObservabilityTest, SpanTreeReconstructsFromPerfettoTrace)
 {
@@ -582,9 +562,9 @@ TEST_F(DaemonObservabilityTest, SpansSubscriptionIsRejectedAndNeverArmsTracer)
 {
     // A `spans` subscription used to arm the process-wide span tracer
     // for the rest of the daemon's life, so every later job appended
-    // its spans to per-thread buffers that are never truncated. Spans
-    // leave only through --trace-json now: the request is a
-    // bad_request and recording stays off.
+    // its spans to per-thread buffers. Spans leave only through
+    // --trace-json now: the request is a bad_request and recording
+    // stays off.
     telemetry::SpanTracer &tracer = telemetry::SpanTracer::instance();
     ASSERT_FALSE(tracer.enabled());
     const size_t events_before = tracer.eventCount();
@@ -609,8 +589,6 @@ TEST_F(DaemonObservabilityTest, SpansSubscriptionIsRejectedAndNeverArmsTracer)
     EXPECT_FALSE(tracer.enabled());
     EXPECT_EQ(tracer.eventCount(), events_before);
 }
-
-#endif // VPPROF_TELEMETRY_ENABLED
 
 // ---- pure observe.hh units (no sockets) --------------------------
 

@@ -354,8 +354,7 @@ TEST_F(DaemonResilienceTest, SlowReaderIsDisconnectedAtTheBufferBound)
     // The daemon itself is healthy: a fresh, well-behaved client is
     // served normally.
     DaemonClient healthy = connectedClient();
-    CallResult ping = healthy.call(1, Command::Ping, "", 0, 0, false,
-                                   5000);
+    CallResult ping = healthy.call(1, Command::Ping, "", 0, 0, 5000);
     EXPECT_TRUE(ping.ok) << ping.error;
     EXPECT_EQ(stopServer(), 0);
 }
@@ -388,8 +387,6 @@ TEST_F(DaemonResilienceTest, WatchdogFlagsEachStuckJob)
     EXPECT_EQ(st.jobsCompleted.value(), 2u);
 
     // Job 2 started while job 1 was still running.
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "the journal is degraded with telemetry off";
     CallResult journal = client.call(
         R"({"id": 3, "cmd": "journal"})", 3, 5000);
     ASSERT_TRUE(journal.ok) << journal.error;
@@ -418,7 +415,7 @@ TEST_F(DaemonResilienceTest, QuickJobIsAnsweredBeforeASlowerEarlierOne)
     startServer(cfg);
     DaemonClient client = connectedClient();
     CallResult warm = client.call(1, Command::Profile, "compress", 0, 0,
-                                  false, 120'000);
+                                  120'000);
     ASSERT_TRUE(warm.ok) << warm.error;
 
     // Job 2 sleeps 600 ms in dispatch. Job 3, a memoized profile, is
@@ -506,8 +503,7 @@ TEST_F(DaemonResilienceTest, CallWithRetryReconnectsAcrossAWriteFault)
 {
     startServer(baseConfig());
     DaemonClient client = connectedClient();
-    CallResult warm = client.call(1, Command::Ping, "", 0, 0, false,
-                                  5000);
+    CallResult warm = client.call(1, Command::Ping, "", 0, 0, 5000);
     ASSERT_TRUE(warm.ok) << warm.error;
 
     // The daemon's next write fails and the connection is dropped

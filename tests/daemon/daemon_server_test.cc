@@ -108,13 +108,11 @@ TEST_F(DaemonServerTest, PingAndStatsRoundTrip)
     startServer(baseConfig());
     DaemonClient client = connectedClient();
 
-    CallResult ping = client.call(1, Command::Ping, "", 0, 0, false,
-                                  5000);
+    CallResult ping = client.call(1, Command::Ping, "", 0, 0, 5000);
     ASSERT_TRUE(ping.ok) << ping.error;
     EXPECT_EQ(ping.response.stringOr("cmd", ""), "ping");
 
-    CallResult stats = client.call(2, Command::Stats, "", 0, 0, false,
-                                   5000);
+    CallResult stats = client.call(2, Command::Stats, "", 0, 0, 5000);
     ASSERT_TRUE(stats.ok) << stats.error;
     const report::JsonValue *result = stats.response.get("result");
     ASSERT_TRUE(result);
@@ -168,8 +166,7 @@ TEST_F(DaemonServerTest, StatsResponseKeepsItsKeyOrder)
 {
     startServer(baseConfig());
     DaemonClient client = connectedClient();
-    CallResult stats = client.call(1, Command::Stats, "", 0, 0, false,
-                                   5000);
+    CallResult stats = client.call(1, Command::Stats, "", 0, 0, 5000);
     ASSERT_TRUE(stats.ok) << stats.error;
 
     size_t result = stats.raw.find("\"result\": ");
@@ -188,13 +185,12 @@ TEST_F(DaemonServerTest, StatsResponseKeepsItsKeyOrder)
         "jobs_completed",     "jobs_failed",
         "rejected_overloaded", "rejected_quota",
         "rejected_draining",  "write_errors",
-        "progress_events",    "deadline_exceeded",
-        "cancelled",          "slow_reader_closes",
-        "watchdog_flags",     "subscribes",
-        "events_emitted",     "events_dropped",
-        "queued",             "running",
-        "clients"};
-    ASSERT_EQ(daemon_keys.size(), 25u);
+        "deadline_exceeded",  "cancelled",
+        "slow_reader_closes", "watchdog_flags",
+        "subscribes",         "events_emitted",
+        "events_dropped",     "queued",
+        "running",            "clients"};
+    ASSERT_EQ(daemon_keys.size(), 24u);
     EXPECT_EQ(topLevelKeys(result_text.substr(daemon + 10)), daemon_keys)
         << stats.raw;
 }
@@ -221,18 +217,16 @@ TEST_F(DaemonServerTest, BadRequestsAreStructuredRejections)
     EXPECT_EQ(doc->stringOr("code", ""), "bad_request");
 
     // Unknown workload and out-of-range input are job-level failures.
-    CallResult unknown = client.call(3, Command::Profile, "nope", 0, 0,
-                                     false, 5000);
+    CallResult unknown = client.call(3, Command::Profile, "nope", 0, 0, 5000);
     EXPECT_FALSE(unknown.ok);
     EXPECT_EQ(unknown.code, "unknown_workload");
     CallResult bad_input = client.call(4, Command::Profile, "compress",
-                                       99, 0, false, 5000);
+                                       99, 0, 5000);
     EXPECT_FALSE(bad_input.ok);
     EXPECT_EQ(bad_input.code, "bad_input");
 
     // The connection survived all four rejections.
-    CallResult ping = client.call(5, Command::Ping, "", 0, 0, false,
-                                  5000);
+    CallResult ping = client.call(5, Command::Ping, "", 0, 0, 5000);
     EXPECT_TRUE(ping.ok) << ping.error;
 }
 
@@ -243,7 +237,7 @@ TEST_F(DaemonServerTest, EvaluateMatchesDirectSessionBitForBit)
     DaemonClient client = connectedClient();
 
     CallResult r = client.call(1, Command::Evaluate, "compress", 0,
-                               70.0, false, 120'000);
+                               70.0, 120'000);
     ASSERT_TRUE(r.ok) << r.error;
     const report::JsonValue *result = r.response.get("result");
     ASSERT_TRUE(result);
@@ -282,8 +276,7 @@ TEST_F(DaemonServerTest, ProfileDigestMatchesDirectSession)
     startServer(baseConfig());
     DaemonClient client = connectedClient();
 
-    CallResult r = client.call(1, Command::Profile, "compress", 1, 0,
-                               false, 120'000);
+    CallResult r = client.call(1, Command::Profile, "compress", 1, 0, 120'000);
     ASSERT_TRUE(r.ok) << r.error;
     const report::JsonValue *result = r.response.get("result");
     ASSERT_TRUE(result);
@@ -302,8 +295,7 @@ TEST_F(DaemonServerTest, VerifyRunsTheWorkload)
 {
     startServer(baseConfig());
     DaemonClient client = connectedClient();
-    CallResult r = client.call(1, Command::Verify, "compress", 0, 0,
-                               false, 120'000);
+    CallResult r = client.call(1, Command::Verify, "compress", 0, 0, 120'000);
     ASSERT_TRUE(r.ok) << r.error;
     const report::JsonValue *result = r.response.get("result");
     ASSERT_TRUE(result);
@@ -387,7 +379,7 @@ TEST_F(DaemonServerTest, PerClientQuotaIsEnforced)
 
     // The quota freed up once job 1 answered: job 3 is admitted.
     CallResult r3 = client.call(3, Command::Profile, "compress", 0, 0,
-                                false, 120'000);
+                                120'000);
     EXPECT_TRUE(r3.ok) << r3.error;
 }
 
@@ -423,8 +415,7 @@ TEST_F(DaemonServerTest, ShutdownRefusesNewConnections)
     DaemonConfig cfg = baseConfig();
     startServer(cfg);
     DaemonClient client = connectedClient();
-    CallResult r = client.call(1, Command::Shutdown, "", 0, 0, false,
-                               5000);
+    CallResult r = client.call(1, Command::Shutdown, "", 0, 0, 5000);
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(stopServer(), 0);
 
@@ -447,8 +438,7 @@ TEST_F(DaemonServerTest, SigtermStyleShutdownFlushesTelemetry)
 
     startServer(baseConfig());
     DaemonClient client = connectedClient();
-    CallResult ping = client.call(1, Command::Ping, "", 0, 0, false,
-                                  5000);
+    CallResult ping = client.call(1, Command::Ping, "", 0, 0, 5000);
     ASSERT_TRUE(ping.ok) << ping.error;
 
     server_->requestShutdown();  // the signal handler's exact call
@@ -460,12 +450,8 @@ TEST_F(DaemonServerTest, SigtermStyleShutdownFlushesTelemetry)
     content << in.rdbuf();
     auto doc = report::parseJson(content.str());
     ASSERT_TRUE(doc) << "metrics file is not valid JSON";
-    // With telemetry compiled out the registry is a no-op, so the
-    // flushed snapshot is legitimately empty — the drain contract is
-    // only that the file gets written.
-    if (telemetry::kEnabled)
-        EXPECT_NE(content.str().find("daemon.connections"),
-                  std::string::npos);
+    EXPECT_NE(content.str().find("daemon.connections"),
+              std::string::npos);
     fs::remove(metrics_path);
 }
 
@@ -486,18 +472,47 @@ TEST_F(DaemonServerTest, IdleConnectionsAreClosed)
 
 TEST_F(DaemonServerTest, ProgressEventsStreamForSubscribedJobs)
 {
+    // A job's lifecycle is told once, to lifecycle subscribers; the
+    // requesting connection gets its one answer line. An old client
+    // that still sends "progress": true is answered the same way.
     startServer(baseConfig());
-    DaemonClient client = connectedClient();
+    DaemonClient subscriber = connectedClient();
+    CallResult ack = subscriber.call(
+        R"({"id": 1, "cmd": "subscribe", "events": "lifecycle"})", 1,
+        5000);
+    ASSERT_TRUE(ack.ok) << ack.error;
 
-    CallResult r = client.call(1, Command::Profile, "compress", 0, 0,
-                               true, 120'000);
-    ASSERT_TRUE(r.ok) << r.error;
-    // At minimum the immediate `accepted` event; a cold profile job
-    // usually also yields >= 1 periodic `progress` event.
-    ASSERT_FALSE(r.events.empty());
-    auto accepted = report::parseJson(r.events.front());
-    ASSERT_TRUE(accepted);
-    EXPECT_EQ(accepted->stringOr("event", ""), "accepted");
+    DaemonClient client = connectedClient();
+    ASSERT_TRUE(client.sendLine(
+        R"({"id": 2, "cmd": "profile", "workload": "compress",)"
+        R"( "input": 0, "progress": true, "trace_id": 57})"));
+    std::optional<std::string> answer = client.readLine(120'000);
+    ASSERT_TRUE(answer) << client.lastError();
+    auto doc = report::parseJson(*answer);
+    ASSERT_TRUE(doc) << *answer;
+    EXPECT_FALSE(doc->get("event")) << *answer;
+    EXPECT_DOUBLE_EQ(doc->numberOr("id", 0), 2.0);
+    EXPECT_NE(answer->find("\"ok\": true"), std::string::npos) << *answer;
+    // Nothing else was queued for this connection: the next line is
+    // the answer to the next request.
+    CallResult ping = client.call(3, Command::Ping, "", 0, 0, 5000);
+    ASSERT_TRUE(ping.ok) << ping.error;
+
+    std::vector<std::string> kinds;
+    while (kinds.empty() || kinds.back() != "completed") {
+        std::optional<std::string> line = subscriber.readLine(10'000);
+        ASSERT_TRUE(line) << "stream went quiet after " << kinds.size()
+                          << " events";
+        auto event = report::parseJson(*line);
+        ASSERT_TRUE(event) << *line;
+        if (event->numberOr("trace_id", 0) != 57.0)
+            continue;
+        kinds.push_back(event->stringOr("kind", ""));
+        if (kinds.back() == "admitted")
+            EXPECT_TRUE(event->get("queued")) << *line;
+    }
+    EXPECT_EQ(kinds, (std::vector<std::string>{"received", "admitted",
+                                               "started", "completed"}));
 }
 
 TEST_F(DaemonServerTest, OversizedRequestLineIsRejected)
@@ -536,7 +551,7 @@ TEST_F(DaemonServerTest, ManyClientsShareOneTraceRepository)
             if (!client.connect(socket, &error))
                 return;
             CallResult r = client.call(1, Command::Profile, "compress",
-                                       0, 0, false, 120'000);
+                                       0, 0, 120'000);
             if (r.ok && r.response.get("result"))
                 digests[i] =
                     r.response.get("result")->numberOr("digest", -2);
@@ -618,11 +633,9 @@ TEST_F(DaemonServerTest, TwoDaemonsOnOneCacheCaptureEachTraceOnce)
     DaemonClient client_a = connectedClient();
     DaemonClient client_b;
     ASSERT_TRUE(client_b.connect(cfg_b.socketPath, &error)) << error;
-    CallResult job_a = client_a.call(1, Command::Profile, "li", 0, 0,
-                                     false, 120'000);
+    CallResult job_a = client_a.call(1, Command::Profile, "li", 0, 0, 120'000);
     ASSERT_TRUE(job_a.ok) << job_a.error;
-    CallResult job_b = client_b.call(2, Command::Profile, "li", 0, 0,
-                                     false, 120'000);
+    CallResult job_b = client_b.call(2, Command::Profile, "li", 0, 0, 120'000);
     ASSERT_TRUE(job_b.ok) << job_b.error;
     EXPECT_EQ(job_a.response.get("result")->numberOr("digest", -1),
               job_b.response.get("result")->numberOr("digest", -2));
@@ -631,8 +644,7 @@ TEST_F(DaemonServerTest, TwoDaemonsOnOneCacheCaptureEachTraceOnce)
     // its trace from the disk A wrote.
     double vm_runs = 0;
     for (DaemonClient *client : {&client_a, &client_b}) {
-        CallResult stats = client->call(3, Command::Stats, "", 0, 0,
-                                        false, 5000);
+        CallResult stats = client->call(3, Command::Stats, "", 0, 0, 5000);
         ASSERT_TRUE(stats.ok) << stats.error;
         vm_runs += stats.response.get("result")
                        ->get("trace")

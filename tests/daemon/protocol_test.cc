@@ -26,11 +26,12 @@ TEST(Protocol, ParsesMinimalPing)
     ASSERT_TRUE(req) << error;
     EXPECT_EQ(req->id, 7u);
     EXPECT_EQ(req->cmd, Command::Ping);
-    EXPECT_FALSE(req->progress);
 }
 
 TEST(Protocol, ParsesFullJobRequest)
 {
+    // An old client's "progress" key is one the parser does not read:
+    // it is ignored, like any other unknown key.
     std::string error;
     auto req = parseRequest(
         R"({"id": 3, "cmd": "evaluate", "workload": "li", "input": 2,)"
@@ -42,7 +43,6 @@ TEST(Protocol, ParsesFullJobRequest)
     EXPECT_EQ(req->workload, "li");
     EXPECT_EQ(req->input, 2u);
     EXPECT_DOUBLE_EQ(req->threshold, 85.5);
-    EXPECT_TRUE(req->progress);
 }
 
 TEST(Protocol, RejectsMalformedDocuments)
@@ -76,9 +76,7 @@ TEST(Protocol, RejectsBadFieldTypes)
         R"( "threshold": "high"})",
         &error));
     EXPECT_FALSE(parseRequest(
-        R"({"id": 1, "cmd": "profile", "workload": "li",)"
-        R"( "progress": 1})",
-        &error));
+        R"({"id": 1, "cmd": "subscribe", "events": 3})", &error));
 }
 
 TEST(Protocol, IntegerFieldsRejectFractionsAndOutOfRange)
@@ -197,7 +195,6 @@ TEST(Protocol, RequestLinesRoundTrip)
     profile.cmd = Command::Profile;
     profile.workload = "compress";
     profile.input = 3;
-    profile.progress = true;
     cases.push_back(profile);
     Request evaluate;
     evaluate.id = 3;
@@ -215,7 +212,6 @@ TEST(Protocol, RequestLinesRoundTrip)
         EXPECT_EQ(parsed->workload, req.workload);
         EXPECT_EQ(parsed->input, req.input);
         EXPECT_DOUBLE_EQ(parsed->threshold, req.threshold);
-        EXPECT_EQ(parsed->progress, req.progress);
     }
 }
 
@@ -247,12 +243,6 @@ TEST(Protocol, ResponseLinesAreStrictJson)
     EXPECT_EQ(edoc->stringOr("code", ""), "overloaded");
     EXPECT_EQ(edoc->stringOr("error", ""),
               "queue full \"now\"\n back off");
-
-    auto ev = report::parseJson(
-        eventLine(5, "progress", "\"queued\": 2, \"running\": 1"));
-    ASSERT_TRUE(ev);
-    EXPECT_EQ(ev->stringOr("event", ""), "progress");
-    EXPECT_DOUBLE_EQ(ev->numberOr("queued", -1), 2.0);
 }
 
 TEST(Protocol, ErrorCodeNamesAreStable)

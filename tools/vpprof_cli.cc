@@ -758,7 +758,7 @@ cmdDaemonClient(const DaemonClientOptions &opt, int nrest, char **rest)
             if (const report::JsonValue *s = res->get("subscribed"))
                 subscribed = s->isBool() && s->asBool();
         if (!subscribed)
-            return 0;  // degraded (telemetry off): ack printed, done
+            return 0;  // the daemon declined: ack printed, done
         return streamSubscription(client, opt);
     }
     return 0;

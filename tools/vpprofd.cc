@@ -62,9 +62,6 @@ usage()
         "(default 4 MiB)\n"
         "  --watchdog-ms N      flag a job running longer than\n"
         "                       N ms (0 = off; default 10000)\n"
-        "  --retry-hint-ms N    base retry_after_ms hint on shedding "
-        "rejections\n"
-        "                       (default 25)\n"
         "  --event-ring N       job lifecycle events retained (N >= 1;\n"
         "                       default 256): the `journal` tail, and how\n"
         "                       far a slow subscriber may lag before it\n"
@@ -74,14 +71,16 @@ usage()
         "                       burn counters surface in `stats`\n"
         "  --slo-window N       answered jobs in the SLO window "
         "(default 256)\n"
-        "  --trace-json FILE    Chrome trace_event span timeline\n"
+        "  --trace-json FILE    Chrome trace_event span timeline (each\n"
+        "                       thread keeps its latest 16384 events)\n"
         "  --metrics-out FILE   metrics snapshot JSON (written on "
         "drain)\n"
         "  --stats              print the `stats` result object on exit\n"
         "                       (stderr)\n"
         "The live registry is the `metrics` command (JSON or Prometheus\n"
         "text; scrape it with `vpprof_cli daemon-client metrics\n"
-        "--prometheus`); lifecycle events are `subscribe` and `journal`.\n");
+        "--prometheus`). A request gets one answer line; a job's\n"
+        "lifecycle events are told only through `subscribe` and `journal`.\n");
     return 2;
 }
 
@@ -170,8 +169,6 @@ main(int argc, char **argv)
                 vpprof_fatal("--max-outbuf-bytes must be >= 1 (got 0)");
         } else if (flag == "--watchdog-ms") {
             cfg.watchdogMs = parseUintFlag("--watchdog-ms", value);
-        } else if (flag == "--retry-hint-ms") {
-            cfg.retryHintMs = parseUintFlag("--retry-hint-ms", value);
         } else if (flag == "--event-ring") {
             cfg.eventRingCap = static_cast<size_t>(
                 parseUintFlag("--event-ring", value));
