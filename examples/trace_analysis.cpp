@@ -30,20 +30,33 @@ main(int argc, char **argv)
     // Capture once.
     std::string path = std::string("/tmp/vpprof_") + name + ".trace";
     {
-        TraceFileWriter writer(path);
-        runTrace(*workload, 0, &writer);
-        writer.close();
+        ColumnarTraceBuilder builder;
+        runTrace(*workload, 0, &builder);
+        ColumnarTrace trace = builder.take();
+        TraceIoStatus st = writeColumnarTraceFile(path, trace);
+        if (st != TraceIoStatus::Ok) {
+            std::fprintf(stderr, "cannot write %s (%s)\n", path.c_str(),
+                         traceIoStatusName(st));
+            return 1;
+        }
         std::printf("captured %llu records -> %s\n",
-                    static_cast<unsigned long long>(
-                        writer.recordsWritten()),
+                    static_cast<unsigned long long>(trace.records),
                     path.c_str());
+    }
+
+    // Open once; every analysis below replays the same mapped file.
+    TraceIoStatus st = TraceIoStatus::Ok;
+    auto reader = TraceFileReader::tryOpen(path, &st);
+    if (!reader) {
+        std::fprintf(stderr, "cannot read %s (%s)\n", path.c_str(),
+                     traceIoStatusName(st));
+        return 1;
     }
 
     // Analysis 1: profile from the file.
     {
-        TraceFileReader reader(path);
         ProfileCollector collector(name);
-        reader.replay(&collector);
+        reader->replay(&collector);
         const ProfileImage img = collector.takeImage();
         uint64_t attempts = 0, correct = 0;
         for (const auto &[pc, p] : img.entries()) {
@@ -59,9 +72,8 @@ main(int argc, char **argv)
 
     // Analysis 2: windowed ILP from the file.
     {
-        TraceFileReader reader(path);
         DataflowEngine engine(IlpConfig{}, VpPolicy::None, nullptr);
-        reader.replay(&engine);
+        reader->replay(&engine);
         std::printf("windowed ILP    : %.2f (40-entry window)\n",
                     engine.result().ilp());
     }
@@ -69,9 +81,8 @@ main(int argc, char **argv)
     // Analysis 3: dataflow critical path, plain and collapsed.
     uint64_t plain_path = 0;
     {
-        TraceFileReader reader(path);
         CriticalPathAnalyzer analyzer;
-        reader.replay(&analyzer);
+        reader->replay(&analyzer);
         CriticalPathResult r = analyzer.finish();
         plain_path = r.pathLength;
         std::printf("dataflow limit  : ILP %.2f (critical path "
@@ -89,11 +100,10 @@ main(int argc, char **argv)
         std::printf("\n");
     }
     {
-        TraceFileReader reader(path);
         CriticalPathConfig cfg;
         cfg.collapseCorrectPredictions = true;
         CriticalPathAnalyzer analyzer(cfg);
-        reader.replay(&analyzer);
+        reader->replay(&analyzer);
         CriticalPathResult r = analyzer.finish();
         std::printf("with VP oracle  : ILP %.2f (path %llu, %.1fx "
                     "shorter)\n",
@@ -106,5 +116,6 @@ main(int argc, char **argv)
     std::printf("\nValue prediction shortens the dataflow critical "
                 "path itself — the\nmechanism by which the paper's "
                 "Table 5.2 gains arise.\n");
+    std::remove(path.c_str());
     return 0;
 }

@@ -11,18 +11,20 @@ namespace
 {
 
 // Registered lazily so the registry exists whenever the first
-// diagnostic fires, however early in static initialization.
-const telemetry::Counter &
+// diagnostic fires, however early in static initialization. Each is
+// the one count of its signal: warningsEmitted()/warningsSuppressed()
+// read it, and the registry exports it.
+telemetry::ScopedCounter &
 warningsEmittedCounter()
 {
-    static const telemetry::Counter counter("log.warnings.emitted");
+    static telemetry::ScopedCounter counter("log.warnings.emitted");
     return counter;
 }
 
-const telemetry::Counter &
+telemetry::ScopedCounter &
 warningsSuppressedCounter()
 {
-    static const telemetry::Counter counter("log.warnings.suppressed");
+    static telemetry::ScopedCounter counter("log.warnings.suppressed");
     return counter;
 }
 
@@ -97,29 +99,13 @@ fatalImpl(const char *file, int line, const std::string &msg)
     std::exit(1);
 }
 
-namespace
-{
-
-std::atomic<uint64_t> totalWarnings{0};
-std::atomic<uint64_t> totalSuppressed{0};
-
-void
-countSuppressed()
-{
-    totalSuppressed.fetch_add(1, std::memory_order_relaxed);
-    warningsSuppressedCounter().add();
-}
-
-} // namespace
-
 void
 warnImpl(const std::string &msg)
 {
     if (logLevel() < LogLevel::Warn) {
-        countSuppressed();
+        warningsSuppressedCounter().add();
         return;
     }
-    totalWarnings.fetch_add(1, std::memory_order_relaxed);
     warningsEmittedCounter().add();
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
@@ -131,7 +117,7 @@ warnLimitedImpl(std::atomic<uint64_t> &count, uint64_t limit,
     // A level below Warn suppresses without consuming the call site's
     // rate budget: raising the level later still shows `limit` lines.
     if (logLevel() < LogLevel::Warn) {
-        countSuppressed();
+        warningsSuppressedCounter().add();
         return;
     }
     uint64_t n = count.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -141,7 +127,7 @@ warnLimitedImpl(std::atomic<uint64_t> &count, uint64_t limit,
         warnImpl(concat("(suppressing further occurrences of this "
                         "warning after ", limit, ")"));
     } else {
-        countSuppressed();
+        warningsSuppressedCounter().add();
     }
 }
 
@@ -167,13 +153,13 @@ debugImpl(const std::string &msg)
 uint64_t
 warningsEmitted()
 {
-    return detail::totalWarnings.load(std::memory_order_relaxed);
+    return warningsEmittedCounter().value();
 }
 
 uint64_t
 warningsSuppressed()
 {
-    return detail::totalSuppressed.load(std::memory_order_relaxed);
+    return warningsSuppressedCounter().value();
 }
 
 } // namespace vpprof

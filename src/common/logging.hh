@@ -83,13 +83,16 @@ void debugImpl(const std::string &msg);
 
 } // namespace detail
 
-/** Warnings emitted so far, process wide (tests and health checks). */
+/**
+ * Warnings emitted so far, process wide (tests and health checks): the
+ * value of the `log.warnings.emitted` telemetry counter.
+ */
 uint64_t warningsEmitted();
 
 /**
  * Warnings suppressed so far (by the level knob or a call site's rate
- * limit), process wide. Mirrors the `log.warnings.suppressed`
- * telemetry counter for surfaces like the daemon `stats` response.
+ * limit), process wide: the value of the `log.warnings.suppressed`
+ * telemetry counter, for surfaces like the daemon `stats` response.
  */
 uint64_t warningsSuppressed();
 

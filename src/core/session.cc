@@ -51,23 +51,6 @@ traceFileName(const std::string &workload, size_t input_idx)
     return os.str();
 }
 
-/** Block sink that re-assembles records for a record-level consumer. */
-class RecordFanBlockSink : public TraceBlockSink
-{
-  public:
-    explicit RecordFanBlockSink(TraceSink *sink) : sink_(sink) {}
-
-    void
-    consumeBlock(const TraceBlockView &block) override
-    {
-        for (uint32_t i = 0; i < block.count; ++i)
-            sink_->record(block.record(i));
-    }
-
-  private:
-    TraceSink *sink_;
-};
-
 } // namespace
 
 TraceRepository::TraceRepository(const SessionConfig &config)

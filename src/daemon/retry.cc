@@ -46,8 +46,7 @@ RetryState::next(const CallResult &result, Command cmd, uint64_t now_ms)
     }
 
     double raw = static_cast<double>(policy_.backoffBaseMs) *
-                 std::pow(policy_.backoffMultiplier,
-                          static_cast<double>(attempts_ - 1));
+                 std::pow(2.0, static_cast<double>(attempts_ - 1));
     uint64_t delay =
         raw >= static_cast<double>(policy_.backoffMaxMs)
             ? policy_.backoffMaxMs
@@ -59,7 +58,7 @@ RetryState::next(const CallResult &result, Command cmd, uint64_t now_ms)
         uint64_t half = delay / 2;
         delay = half + rng_.nextBelow(delay - half + 1);
     }
-    if (policy_.honorRetryAfter && result.retryAfterMs > delay)
+    if (result.retryAfterMs > delay)
         delay = result.retryAfterMs;
     if (policy_.deadlineBudgetMs > 0 &&
         (now_ms - startMs_) + delay >= policy_.deadlineBudgetMs) {

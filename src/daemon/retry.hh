@@ -55,11 +55,11 @@ struct RetryPolicy
     /** Total attempts including the first; 1 disables retrying. */
     size_t maxAttempts = 4;
 
-    /** First retry delay before jitter; doubles each further retry. */
+    /**
+     * First retry delay before jitter; doubles each further retry
+     * (delay = base * 2^(n-1)).
+     */
     uint64_t backoffBaseMs = 50;
-
-    /** Backoff growth per retry (delay = base * multiplier^(n-1)). */
-    double backoffMultiplier = 2.0;
 
     /** Cap on the un-jittered delay. */
     uint64_t backoffMaxMs = 5'000;
@@ -72,9 +72,6 @@ struct RetryPolicy
      * a retry whose delay would land past it is not taken. 0 = none.
      */
     uint64_t deadlineBudgetMs = 0;
-
-    /** Floor delays at the daemon's retry_after_ms hint. */
-    bool honorRetryAfter = true;
 };
 
 /** One planner verdict: retry after delayMs, or give up (why). */

@@ -496,30 +496,4 @@ decodeTraceBlock(const uint8_t *data, size_t size,
     return TraceBlockStatus::Ok;
 }
 
-uint64_t
-replayColumnarTrace(const ColumnarTrace &trace, TraceBlockScratch &scratch,
-                    TraceBlockSink *sink)
-{
-    const uint8_t *data = trace.bytes.data();
-    size_t remaining = trace.bytes.size();
-    uint64_t delivered = 0;
-    while (remaining > 0) {
-        TraceBlockView view;
-        size_t consumed = 0;
-        TraceBlockStatus st = decodeTraceBlock(data, remaining, scratch,
-                                               view, &consumed, false);
-        if (st != TraceBlockStatus::Ok)
-            vpprof_panic("in-memory columnar trace failed to decode "
-                         "(memory corruption)");
-        sink->consumeBlock(view);
-        delivered += view.count;
-        data += consumed;
-        remaining -= consumed;
-    }
-    if (delivered != trace.records)
-        vpprof_panic("in-memory columnar trace record count mismatch: ",
-                     delivered, " decoded vs ", trace.records, " captured");
-    return delivered;
-}
-
 } // namespace vpprof

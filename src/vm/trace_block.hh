@@ -160,6 +160,23 @@ class TraceBlockSink
     virtual void consumeBlock(const TraceBlockView &block) = 0;
 };
 
+/** Block sink that re-assembles records for a record-level consumer. */
+class RecordFanBlockSink : public TraceBlockSink
+{
+  public:
+    explicit RecordFanBlockSink(TraceSink *sink) : sink_(sink) {}
+
+    void
+    consumeBlock(const TraceBlockView &block) override
+    {
+        for (uint32_t i = 0; i < block.count; ++i)
+            sink_->record(block.record(i));
+    }
+
+  private:
+    TraceSink *sink_;
+};
+
 /**
  * Accumulates records and emits encoded blocks. flush() appends one
  * encoded block (header + compressed columns) for the buffered
@@ -268,7 +285,8 @@ struct ColumnarTrace
 /**
  * TraceSink that captures a stream into a ColumnarTrace (the VM's
  * capture path: records encode on the fly, so a 1M-instruction run
- * never materializes 64-byte AoS records).
+ * never materializes 64-byte AoS records). Every trace file is written
+ * from one: take() the trace, then writeColumnarTraceFile (trace_io).
  */
 class ColumnarTraceBuilder : public TraceSink
 {
@@ -301,16 +319,6 @@ class ColumnarTraceBuilder : public TraceSink
     TraceBlockEncoder encoder_;
     ColumnarTrace trace_;
 };
-
-/**
- * Stream a ColumnarTrace's blocks through `sink`, decoding each block
- * once into `scratch`. Returns records delivered. The encoded bytes
- * were produced in-process, so decoding is infallible here (a failure
- * panics — it would be memory corruption, not an I/O condition).
- */
-uint64_t replayColumnarTrace(const ColumnarTrace &trace,
-                             TraceBlockScratch &scratch,
-                             TraceBlockSink *sink);
 
 } // namespace vpprof
 

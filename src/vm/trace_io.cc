@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
+#include <fstream>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -40,60 +41,6 @@ injectedWriteStatus(FailpointAction action)
     }
 }
 
-std::string
-tempPathFor(const std::string &path)
-{
-    return path + ".tmp." + std::to_string(::getpid());
-}
-
-/** Create `tmpPath` and write the header for `records` records. */
-TraceIoStatus
-beginTraceFile(std::ofstream &out, const std::string &tmpPath,
-               uint64_t records)
-{
-    errno = 0;
-    out.open(tmpPath, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return TraceIoStatus::IoError;
-    out.write(kMagicPrefix, sizeof(kMagicPrefix));
-    out.write(&kTraceFormatVersion, 1);
-    out.write(reinterpret_cast<const char *>(&records), 8);
-    return out ? TraceIoStatus::Ok : writeErrnoStatus();
-}
-
-/**
- * The commit point of every trace file: flush `out`, fire the
- * "trace_io.commit" failpoint, close, and atomically rename `tmpPath`
- * over `path`, so the complete file replaces whatever was there in
- * one step. `status` carries any earlier failure; on any failure the
- * temp file is removed and `path` is untouched.
- */
-TraceIoStatus
-commitTraceFile(std::ofstream &out, const std::string &tmpPath,
-                const std::string &path, TraceIoStatus status)
-{
-    if (status == TraceIoStatus::Ok) {
-        errno = 0;
-        out.flush();
-        if (!out)
-            status = writeErrnoStatus();
-    }
-    if (status == TraceIoStatus::Ok)
-        status = injectedWriteStatus(
-            FailpointRegistry::instance().fire("trace_io.commit"));
-    out.close();
-    if (status == TraceIoStatus::Ok && !out)
-        status = writeErrnoStatus();
-    if (status == TraceIoStatus::Ok) {
-        errno = 0;
-        if (std::rename(tmpPath.c_str(), path.c_str()) != 0)
-            status = writeErrnoStatus();
-    }
-    if (status != TraceIoStatus::Ok)
-        std::remove(tmpPath.c_str());  // never leave a torn temp
-    return status;
-}
-
 } // namespace
 
 const char *
@@ -114,91 +61,18 @@ traceIoStatusName(TraceIoStatus status)
     return "unknown";
 }
 
-TraceFileWriter::TraceFileWriter(const std::string &path)
-    : path_(path), tmpPath_(tempPathFor(path))
-{
-    // The count is a placeholder until close() fixes it up.
-    status_ = beginTraceFile(out_, tmpPath_, 0);
-}
-
-TraceFileWriter::~TraceFileWriter()
-{
-    if (!closed_ && close() != TraceIoStatus::Ok)
-        vpprof_warn_limited(8, "trace file write failed (",
-                            traceIoStatusName(status_), "): ", path_);
-}
-
-void
-TraceFileWriter::flushBlock()
-{
-    if (encoder_.pending() == 0)
-        return;
-    blockBuf_.clear();
-    encoder_.flush(blockBuf_);
-    if (corruptPending_ > 0) {
-        // The block checksum was computed over the bytes we *meant*
-        // to write; damaging the payload now models a storage-level
-        // flip that readers must catch.
-        size_t payloadBytes = blockBuf_.size() - kTraceBlockHeaderBytes;
-        for (uint64_t k = 0; k < corruptPending_; ++k)
-            blockBuf_[kTraceBlockHeaderBytes + k % payloadBytes] ^= 0x5a;
-        corruptPending_ = 0;
-    }
-    errno = 0;
-    out_.write(reinterpret_cast<const char *>(blockBuf_.data()),
-               static_cast<std::streamsize>(blockBuf_.size()));
-    if (!out_)
-        status_ = writeErrnoStatus();
-}
-
-void
-TraceFileWriter::record(const TraceRecord &rec)
-{
-    if (closed_)
-        vpprof_panic("TraceFileWriter::record after close");
-    if (status_ != TraceIoStatus::Ok)
-        return;  // error latched; close() surfaces it
-
-    FailpointAction action =
-        FailpointRegistry::instance().fire("trace_io.write");
-    status_ = injectedWriteStatus(action);
-    if (status_ != TraceIoStatus::Ok)
-        return;
-    if (action == FailpointAction::Corrupt)
-        ++corruptPending_;
-    encoder_.add(rec);
-    if (encoder_.full())
-        flushBlock();
-    if (status_ == TraceIoStatus::Ok)
-        ++count_;
-}
-
-TraceIoStatus
-TraceFileWriter::close()
-{
-    if (closed_)
-        return status_;
-    closed_ = true;
-
-    if (status_ == TraceIoStatus::Ok)
-        flushBlock();  // the partial tail block
-    if (status_ == TraceIoStatus::Ok) {
-        errno = 0;
-        out_.seekp(sizeof(kMagicPrefix) + 1);
-        out_.write(reinterpret_cast<const char *>(&count_), 8);
-        if (!out_)
-            status_ = writeErrnoStatus();
-    }
-    status_ = commitTraceFile(out_, tmpPath_, path_, status_);
-    return status_;
-}
-
 TraceIoStatus
 writeColumnarTraceFile(const std::string &path, const ColumnarTrace &trace)
 {
-    std::string tmpPath = tempPathFor(path);
-    std::ofstream out;
-    TraceIoStatus status = beginTraceFile(out, tmpPath, trace.records);
+    std::string tmpPath = path + ".tmp." + std::to_string(::getpid());
+    errno = 0;
+    std::ofstream out(tmpPath, std::ios::binary | std::ios::trunc);
+    if (!out)
+        return TraceIoStatus::IoError;
+    out.write(kMagicPrefix, sizeof(kMagicPrefix));
+    out.write(&kTraceFormatVersion, 1);
+    out.write(reinterpret_cast<const char *>(&trace.records), 8);
+    TraceIoStatus status = out ? TraceIoStatus::Ok : writeErrnoStatus();
 
     const uint8_t *data = trace.bytes.data();
     size_t remaining = trace.bytes.size();
@@ -217,6 +91,9 @@ writeColumnarTraceFile(const std::string &path, const ColumnarTrace &trace)
         if (status != TraceIoStatus::Ok)
             break;
         if (action == FailpointAction::Corrupt) {
+            // The block checksum covers the bytes we meant to write;
+            // damaging the copy models a storage-level flip that
+            // readers must catch.
             damaged.assign(data, data + consumed);
             damaged[kTraceBlockHeaderBytes] ^= 0x5a;
             blockBytes = damaged.data();
@@ -229,7 +106,31 @@ writeColumnarTraceFile(const std::string &path, const ColumnarTrace &trace)
         data += consumed;
         remaining -= consumed;
     }
-    return commitTraceFile(out, tmpPath, path, status);
+
+    // The commit point: flush, fire "trace_io.commit", close, and
+    // atomically rename the temp file over `path`, so the complete
+    // file replaces whatever was there in one step. On any failure the
+    // temp file is removed and `path` is untouched.
+    if (status == TraceIoStatus::Ok) {
+        errno = 0;
+        out.flush();
+        if (!out)
+            status = writeErrnoStatus();
+    }
+    if (status == TraceIoStatus::Ok)
+        status = injectedWriteStatus(
+            FailpointRegistry::instance().fire("trace_io.commit"));
+    out.close();
+    if (status == TraceIoStatus::Ok && !out)
+        status = writeErrnoStatus();
+    if (status == TraceIoStatus::Ok) {
+        errno = 0;
+        if (std::rename(tmpPath.c_str(), path.c_str()) != 0)
+            status = writeErrnoStatus();
+    }
+    if (status != TraceIoStatus::Ok)
+        std::remove(tmpPath.c_str());  // never leave a torn temp
+    return status;
 }
 
 TraceIoStatus
@@ -273,11 +174,13 @@ replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
         TraceBlockView block =
             view.slice(static_cast<uint32_t>(skip), view.count);
         skip = 0;
-        uint64_t maxPc = 0;
-        for (uint32_t i = 0; i < block.count; ++i)
-            maxPc = std::max(maxPc, block.pc[i]);
-        if (maxPc >= pcLimit)
-            return blockFailure(TraceBlockStatus::Malformed);
+        if (pcLimit != kAnyPc) {
+            uint64_t maxPc = 0;
+            for (uint32_t i = 0; i < block.count; ++i)
+                maxPc = std::max(maxPc, block.pc[i]);
+            if (maxPc >= pcLimit)
+                return blockFailure(TraceBlockStatus::Malformed);
+        }
         if (span.fromFile && failpoints.anyArmed()) {
             for (uint32_t i = 0; i < block.count; ++i) {
                 FailpointAction action = failpoints.fire("trace_io.read");
@@ -302,9 +205,19 @@ replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
                                   : TraceIoStatus::Truncated;
 }
 
-TraceFileReader::TraceFileReader(const std::string &path, Unchecked)
-    : path_(path)
+uint64_t
+replayColumnarTrace(const ColumnarTrace &trace, TraceBlockScratch &scratch,
+                    TraceBlockSink *sink)
 {
+    uint64_t delivered = 0, blocks = 0;
+    TraceIoStatus status = replayTraceSpan(trace.span(), 0, scratch, sink,
+                                           &delivered, &blocks, kAnyPc);
+    if (status != TraceIoStatus::Ok)
+        vpprof_panic("in-memory columnar trace failed to replay (",
+                     traceIoStatusName(status), ", memory corruption) "
+                     "after ", delivered, " of ", trace.records,
+                     " records");
+    return delivered;
 }
 
 TraceFileReader::~TraceFileReader()
@@ -422,50 +335,11 @@ TraceFileReader::validate(TraceVerify verify)
     return TraceIoStatus::Ok;
 }
 
-TraceFileReader::TraceFileReader(const std::string &path)
-    : TraceFileReader(path, Unchecked{})
-{
-    TraceIoStatus st = validate(TraceVerify::Full);
-    switch (st) {
-      case TraceIoStatus::Ok:
-        return;
-      case TraceIoStatus::IoError:
-        vpprof_fatal("cannot open trace file (",
-                     traceIoStatusName(st), "): ", path);
-      case TraceIoStatus::ShortHeader:
-        vpprof_fatal("truncated trace header (",
-                     traceIoStatusName(st), "): ", path);
-      case TraceIoStatus::BadMagic:
-        vpprof_fatal("not a vpprof trace file (",
-                     traceIoStatusName(st), "): ", path);
-      case TraceIoStatus::VersionMismatch:
-        vpprof_fatal("unsupported trace file version (",
-                     traceIoStatusName(st), "): ", path,
-                     "; only version ", kTraceFormatVersion,
-                     " is readable");
-      case TraceIoStatus::Truncated:
-        vpprof_fatal("truncated trace file (",
-                     traceIoStatusName(st), "): ", path);
-      case TraceIoStatus::TruncatedFile:
-        vpprof_fatal("torn trace file tail (",
-                     traceIoStatusName(st), "): ", path);
-      case TraceIoStatus::ChecksumMismatch:
-        vpprof_fatal("trace file checksum mismatch (",
-                     traceIoStatusName(st), "): ", path);
-      case TraceIoStatus::WriteFailed:
-      case TraceIoStatus::NoSpace:
-        break;  // writer-side statuses; validate() never returns them
-    }
-    vpprof_panic("unexpected trace validation status");
-}
-
 std::unique_ptr<TraceFileReader>
 TraceFileReader::tryOpen(const std::string &path, TraceIoStatus *status,
                          TraceVerify verify)
 {
-    std::unique_ptr<TraceFileReader> reader(
-        new TraceFileReader(path, Unchecked{}));
-    reader->strict_ = false;
+    std::unique_ptr<TraceFileReader> reader(new TraceFileReader(path));
     TraceIoStatus st = reader->validate(verify);
     if (status)
         *status = st;
@@ -474,76 +348,15 @@ TraceFileReader::tryOpen(const std::string &path, TraceIoStatus *status,
     return reader;
 }
 
-void
-TraceFileReader::fail(TraceIoStatus status)
-{
-    status_ = status;
-    if (strict_)
-        vpprof_fatal("trace replay failed (",
-                     traceIoStatusName(status), ") after ", read_,
-                     " of ", count_, " records: ", path_);
-}
-
-bool
-TraceFileReader::decodeNextBlock()
-{
-    // Allocated on first decode: a reader kept only for its span()
-    // never pays for the decode columns.
-    if (!scratch_)
-        scratch_ = std::make_unique<TraceBlockScratch>();
-    size_t consumed = 0;
-    TraceBlockStatus st =
-        decodeTraceBlock(payload_ + blockOff_, payloadSize_ - blockOff_,
-                         *scratch_, view_, &consumed, false);
-    if (st != TraceBlockStatus::Ok) {
-        // Framing was validated at open, so reaching here means the
-        // bytes changed underneath us (or HeaderOnly skipped a
-        // damaged block) — an integrity failure either way.
-        fail(st == TraceBlockStatus::Truncated
-                 ? TraceIoStatus::TruncatedFile
-                 : TraceIoStatus::ChecksumMismatch);
-        return false;
-    }
-    blockOff_ += consumed;
-    viewIdx_ = 0;
-    return true;
-}
-
-bool
-TraceFileReader::next(TraceRecord &rec)
-{
-    if (status_ != TraceIoStatus::Ok || read_ >= count_)
-        return false;
-
-    switch (FailpointRegistry::instance().fire("trace_io.read")) {
-      case FailpointAction::Short:
-        fail(TraceIoStatus::Truncated);
-        return false;
-      case FailpointAction::Fail:
-        fail(TraceIoStatus::IoError);
-        return false;
-      default:
-        break;
-    }
-
-    if (viewIdx_ >= view_.count && !decodeNextBlock())
-        return false;
-    rec = view_.record(viewIdx_);
-    ++viewIdx_;
-    ++read_;
-    return true;
-}
-
 uint64_t
 TraceFileReader::replay(TraceSink *sink)
 {
-    uint64_t n = 0;
-    TraceRecord rec;
-    while (next(rec)) {
-        sink->record(rec);
-        ++n;
-    }
-    return n;
+    TraceBlockScratch scratch;
+    RecordFanBlockSink fan(sink);
+    uint64_t delivered = 0, blocks = 0;
+    status_ = replayTraceSpan(span(), 0, scratch, &fan, &delivered,
+                              &blocks, kAnyPc);
+    return delivered;
 }
 
 ColumnarSpan

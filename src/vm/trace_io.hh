@@ -17,16 +17,21 @@
  * "v3" name in code and counters (`v3_blocks_decoded`,
  * `bench_trace_v3`).
  *
- * Durability: the writer streams into `<path>.tmp.<pid>` and commits
- * with flush + atomic rename in close(), so a crash at any point
- * leaves either the complete old file or the complete new file at
- * `path` — never a torn one. Readers validate the magic, the version,
- * the block framing, and (Full verify) every block checksum, reporting
- * structured TraceIoStatus errors instead of silently truncating. A
- * file whose tail block was torn off reports the distinct
- * TruncatedFile status so quarantine logs name the actual failure.
+ * One writer, one reader: a trace is encoded in memory
+ * (ColumnarTraceBuilder) and writeColumnarTraceFile frames its blocks
+ * into a file; TraceFileReader::tryOpen maps and validates a file, and
+ * replayTraceSpan walks the blocks of a file or of an in-memory trace.
  *
- * Immutability: a committed file is never modified in place — every
+ * Durability: the writer writes `<path>.tmp.<pid>` and commits with
+ * flush + atomic rename, so a crash at any point leaves either the
+ * complete old file or the complete new file at `path` — never a torn
+ * one. tryOpen validates the magic, the version, the block framing,
+ * and (Full verify) every block checksum, reporting structured
+ * TraceIoStatus errors instead of silently truncating. A file whose
+ * tail block was torn off reports the distinct TruncatedFile status
+ * so quarantine logs name the actual failure.
+ *
+ * Immutability: a committed file is never modified in place — the
  * writer commits by rename, so a reader's mapping keeps the inode it
  * validated while a re-commit replaces the directory entry. That is
  * what lets the TraceRepository replay straight from the mapped
@@ -43,7 +48,6 @@
 #define VPPROF_VM_TRACE_IO_HH
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -95,94 +99,41 @@ enum class TraceVerify
 };
 
 /**
- * A trace sink that streams records into a binary trace file through
- * a write-to-temp + flush + atomic-rename commit. Failures (including
- * a full disk) are latched into status() and surfaced by close();
- * nothing in the writer is fatal, so callers choose between loud
- * errors (the CLI) and graceful degradation (the trace cache).
- *
- * Records buffer into a columnar block encoder and are written one
- * encoded block at a time, so memory stays bounded by one block
- * however long the trace. The "trace_io.write" failpoint still fires
- * once per record.
- */
-class TraceFileWriter : public TraceSink
-{
-  public:
-    /**
-     * Open the temp file for `path`. On failure the writer is inert:
-     * record() drops and close() reports the latched status.
-     */
-    explicit TraceFileWriter(const std::string &path);
-
-    /**
-     * Closes if needed; a failure on this path is logged through
-     * vpprof_warn_limited (a destructor cannot return status — call
-     * close() when the outcome matters).
-     */
-    ~TraceFileWriter() override;
-
-    void record(const TraceRecord &rec) override;
-
-    /**
-     * Commit: flush the tail block, fix up the header count, flush,
-     * verify the stream, and atomically rename the temp file over
-     * `path`.
-     * Returns Ok on a durable commit; on any failure the temp file is
-     * removed, `path` is untouched, and the first error (WriteFailed /
-     * NoSpace / IoError) is returned. Idempotent.
-     */
-    TraceIoStatus close();
-
-    /** First error latched by the constructor/record()/close(). */
-    TraceIoStatus status() const { return status_; }
-
-    uint64_t recordsWritten() const { return count_; }
-
-  private:
-    void flushBlock();
-
-    std::string path_;
-    std::string tmpPath_;
-    std::ofstream out_;
-    uint64_t count_ = 0;
-    TraceBlockEncoder encoder_;
-    std::vector<uint8_t> blockBuf_;    // encoded-block scratch
-    uint64_t corruptPending_ = 0;      // injected flips owed to this block
-    bool closed_ = false;
-    TraceIoStatus status_ = TraceIoStatus::Ok;
-};
-
-/**
- * Persist an already-encoded columnar trace as a trace file through
- * the same temp + flush + atomic-rename commit protocol. This is the
- * TraceRepository's bulk path: capture encodes once, and committing
- * it to the cache is a framed buffer write instead of a second
- * per-record encode. The "trace_io.write" failpoint fires once per
- * block here (a trace is hundreds of blocks, so countdown specs still
- * land mid-file), "trace_io.commit" once at the rename.
+ * Persist an encoded columnar trace (a ColumnarTraceBuilder's output)
+ * as a trace file: the header, then the trace's blocks as they are,
+ * through the temp + flush + atomic-rename commit. The whole trace is
+ * in memory before the file is written. The "trace_io.write"
+ * failpoint fires once per block (a trace is hundreds of blocks, so
+ * countdown specs still land mid-file), "trace_io.commit" once at the
+ * rename. Failures (including a full disk) are returned, never fatal,
+ * so callers choose between loud errors (the CLI) and graceful
+ * degradation (the trace cache); on failure `path` is untouched.
  */
 TraceIoStatus writeColumnarTraceFile(const std::string &path,
                                      const ColumnarTrace &trace);
+
+/** A replayTraceSpan pcLimit that accepts every pc. */
+constexpr uint64_t kAnyPc = ~uint64_t{0};
 
 /**
  * Stream a block span into `sink`, skipping its first `skip`
  * records and decoding every other block once into `scratch`. Blocks
  * are bounds-checked as they decode (not re-checksummed), so bytes
  * that changed since validation are a structured failure, never UB.
+ * This is the one loop that walks blocks: file replays, cache replays
+ * and in-memory replays (replayColumnarTrace) all run it.
  *
- * On a file's span the "trace_io.read" failpoint keeps its
- * one-hit-per-record numbering: while any failpoint is armed it fires
- * once per delivered record, and a triggered hit hands the sink the
- * block's prefix before failing — the same records a record-at-a-time
- * reader would have delivered. Unarmed, the check is one relaxed load
- * per block. An in-memory span never fires it.
+ * On a file's span the "trace_io.read" failpoint fires once per
+ * delivered record while any failpoint is armed, and a triggered hit
+ * hands the sink the block's prefix before failing, so hit N fails
+ * the replay after exactly N - 1 records. Unarmed, the check is one
+ * relaxed load per block. An in-memory span never fires it.
  *
  * A block holding a pc at or past `pcLimit` (the replayed program's
  * size: pcs are instruction indices) is Malformed, so the replay stops
  * with ChecksumMismatch before the sink sees any of that block: a
  * checksummed file with foreign pcs never reaches a consumer that
- * indexes the program by pc.
+ * indexes the program by pc. kAnyPc skips the check.
  *
  * @param[out] delivered Records handed to the sink (on failure too).
  * @param[out] blocks    Blocks decoded.
@@ -195,32 +146,32 @@ TraceIoStatus replayTraceSpan(const ColumnarSpan &span, uint64_t skip,
                               uint64_t *blocks, uint64_t pcLimit);
 
 /**
- * Reads a binary trace file. Records can be streamed into any
- * TraceSink (replay) or pulled one at a time; the blocks can also be
- * replayed straight from span() with replayTraceSpan, or copied out
- * as a ColumnarTrace.
+ * Stream a ColumnarTrace's blocks through `sink` (replayTraceSpan over
+ * trace.span(), any pc accepted). Returns records delivered. The
+ * encoded bytes were produced in-process, so decoding is infallible
+ * here (a failure panics — it would be memory corruption, not an I/O
+ * condition).
+ */
+uint64_t replayColumnarTrace(const ColumnarTrace &trace,
+                             TraceBlockScratch &scratch,
+                             TraceBlockSink *sink);
+
+/**
+ * Reads a binary trace file. tryOpen() maps the file once (with a
+ * buffered-read fallback) and validates the header, the version, the
+ * block framing and (Full) the checksums; it returns nullptr plus a
+ * TraceIoStatus for an unusable file, so a trace cache probing for
+ * reusable files can quarantine and regenerate, and the CLI can name
+ * the status and the path in its fatal line.
  *
- * The file is opened once and mmap-ed (with a buffered-read
- * fallback); the header is read from that one mapping and the blocks
- * decode lazily, one per 4096 records. A mapped file is never modified
- * in place (see the file comment), so the reader can also hand its
- * whole payload out as a ColumnarSpan that lives as long as the
- * reader.
- *
- * Two opening modes:
- *  - The constructor is strict: any malformed file is fatal (a user
- *    handed us a broken file; the CLI wants the loud diagnostic).
- *  - tryOpen() is recoverable: it validates the header, the version,
- *    the block framing and (Full) the checksums, and returns
- *    nullptr plus a TraceIoStatus so callers (e.g. a trace cache
- *    probing for reusable files) can quarantine and regenerate.
+ * A mapped file is never modified in place (see the file comment), so
+ * the reader hands its whole payload out as a ColumnarSpan that lives
+ * as long as the reader: replay() streams it into any TraceSink,
+ * replayTraceSpan into a block sink, and readColumnar() copies it.
  */
 class TraceFileReader
 {
   public:
-    /** Open and validate; fatal on a malformed file. */
-    explicit TraceFileReader(const std::string &path);
-
     ~TraceFileReader();
 
     /**
@@ -243,13 +194,10 @@ class TraceFileReader
     uint64_t mappedBytes() const { return mappedBytes_; }
 
     /**
-     * Read the next record; false at end of trace. On an unexpected
-     * short read the reader is fatal in strict mode and otherwise
-     * stops, recording the error in status().
+     * Stream every record, from the first, into a sink (replayTraceSpan
+     * over span(), any pc accepted); returns how many were delivered.
+     * A replay that stops early records why in status().
      */
-    bool next(TraceRecord &rec);
-
-    /** Stream every remaining record into a sink; returns how many. */
     uint64_t replay(TraceSink *sink);
 
     /**
@@ -265,15 +213,11 @@ class TraceFileReader
      */
     bool readColumnar(ColumnarTrace &out) const;
 
-    /** Error state of the last operation (Ok while healthy). */
+    /** Outcome of the last replay() (Ok while healthy). */
     TraceIoStatus status() const { return status_; }
 
   private:
-    struct Unchecked
-    {
-    };
-
-    TraceFileReader(const std::string &path, Unchecked);
+    explicit TraceFileReader(const std::string &path) : path_(path) {}
 
     /**
      * Map (or buffer) the file, then validate its header and walk its
@@ -284,30 +228,18 @@ class TraceFileReader
     /** Map the open file `fd` of `size` bytes, or buffer it. */
     TraceIoStatus load(int fd, size_t size);
 
-    /** Decode the block at the cursor into the scratch columns. */
-    bool decodeNextBlock();
-
-    /** Latch an error; fatal (with status name + path) when strict. */
-    void fail(TraceIoStatus status);
-
     std::string path_;
     uint64_t count_ = 0;
-    uint64_t read_ = 0;
-    bool strict_ = true;
     TraceIoStatus status_ = TraceIoStatus::Ok;
 
-    // The mapped file and the lazy block cursor.
+    // The mapped file.
     void *mapBase_ = nullptr;          // munmap target (nullptr: none)
     size_t mapSize_ = 0;
     std::vector<uint8_t> ownedBytes_;  // small files, or mmap failed
     const uint8_t *payload_ = nullptr; // blocks (file minus header)
     size_t payloadSize_ = 0;
-    size_t blockOff_ = 0;              // next undecoded block
     uint64_t blockCount_ = 0;
     uint64_t mappedBytes_ = 0;
-    std::unique_ptr<TraceBlockScratch> scratch_;
-    TraceBlockView view_;
-    uint32_t viewIdx_ = 0;             // consumed prefix of view_
 };
 
 } // namespace vpprof

@@ -188,16 +188,17 @@ TEST_F(TraceRecovery, ForeignPcInACheckedFileIsRefusedAndQuarantined)
     fs::create_directories(dir_);
     const std::string path = dir_ + "/li.in0.trace";
     {
-        TraceFileWriter writer(path);
+        ColumnarTraceBuilder builder;
         CallbackTraceSink forge([&](const TraceRecord &rec) {
             TraceRecord copy = rec;
             if (copy.seq == forged)
                 copy.pc = uint64_t{1} << 20;
-            writer.record(copy);
+            builder.record(copy);
         });
         runProgram(li().program(), li().input(0), &forge,
                    li().maxInstructions());
-        ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
+        ASSERT_EQ(writeColumnarTraceFile(path, builder.take()),
+                  TraceIoStatus::Ok);
     }
 
     Session session(cacheConfig());

@@ -275,15 +275,6 @@ TEST(RetryPlanner, RetryAfterHintFloorsTheDelay)
         Command::Profile, 0);
     ASSERT_TRUE(d.retry);
     EXPECT_GE(d.delayMs, 500u) << "the daemon's hint is a floor";
-
-    RetryPolicy deaf = policy;
-    deaf.honorRetryAfter = false;
-    RetryState deaf_state(deaf, 0);
-    d = deaf_state.next(
-        failureWith(CallReason::DaemonError, "overloaded", 500),
-        Command::Profile, 0);
-    ASSERT_TRUE(d.retry);
-    EXPECT_LE(d.delayMs, 10u);
 }
 
 TEST(RetryPlanner, DeadlineBudgetStopsRetries)

@@ -129,17 +129,20 @@ TEST_F(Extensions, TraceFileDrivesOfflineAnalysis)
     const Workload *compress = suite().find("compress");
     std::string path = ::testing::TempDir() + "/compress.trace";
     {
-        TraceFileWriter writer(path);
-        runTrace(*compress, 1, &writer);
-        writer.close();
+        ColumnarTraceBuilder builder;
+        runTrace(*compress, 1, &builder);
+        ASSERT_EQ(writeColumnarTraceFile(path, builder.take()),
+                  TraceIoStatus::Ok);
     }
 
     DataflowEngine live(IlpConfig{}, VpPolicy::None, nullptr);
     runTrace(*compress, 1, &live);
 
-    TraceFileReader reader(path);
+    auto reader = TraceFileReader::tryOpen(path);
+    ASSERT_NE(reader, nullptr);
     DataflowEngine replayed(IlpConfig{}, VpPolicy::None, nullptr);
-    reader.replay(&replayed);
+    reader->replay(&replayed);
+    EXPECT_EQ(reader->status(), TraceIoStatus::Ok);
 
     EXPECT_EQ(live.result().cycles, replayed.result().cycles);
     EXPECT_EQ(live.result().instructions,

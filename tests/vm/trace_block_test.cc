@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "core/experiment.hh"
+#include "core/session.hh"
 #include "vm/trace_block.hh"
 #include "vm/trace_io.hh"
 
@@ -420,57 +422,74 @@ TEST(TraceBlock, KnownAnswerBlockBytes)
 
 // --- v3 files (trace_io framing over the same blocks) ---------------
 
+/** Encode `records` and commit them as a trace file at `path`. */
+void
+writeRecords(const std::string &path,
+             const std::vector<TraceRecord> &records)
+{
+    ColumnarTraceBuilder builder;
+    for (const TraceRecord &rec : records)
+        builder.record(rec);
+    ASSERT_EQ(writeColumnarTraceFile(path, builder.take()),
+              TraceIoStatus::Ok);
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
 TEST(TraceBlock, V3FileRoundTripIsBitIdentical)
 {
     std::string path = tempPath("v3roundtrip.trace");
     auto records = randomStream(5, kTraceBlockCapacity + 321, true);
-    ColumnarTraceBuilder builder;
-    for (const TraceRecord &rec : records)
-        builder.record(rec);
-    ColumnarTrace trace = builder.take();
-    ASSERT_EQ(writeColumnarTraceFile(path, trace), TraceIoStatus::Ok);
+    writeRecords(path, records);
 
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.recordCount(), records.size());
-    std::vector<TraceRecord> got;
-    TraceRecord rec;
-    while (reader.next(rec))
-        got.push_back(rec);
-    EXPECT_EQ(reader.status(), TraceIoStatus::Ok);
-    expectIdentical(got, records);
+    auto reader = TraceFileReader::tryOpen(path);
+    ASSERT_NE(reader, nullptr);
+    EXPECT_EQ(reader->recordCount(), records.size());
+    VectorTraceSink got;
+    EXPECT_EQ(reader->replay(&got), records.size());
+    EXPECT_EQ(reader->status(), TraceIoStatus::Ok);
+    expectIdentical(got.trace(), records);
     std::remove(path.c_str());
 }
 
 TEST(TraceBlock, V3PerRecordWriterMatchesBulkWriter)
 {
-    // The streaming writer (TraceFileWriter) and the bulk
-    // ColumnarTrace writer must produce byte-identical files.
-    std::string streamed = tempPath("v3streamed.trace");
-    std::string bulk = tempPath("v3bulk.trace");
-    auto records = randomStream(6, 2 * kTraceBlockCapacity + 17, true);
-
+    // One writer is left, so what this pins is the record-by-record
+    // path into it: a ColumnarTraceBuilder fed by a warm
+    // Session::runTrace (a replay of the committed cache file) must
+    // write exactly the cache file's bytes.
+    namespace fs = std::filesystem;
+    std::string dir = tempPath("v3cache");
+    fs::remove_all(dir);
+    SessionConfig cfg;
+    cfg.traceCacheDir = dir;
+    WorkloadSuite suite;
+    const Workload &li = *suite.find("li");
     {
-        TraceFileWriter writer(streamed);
-        for (const TraceRecord &rec : records)
-            writer.record(rec);
-        ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
+        Session cold(cfg);
+        cold.runTrace(li, 0, nullptr);
     }
+    std::string rewritten = tempPath("v3rewritten.trace");
     {
+        Session warm(cfg);
         ColumnarTraceBuilder builder;
-        for (const TraceRecord &rec : records)
-            builder.record(rec);
-        ASSERT_EQ(writeColumnarTraceFile(bulk, builder.take()),
+        warm.runTrace(li, 0, &builder);
+        EXPECT_EQ(warm.traces().stats().vmRuns, 0u)
+            << "the builder is fed by a replay of the cache file";
+        ASSERT_EQ(writeColumnarTraceFile(rewritten, builder.take()),
                   TraceIoStatus::Ok);
     }
-
-    auto slurp = [](const std::string &p) {
-        std::ifstream in(p, std::ios::binary);
-        return std::string((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    };
-    EXPECT_EQ(slurp(streamed), slurp(bulk));
-    std::remove(streamed.c_str());
-    std::remove(bulk.c_str());
+    std::string committed = slurp(dir + "/li.in0.trace");
+    EXPECT_FALSE(committed.empty());
+    EXPECT_EQ(slurp(rewritten), committed);
+    std::remove(rewritten.c_str());
+    fs::remove_all(dir);
 }
 
 TEST(TraceBlock, V3ReaderSkipResumesExactly)
@@ -482,23 +501,19 @@ TEST(TraceBlock, V3ReaderSkipResumesExactly)
     constexpr uint64_t kProgramSize = uint64_t{1} << 20;
     for (TraceRecord &rec : records)
         rec.pc %= kProgramSize;
-    {
-        TraceFileWriter writer(path);
-        for (const TraceRecord &rec : records)
-            writer.record(rec);
-        ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
-    }
+    writeRecords(path, records);
 
     // Skip across the block boundary and into the middle of block 1.
     size_t prefix = kTraceBlockCapacity + 13;
-    TraceFileReader reader(path);
+    auto reader = TraceFileReader::tryOpen(path);
+    ASSERT_NE(reader, nullptr);
     std::vector<TraceRecord> got(records.begin(),
                                  records.begin() +
                                      static_cast<long>(prefix));
     CollectingBlockSink tail;
     TraceBlockScratch scratch;
     uint64_t delivered = 0, blocks = 0;
-    EXPECT_EQ(replayTraceSpan(reader.span(), prefix, scratch, &tail,
+    EXPECT_EQ(replayTraceSpan(reader->span(), prefix, scratch, &tail,
                               &delivered, &blocks, kProgramSize),
               TraceIoStatus::Ok);
     EXPECT_EQ(delivered, records.size() - prefix);
@@ -511,20 +526,11 @@ TEST(TraceBlock, V3ReaderSkipResumesExactly)
 TEST(TraceBlock, TornTailIsTruncatedFileStatus)
 {
     std::string path = tempPath("v3torn.trace");
-    auto records = randomStream(8, 700, true);
-    {
-        TraceFileWriter writer(path);
-        for (const TraceRecord &rec : records)
-            writer.record(rec);
-        ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
-    }
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
+    writeRecords(path, randomStream(8, 700, true));
+    std::string bytes = slurp(path);
 
     // Chop mid-block: the torn tail is the DISTINCT TruncatedFile
-    // status (satellite f), not the generic payload-size mismatch.
+    // status, not the generic payload-size mismatch.
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size() - 11));
@@ -535,25 +541,14 @@ TEST(TraceBlock, TornTailIsTruncatedFileStatus)
     EXPECT_EQ(status, TraceIoStatus::TruncatedFile);
     EXPECT_STREQ(traceIoStatusName(TraceIoStatus::TruncatedFile),
                  "truncated-file");
-    EXPECT_DEATH(TraceFileReader reader(path),
-                 "truncated-file.*v3torn\\.trace");
     std::remove(path.c_str());
 }
 
 TEST(TraceBlock, FlippedBitInV3FileIsChecksumMismatch)
 {
     std::string path = tempPath("v3flip.trace");
-    auto records = randomStream(9, 700, true);
-    {
-        TraceFileWriter writer(path);
-        for (const TraceRecord &rec : records)
-            writer.record(rec);
-        ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
-    }
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
+    writeRecords(path, randomStream(9, 700, true));
+    std::string bytes = slurp(path);
     bytes[bytes.size() / 2] =
         static_cast<char>(bytes[bytes.size() / 2] ^ 0x20);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -573,14 +568,8 @@ TEST(TraceBlock, V3IsSmallerThanV2OnALoopyStream)
     // the encoder actually compresses a representative loop trace.
     std::string path = tempPath("size3.trace");
     auto records = randomStream(10, 4 * kTraceBlockCapacity, true);
-    {
-        TraceFileWriter writer(path);
-        for (const TraceRecord &rec : records)
-            writer.record(rec);
-        ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
-    }
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    uint64_t v3_bytes = static_cast<uint64_t>(in.tellg());
+    writeRecords(path, records);
+    uint64_t v3_bytes = slurp(path).size();
     // The retired fixed-width v2 layout: 16-byte header, 39 bytes per
     // record, 8-byte checksum trailer.
     uint64_t fixed_bytes = 16 + 39 * records.size() + 8;

@@ -243,19 +243,18 @@ int
 cmdTrace(Session &session, const Workload &w, size_t input,
          const char *path)
 {
-    TraceFileWriter writer(path);
-    session.runTrace(w, input, &writer);
+    ColumnarTraceBuilder builder;
+    session.runTrace(w, input, &builder);
+    ColumnarTrace trace = builder.take();
     // The user asked for this exact file: a failed commit (full disk,
     // unwritable directory) is a loud structured error, not a silent
     // success over a missing or torn file.
-    TraceIoStatus st = writer.close();
+    TraceIoStatus st = writeColumnarTraceFile(path, trace);
     if (st != TraceIoStatus::Ok)
         vpprof_fatal("cannot write trace file (",
                      traceIoStatusName(st), "): ", path);
     std::printf("wrote %llu records to %s\n",
-                static_cast<unsigned long long>(
-                    writer.recordsWritten()),
-                path);
+                static_cast<unsigned long long>(trace.records), path);
     return 0;
 }
 
@@ -282,24 +281,22 @@ cmdTraceFormatStats(Session &session, const WorkloadSuite &suite)
     for (const auto &w : suite.all()) {
         std::string name(w->name());
         std::string path = (dir / (name + ".in0.trace")).string();
-        TraceFileWriter writer(path);
-        session.runTrace(*w, 0, &writer);
-        TraceIoStatus st = writer.close();
+        ColumnarTraceBuilder builder;
+        session.runTrace(*w, 0, &builder);
+        ColumnarTrace trace = builder.take();
+        TraceIoStatus st = writeColumnarTraceFile(path, trace);
         if (st != TraceIoStatus::Ok)
             vpprof_fatal("cannot write format-stats scratch file (",
                          traceIoStatusName(st), "): ", path);
 
-        uint64_t records = writer.recordsWritten();
+        uint64_t records = trace.records;
+        uint64_t blocks = trace.blocks;
         uint64_t fixed_bytes = 16 + 39 * records + 8;
         std::error_code ec;
         uint64_t v3_bytes = fs::file_size(path, ec);
         if (ec)
             vpprof_fatal("cannot stat format-stats scratch file: ",
                          path);
-        uint64_t blocks = 0;
-        if (auto reader = TraceFileReader::tryOpen(
-                path, &st, TraceVerify::HeaderOnly))
-            blocks = reader->blockCount();
 
         total_records += records;
         total_blocks += blocks;
@@ -328,9 +325,17 @@ cmdTraceFormatStats(Session &session, const WorkloadSuite &suite)
 int
 cmdReplay(const char *path)
 {
-    TraceFileReader reader(path);
+    TraceIoStatus st = TraceIoStatus::Ok;
+    auto reader = TraceFileReader::tryOpen(path, &st);
+    if (!reader)
+        vpprof_fatal("cannot read trace file (", traceIoStatusName(st),
+                     "): ", path);
     CountingTraceSink counts;
-    uint64_t n = reader.replay(&counts);
+    uint64_t n = reader->replay(&counts);
+    if (reader->status() != TraceIoStatus::Ok)
+        vpprof_fatal("trace replay failed (",
+                     traceIoStatusName(reader->status()), ") after ", n,
+                     " of ", reader->recordCount(), " records: ", path);
     std::printf("replayed %llu records: %llu producers, %llu loads, "
                 "%llu stores, %llu branches\n",
                 static_cast<unsigned long long>(n),
