@@ -55,6 +55,7 @@ main(int argc, char **argv)
                 "(%zu stride, %zu last-value)\n",
                 stats.tagged(), stats.producers, stats.taggedStride,
                 stats.taggedLastValue);
+    std::remove(profile_path.c_str());  // the round trip is done
 
     // Evaluate on the unseen input 0.
     SaturatingClassifier fsm;

@@ -443,28 +443,38 @@ Session::replayInto(const Workload &workload, size_t input_idx,
     return traces_.replayBatch(workload, input_idx, bank);
 }
 
+struct Session::ProfileSlot
+{
+    std::mutex computeMutex;
+    std::atomic<bool> computed{false};
+    /** Immutable once `computed` is set (release-published). */
+    ProfileImage image;
+};
+
 const ProfileImage &
 Session::collectProfile(const Workload &workload, size_t input_idx)
 {
-    auto key = std::make_pair(std::string(workload.name()), input_idx);
+    ProfileSlot *slot = nullptr;
     {
         std::lock_guard<std::mutex> lock(profileMutex_);
-        auto it = profiles_.find(key);
-        if (it != profiles_.end())
-            return it->second;
+        auto &entry = profiles_[std::make_pair(
+            std::string(workload.name()), input_idx)];
+        if (!entry)
+            entry = std::make_unique<ProfileSlot>();
+        slot = entry.get();
     }
-
-    VPPROF_TIMED_SPAN("profile.collect");
-    ProfileCollector collector(std::string(workload.name()));
-    traces_.replay(workload, input_idx, &collector);
-    ProfileImage image = collector.takeImage();
-
-    std::lock_guard<std::mutex> lock(profileMutex_);
-    // try_emplace: under a race the first insertion wins; both
-    // computed images are identical (replay is deterministic).
-    auto [it, inserted] = profiles_.try_emplace(key, std::move(image));
-    (void)inserted;
-    return it->second;
+    if (!slot->computed.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(slot->computeMutex);
+        if (!slot->computed.load(std::memory_order_relaxed)) {
+            VPPROF_TIMED_SPAN("profile.collect");
+            ProfileCollector collector(std::string(workload.name()));
+            runProgram(workload.program(), workload.input(input_idx),
+                       &collector, workload.maxInstructions());
+            slot->image = collector.takeImage();
+            slot->computed.store(true, std::memory_order_release);
+        }
+    }
+    return slot->image;
 }
 
 const ProfileImage &

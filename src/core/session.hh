@@ -4,8 +4,15 @@
  * process form): a TraceRepository runs the VM exactly once per
  * (workload, input), encoding the dynamic trace into columnar blocks
  * and committing them as a v3 trace file, then replays the mapped
- * file into any number of consumers: profile collectors, classifiers,
- * finite/hybrid table evaluations and the ILP engine.
+ * file into any number of consumers: classifiers, finite/hybrid table
+ * evaluations, the ILP engine, and sampled and phased profiles. The
+ * consumer whose call captures a key is fed by the VM directly (the
+ * tee), so an evaluator's first pass decodes nothing.
+ *
+ * An exact phase-2 profile is one pass and needs no replay, so
+ * collectProfile runs the VM straight into its collector and never
+ * touches the repository: a key that is only profiled is never
+ * captured, encoded or committed.
  *
  * Directives are pure metadata (they never change control flow or
  * values), so ONE raw trace serves every annotation threshold: replays
@@ -295,7 +302,15 @@ class Session
     RunResult replayInto(const Workload &workload, size_t input_idx,
                          EvaluatorBank &bank);
 
-    /** Phase-2 profile of one run; memoized per (workload, input). */
+    /**
+     * Phase-2 profile of one run (the paper's infinite stride/last-
+     * value predictor over one pass of the program), memoized per
+     * (workload, input). A key's first call runs the VM straight into
+     * the collector: no trace is captured, encoded or committed, and
+     * the trace repository is never touched, since one pass needs no
+     * replay. Concurrent first calls for one key wait on its slot, so
+     * the VM runs once per key however many callers race.
+     */
     const ProfileImage &collectProfile(const Workload &workload,
                                        size_t input_idx);
 
@@ -368,8 +383,12 @@ class Session
     TraceRepository traces_;
     ExperimentRunner runner_;
 
-    std::mutex profileMutex_;
-    std::map<std::pair<std::string, size_t>, ProfileImage> profiles_;
+    /** One key's exact profile, computed at most once. */
+    struct ProfileSlot;
+
+    std::mutex profileMutex_;  ///< guards the three maps below
+    std::map<std::pair<std::string, size_t>, std::unique_ptr<ProfileSlot>>
+        profiles_;
     std::map<std::string, ProfileImage> mergedProfiles_;
     /** Keyed by (workload, input, sampling cache key). */
     std::map<std::tuple<std::string, size_t, std::string>, ProfileImage>

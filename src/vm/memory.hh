@@ -11,28 +11,55 @@
 #ifndef VPPROF_VM_MEMORY_HH
 #define VPPROF_VM_MEMORY_HH
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 namespace vpprof
 {
 
-/** Sparse 64-bit word memory; unwritten words read as zero. */
+/**
+ * Sparse 64-bit word memory; unwritten words read as zero.
+ *
+ * A page table of 4096-word pages, allocated on first store: pages
+ * below word address 2^28 sit in a vector indexed by page number
+ * (every workload's data lives there, so a load is two indexed reads),
+ * and the rare pages above it (wrapped negative addresses included)
+ * in a hash keyed by page number. Each page keeps a written-bit per
+ * word so footprint() still counts distinct words ever written.
+ */
 class Memory
 {
   public:
+    static constexpr unsigned kPageBits = 12;
+    static constexpr uint64_t kPageWords = uint64_t{1} << kPageBits;
+    /** Pages numbered below this live in the directly indexed table. */
+    static constexpr uint64_t kDirectPages = uint64_t{1}
+                                             << (28 - kPageBits);
+
     /** Read the word at an address (0 when never written). */
     int64_t
     load(uint64_t addr) const
     {
-        auto it = words_.find(addr);
-        return it == words_.end() ? 0 : it->second;
+        const Page *page = findPage(addr >> kPageBits);
+        return page ? page->words[addr & (kPageWords - 1)] : 0;
     }
 
     /** Write the word at an address. */
-    void store(uint64_t addr, int64_t value) { words_[addr] = value; }
+    void
+    store(uint64_t addr, int64_t value)
+    {
+        Page &page = pageFor(addr >> kPageBits);
+        const uint64_t word = addr & (kPageWords - 1);
+        uint64_t &written = page.written[word >> 6];
+        const uint64_t bit = uint64_t{1} << (word & 63);
+        footprint_ += (written & bit) == 0;
+        written |= bit;
+        page.words[word] = value;
+    }
 
     /** Read a double stored via storeDouble. */
     double
@@ -49,12 +76,53 @@ class Memory
     }
 
     /** Number of distinct words ever written. */
-    size_t footprint() const { return words_.size(); }
+    size_t footprint() const { return footprint_; }
 
-    void clear() { words_.clear(); }
+    void
+    clear()
+    {
+        direct_.clear();
+        high_.clear();
+        footprint_ = 0;
+    }
 
   private:
-    std::unordered_map<uint64_t, int64_t> words_;
+    struct Page
+    {
+        std::array<int64_t, kPageWords> words{};
+        std::array<uint64_t, kPageWords / 64> written{};
+    };
+
+    const Page *
+    findPage(uint64_t number) const
+    {
+        if (number < direct_.size())
+            return direct_[number].get();
+        if (number < kDirectPages)
+            return nullptr;
+        auto it = high_.find(number);
+        return it == high_.end() ? nullptr : it->second.get();
+    }
+
+    Page &
+    pageFor(uint64_t number)
+    {
+        std::unique_ptr<Page> *slot;
+        if (number < kDirectPages) {
+            if (number >= direct_.size())
+                direct_.resize(number + 1);
+            slot = &direct_[number];
+        } else {
+            slot = &high_[number];
+        }
+        if (!*slot)
+            *slot = std::make_unique<Page>();
+        return **slot;
+    }
+
+    std::vector<std::unique_ptr<Page>> direct_;
+    std::unordered_map<uint64_t, std::unique_ptr<Page>> high_;
+    size_t footprint_ = 0;
 };
 
 /**

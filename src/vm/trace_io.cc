@@ -20,7 +20,6 @@ namespace
 {
 
 constexpr char kMagicPrefix[7] = {'V', 'P', 'T', 'R', 'A', 'C', 'E'};
-constexpr size_t kHeaderBytes = 16;
 
 /** Map the current errno of a failed write to a TraceIoStatus. */
 TraceIoStatus
@@ -229,7 +228,7 @@ TraceFileReader::~TraceFileReader()
 TraceIoStatus
 TraceFileReader::load(int fd, size_t size)
 {
-    if (size > kHeaderBytes) {
+    if (size > kTraceFileHeaderBytes) {
         void *base =
             ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
         if (base != MAP_FAILED) {
@@ -284,11 +283,11 @@ TraceFileReader::validate(TraceVerify verify)
         return TraceIoStatus::BadMagic;
     if (bytes[sizeof(kMagicPrefix)] != kTraceFormatVersion)
         return TraceIoStatus::VersionMismatch;
-    if (size < kHeaderBytes)
+    if (size < kTraceFileHeaderBytes)
         return TraceIoStatus::ShortHeader;
     std::memcpy(&count_, bytes + sizeof(kMagicPrefix) + 1, 8);
-    payload_ = bytes + kHeaderBytes;
-    payloadSize_ = size - kHeaderBytes;
+    payload_ = bytes + kTraceFileHeaderBytes;
+    payloadSize_ = size - kTraceFileHeaderBytes;
     mappedBytes_ = size;
 
     // Walk the block framing: every block must parse (and checksum,

@@ -64,6 +64,10 @@ namespace vpprof
  */
 constexpr char kTraceFormatVersion = '4';
 
+/** Bytes of the file header before the first block; a committed file
+ *  is this plus its ColumnarTrace::bytes. */
+constexpr size_t kTraceFileHeaderBytes = 16;
+
 /** Structured outcome of trace-file validation, reads and writes. */
 enum class TraceIoStatus
 {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -252,6 +253,7 @@ TEST(TelemetryOutputs, WriteMetricsFileCommitsAtomically)
     EXPECT_FALSE(
         std::ifstream(path + ".tmp." + std::to_string(::getpid()))
             .good());
+    std::remove(path.c_str());
 }
 
 } // namespace

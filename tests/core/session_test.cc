@@ -11,10 +11,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "common/telemetry/metrics.hh"
 #include "core/session.hh"
 #include "predictors/profile_classifier.hh"
+#include "profile/profile_collector.hh"
 #include "vm/trace.hh"
 
 namespace vpprof
@@ -83,14 +85,56 @@ TEST(Session, FusedReplayMatchesSeparateReplays)
     }
 }
 
+/** Process-wide count of one telemetry histogram (0 when absent). */
+uint64_t
+registryHistogramCount(const char *name)
+{
+    telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
+    auto it = snap.histograms.find(name);
+    return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
 TEST(Session, ProfileIsMemoizedPerInput)
 {
+    // A profile is one VM pass into the collector: it captures no
+    // trace, so only a replaying consumer makes the repository run
+    // the VM, and it does so once, after the profile.
     Session session;
+    const uint64_t collects = registryHistogramCount("profile.collect.us");
     const ProfileImage &first = session.collectProfile(li(), 0);
     const ProfileImage &again = session.collectProfile(li(), 0);
     EXPECT_EQ(&first, &again);
+    EXPECT_EQ(registryHistogramCount("profile.collect.us"), collects + 1);
+    EXPECT_EQ(session.traces().stats().uniqueTraces, 0u);
+
+    ProfileCollector replayed("li");
+    session.runTrace(li(), 0, &replayed);
     EXPECT_EQ(session.traces().stats().vmRuns, 1u);
+    EXPECT_TRUE(replayed.takeImage() == first);
     EXPECT_GT(first.size(), 0u);
+}
+
+TEST(Session, ConcurrentColdProfileRunsTheVmOnce)
+{
+    // Eight threads race for one cold key: the per-key slot lets one
+    // of them run the VM while the others wait, and every caller gets
+    // the same memoized image.
+    Session session;
+    const uint64_t collects = registryHistogramCount("profile.collect.us");
+    constexpr int kCallers = 8;
+    std::vector<const ProfileImage *> images(kCallers, nullptr);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kCallers; ++i)
+        threads.emplace_back([&, i] {
+            images[i] = &session.collectProfile(li(), 2);
+        });
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(registryHistogramCount("profile.collect.us"), collects + 1);
+    for (const ProfileImage *image : images)
+        EXPECT_EQ(image, images[0]);
+    EXPECT_FALSE(images[0]->empty());
+    EXPECT_EQ(session.traces().stats().vmRuns, 0u);
 }
 
 TEST(Session, CacheBackedTraceRoundTripsThroughTheMappedFile)
@@ -126,16 +170,22 @@ TEST(Session, PersistentCacheIsAdoptedAcrossSessions)
     SessionConfig cfg;
     cfg.traceCacheDir = dir;
 
+    // Profiles replayed through runTrace: collectProfile runs the VM
+    // and never touches the repository or its cache directory.
     ProfileImage first_image;
     {
         Session writer(cfg);
-        first_image = writer.collectProfile(li(), 0);
+        ProfileCollector collector("li");
+        writer.runTrace(li(), 0, &collector);
+        first_image = collector.takeImage();
         EXPECT_EQ(writer.traces().stats().vmRuns, 1u);
     }
     ASSERT_TRUE(std::filesystem::exists(dir + "/li.in0.trace"));
 
     Session reader(cfg);
-    const ProfileImage &second_image = reader.collectProfile(li(), 0);
+    ProfileCollector collector("li");
+    reader.runTrace(li(), 0, &collector);
+    const ProfileImage second_image = collector.takeImage();
     TraceRepoStats st = reader.traces().stats();
     EXPECT_EQ(st.vmRuns, 0u) << "cache hit must not re-interpret";
     EXPECT_EQ(st.diskLoads, 1u);

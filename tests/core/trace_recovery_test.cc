@@ -18,6 +18,7 @@
 #include "common/failpoint.hh"
 #include "core/session.hh"
 #include "predictors/profile_classifier.hh"
+#include "profile/profile_collector.hh"
 
 namespace vpprof
 {
@@ -202,7 +203,9 @@ TEST_F(TraceRecovery, ForeignPcInACheckedFileIsRefusedAndQuarantined)
     }
 
     Session session(cacheConfig());
-    EXPECT_TRUE(session.collectProfile(li(), 0) == clean.profile);
+    ProfileCollector collector("li");
+    session.runTrace(li(), 0, &collector);
+    EXPECT_TRUE(collector.takeImage() == clean.profile);
     expectSameAccuracy(classify(session), clean.accuracy);
     EXPECT_EQ(replayDigest(session, li(), 0), clean.digest);
 

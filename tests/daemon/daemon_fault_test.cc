@@ -22,7 +22,9 @@
 
 #include "common/failpoint.hh"
 #include "daemon/client.hh"
+#include "daemon/dispatch.hh"
 #include "daemon/server.hh"
+#include "report/json.hh"
 
 namespace vpprof
 {
@@ -40,6 +42,37 @@ freshSocketPath()
     std::ostringstream os;
     os << "/tmp/vpd_f" << ::getpid() << "_" << counter++ << ".sock";
     return os.str();
+}
+
+/** An evaluate answer's four accuracies, in response order. */
+std::vector<double>
+accuracies(const report::JsonValue &result)
+{
+    std::vector<double> values;
+    for (const char *field : {"fsm_misp_pct", "fsm_corr_pct",
+                              "prof_misp_pct", "prof_corr_pct"})
+        values.push_back(result.numberOr(field, -1));
+    return values;
+}
+
+/** `evaluate compress 0 70` answered in process by a fresh Session
+ *  without a cache: the fault-free reference. */
+std::vector<double>
+cleanEvaluateAnswer()
+{
+    Session session;
+    WorkloadSuite suite;
+    Dispatcher dispatcher(session, suite);
+    Request req;
+    req.cmd = Command::Evaluate;
+    req.workload = "compress";
+    req.input = 0;
+    req.threshold = 70.0;
+    JobOutcome outcome = dispatcher.execute(req);
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+    auto result = report::parseJson("{" + outcome.resultFields + "}");
+    EXPECT_TRUE(result);
+    return result ? accuracies(*result) : std::vector<double>{};
 }
 
 class DaemonFaultTest : public ::testing::Test
@@ -155,18 +188,19 @@ TEST_F(DaemonFaultTest, WriteFaultDropsTheClientAndIsCounted)
 
 TEST_F(DaemonFaultTest, CorruptCacheMidJobCompletesViaRegeneration)
 {
-    // Daemon A populates the shared trace cache, then drains.
+    // Daemon A populates the shared trace cache through an evaluate
+    // (its classification replays capture compress.in0), then drains.
     DaemonConfig cfg;
     cfg.session.jobs = 1;
     cfg.session.traceCacheDir = dir_;
-    double clean_digest = -1;
+    std::vector<double> clean_answer;
     {
         startServer(cfg);
         DaemonClient client = connectedClient();
-        CallResult r = client.call(1, Command::Profile, "compress", 0,
-                                   0, 120'000);
+        CallResult r = client.call(1, Command::Evaluate, "compress", 0,
+                                   70.0, 120'000);
         ASSERT_TRUE(r.ok) << r.error;
-        clean_digest = r.response.get("result")->numberOr("digest", -2);
+        clean_answer = accuracies(*r.response.get("result"));
         ASSERT_EQ(stopServer(), 0);
     }
 
@@ -188,14 +222,14 @@ TEST_F(DaemonFaultTest, CorruptCacheMidJobCompletesViaRegeneration)
     }
 
     // Daemon B serves the same cache: the job must COMPLETE with the
-    // identical digest (quarantine + VM regeneration), never hang or
+    // identical answer (quarantine + VM regeneration), never hang or
     // fail, and the recovery must be visible in the stats counters.
     startServer(cfg);
     DaemonClient client = connectedClient();
-    CallResult r = client.call(1, Command::Profile, "compress", 0, 0, 120'000);
+    CallResult r =
+        client.call(1, Command::Evaluate, "compress", 0, 70.0, 120'000);
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(r.response.get("result")->numberOr("digest", -3),
-              clean_digest);
+    EXPECT_EQ(accuracies(*r.response.get("result")), clean_answer);
 
     CallResult stats = client.call(2, Command::Stats, "", 0, 0, 5000);
     ASSERT_TRUE(stats.ok) << stats.error;
@@ -211,9 +245,11 @@ TEST_F(DaemonFaultTest, CorruptCacheMidJobCompletesViaRegeneration)
 
 TEST_F(DaemonFaultTest, TraceIoFaultUnderAdmittedJobStillAnswers)
 {
-    // trace_io.write faults while the daemon persists a fresh trace:
-    // the capture degrades (spill_failures accounts it) but the job
-    // completes and the client is answered — degraded, not broken.
+    // trace_io.write faults while the daemon persists a fresh trace
+    // (an evaluate's classification captures compress.in0): the
+    // capture degrades (spill_failures accounts it) but the job
+    // completes with the fault-free answer — degraded, not broken.
+    const std::vector<double> clean_answer = cleanEvaluateAnswer();
     DaemonConfig cfg;
     cfg.session.jobs = 1;
     cfg.session.traceCacheDir = dir_;
@@ -222,10 +258,12 @@ TEST_F(DaemonFaultTest, TraceIoFaultUnderAdmittedJobStillAnswers)
     FailpointRegistry::instance().arm("trace_io.write",
                                       {FailpointAction::Fail, 0});
     DaemonClient client = connectedClient();
-    CallResult r = client.call(1, Command::Profile, "compress", 0, 0, 120'000);
+    CallResult r =
+        client.call(1, Command::Evaluate, "compress", 0, 70.0, 120'000);
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_GT(r.response.get("result")->numberOr("profiled_pcs", 0),
+    EXPECT_GT(r.response.get("result")->numberOr("prof_corr_pct", 0),
               0.0);
+    EXPECT_EQ(accuracies(*r.response.get("result")), clean_answer);
 
     FailpointRegistry::instance().reset();
     CallResult stats = client.call(2, Command::Stats, "", 0, 0, 5000);

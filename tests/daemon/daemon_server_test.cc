@@ -538,33 +538,58 @@ TEST_F(DaemonServerTest, ManyClientsShareOneTraceRepository)
 {
     startServer(baseConfig());
 
-    // Four clients ask for the same (workload, input) profile; the
-    // trace-once Session must interpret the VM exactly once.
+    // Four clients ask for the same (workload, input) profile, then
+    // for the same evaluate of it. The profile is one VM pass behind a
+    // per-key slot, so it runs once; the evaluate replays the key's
+    // trace, which the trace-once repository captures once.
     constexpr int kClients = 4;
-    std::vector<std::thread> threads;
-    std::vector<double> digests(kClients, -1);
     std::string socket = server_->config().socketPath;
-    for (int i = 0; i < kClients; ++i) {
-        threads.emplace_back([&, i] {
-            DaemonClient client;
-            std::string error;
-            if (!client.connect(socket, &error))
-                return;
-            CallResult r = client.call(1, Command::Profile, "compress",
-                                       0, 0, 120'000);
-            if (r.ok && r.response.get("result"))
-                digests[i] =
-                    r.response.get("result")->numberOr("digest", -2);
-        });
-    }
-    for (auto &t : threads)
-        t.join();
+    auto fromEveryClient = [&](Command cmd, double threshold,
+                               const char *field) {
+        std::vector<double> values(kClients, -1);
+        std::vector<std::thread> threads;
+        for (int i = 0; i < kClients; ++i) {
+            threads.emplace_back([&, i] {
+                DaemonClient client;
+                std::string error;
+                if (!client.connect(socket, &error))
+                    return;
+                CallResult r = client.call(1, cmd, "compress", 0,
+                                           threshold, 120'000);
+                if (r.ok && r.response.get("result"))
+                    values[i] =
+                        r.response.get("result")->numberOr(field, -2);
+            });
+        }
+        for (auto &t : threads)
+            t.join();
+        return values;
+    };
+    auto collects = [] {
+        telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
+        auto it = snap.histograms.find("profile.collect.us");
+        return it == snap.histograms.end() ? uint64_t{0}
+                                           : it->second.count;
+    };
+
+    const uint64_t collects_before = collects();
+    std::vector<double> digests =
+        fromEveryClient(Command::Profile, 0, "digest");
     for (int i = 0; i < kClients; ++i) {
         EXPECT_GE(digests[i], 0.0) << "client " << i << " failed";
         EXPECT_EQ(digests[i], digests[0]);
     }
+    EXPECT_EQ(collects(), collects_before + 1)
+        << "a cold key's profile runs the VM once";
+
+    std::vector<double> accuracies =
+        fromEveryClient(Command::Evaluate, 70.0, "prof_misp_pct");
+    for (int i = 0; i < kClients; ++i) {
+        EXPECT_GE(accuracies[i], 0.0) << "client " << i << " failed";
+        EXPECT_EQ(accuracies[i], accuracies[0]);
+    }
     // The trace-once invariant under concurrent serving: one VM run
-    // for input 0 (collectProfile replays the one cached trace).
+    // for input 0 (every evaluate replays the one cached trace).
     EXPECT_EQ(server_->session().traces().vmRuns(), 1u);
 }
 
@@ -626,19 +651,24 @@ TEST_F(DaemonServerTest, TwoDaemonsOnOneCacheCaptureEachTraceOnce)
     ASSERT_TRUE(server_b.start(&error)) << error;
     std::thread thread_b([&server_b] { server_b.run(); });
 
-    // One (workload, input) profiled from BOTH processes: profile
+    // One (workload, input) evaluated from BOTH processes: evaluate
     // replays through the trace repository, so the shared cache and
     // its flock must make the second daemon load A's capture instead
     // of interpreting again.
     DaemonClient client_a = connectedClient();
     DaemonClient client_b;
     ASSERT_TRUE(client_b.connect(cfg_b.socketPath, &error)) << error;
-    CallResult job_a = client_a.call(1, Command::Profile, "li", 0, 0, 120'000);
+    CallResult job_a =
+        client_a.call(1, Command::Evaluate, "li", 0, 70.0, 120'000);
     ASSERT_TRUE(job_a.ok) << job_a.error;
-    CallResult job_b = client_b.call(2, Command::Profile, "li", 0, 0, 120'000);
+    CallResult job_b =
+        client_b.call(2, Command::Evaluate, "li", 0, 70.0, 120'000);
     ASSERT_TRUE(job_b.ok) << job_b.error;
-    EXPECT_EQ(job_a.response.get("result")->numberOr("digest", -1),
-              job_b.response.get("result")->numberOr("digest", -2));
+    for (const char *field : {"fsm_misp_pct", "fsm_corr_pct",
+                              "prof_misp_pct", "prof_corr_pct"})
+        EXPECT_EQ(job_a.response.get("result")->numberOr(field, -1),
+                  job_b.response.get("result")->numberOr(field, -2))
+            << field;
 
     // Each daemon's own `stats`: one VM run between them, and B got
     // its trace from the disk A wrote.

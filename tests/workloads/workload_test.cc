@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "core/session.hh"
+#include "daemon/dispatch.hh"
+#include "report/json.hh"
 #include "vm/machine.hh"
 #include "workloads/workload.hh"
 
@@ -49,6 +54,91 @@ TEST_P(WorkloadChecksum, MatchesReferenceImplementation)
     ASSERT_TRUE(r.halted) << "hit the instruction limit";
     EXPECT_EQ(m.memory().load(kChecksumAddr),
               w->referenceChecksum(c.input));
+}
+
+/** Instructions each (workload, input) retires, pinned from a run on
+ *  the hash-map Memory the paged one replaced. */
+uint64_t
+pinnedInstructions(const RunCase &c)
+{
+    static const std::map<std::string, uint64_t> pinned = {
+        {"go.in0", 876537},
+        {"go.in1", 728847},
+        {"go.in2", 1009079},
+        {"go.in3", 785716},
+        {"go.in4", 910200},
+        {"m88ksim.in0", 1232450},
+        {"m88ksim.in1", 952450},
+        {"m88ksim.in2", 1428450},
+        {"m88ksim.in3", 1064450},
+        {"m88ksim.in4", 1316450},
+        {"gcc.in0", 909094},
+        {"gcc.in1", 683932},
+        {"gcc.in2", 1190231},
+        {"gcc.in3", 787458},
+        {"gcc.in4", 1053406},
+        {"compress.in0", 1129465},
+        {"compress.in1", 862743},
+        {"compress.in2", 1399421},
+        {"compress.in3", 992915},
+        {"compress.in4", 1228198},
+        {"li.in0", 1529691},
+        {"li.in1", 1004825},
+        {"li.in2", 1946465},
+        {"li.in3", 945622},
+        {"li.in4", 1787048},
+        {"ijpeg.in0", 1211734},
+        {"ijpeg.in1", 883548},
+        {"ijpeg.in2", 1363219},
+        {"ijpeg.in3", 1041249},
+        {"ijpeg.in4", 1010021},
+        {"perl.in0", 1074509},
+        {"perl.in1", 869708},
+        {"perl.in2", 1282132},
+        {"perl.in3", 948041},
+        {"perl.in4", 1216080},
+        {"vortex.in0", 1350552},
+        {"vortex.in1", 1055758},
+        {"vortex.in2", 1654926},
+        {"vortex.in3", 1203853},
+        {"vortex.in4", 1504614},
+        {"mgrid.in0", 815903},
+        {"mgrid.in1", 659281},
+        {"mgrid.in2", 972525},
+        {"mgrid.in3", 737592},
+        {"mgrid.in4", 894214},
+    };
+    return pinned.at(c.workload + ".in" + std::to_string(c.input));
+}
+
+TEST_P(WorkloadChecksum, VerifyJobReportsThePinnedTriple)
+{
+    // The daemon's `verify` answer (instructions, halted, checksum)
+    // on every key: the instruction count a memory-layout change must
+    // not move, and the reference implementation's checksum.
+    const RunCase &c = GetParam();
+    const Workload *w = suite().find(c.workload);
+    ASSERT_NE(w, nullptr);
+    Session session;
+    daemon::Dispatcher dispatcher(session, suite());
+    daemon::Request req;
+    req.cmd = daemon::Command::Verify;
+    req.workload = c.workload;
+    req.input = c.input;
+    daemon::JobOutcome outcome = dispatcher.execute(req);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    auto result = report::parseJson("{" + outcome.resultFields + "}");
+    ASSERT_TRUE(result);
+    EXPECT_EQ(result->numberOr("instructions", -1),
+              static_cast<double>(pinnedInstructions(c)));
+    const report::JsonValue *halted = result->get("halted");
+    ASSERT_TRUE(halted && halted->isBool());
+    EXPECT_TRUE(halted->asBool());
+    EXPECT_EQ(result->numberOr("checksum", -1),
+              static_cast<double>(w->referenceChecksum(c.input)));
+    const report::JsonValue *matches = result->get("matches");
+    ASSERT_TRUE(matches && matches->isBool());
+    EXPECT_TRUE(matches->asBool());
 }
 
 std::vector<RunCase>

@@ -42,7 +42,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -261,18 +260,15 @@ cmdTrace(Session &session, const Workload &w, size_t input,
 /**
  * trace --format-stats: the on-disk economics of the columnar format,
  * per workload. Each input-0 trace is captured through the session
- * (so --trace-cache reuse applies), written as v3, and compared
- * against the size of a fixed-width record stream (16-byte header +
- * 39 bytes/record + 8-byte checksum trailer, the retired v2 layout).
+ * (so --trace-cache reuse applies) and its v3 file size (the header
+ * plus the encoded blocks, exactly what writeColumnarTraceFile
+ * writes) is compared against the size of a fixed-width record stream
+ * (16-byte header + 39 bytes/record + 8-byte checksum trailer, the
+ * retired v2 layout). Nothing is written to disk.
  */
 int
 cmdTraceFormatStats(Session &session, const WorkloadSuite &suite)
 {
-    namespace fs = std::filesystem;
-    fs::path dir =
-        fs::temp_directory_path() / "vpprof_format_stats";
-    fs::create_directories(dir);
-
     std::printf("%-10s %12s %7s %12s %12s %8s\n", "workload",
                 "records", "blocks", "fixed bytes", "v3 bytes",
                 "v3/fixed");
@@ -280,23 +276,14 @@ cmdTraceFormatStats(Session &session, const WorkloadSuite &suite)
     uint64_t total_fixed = 0, total_v3 = 0;
     for (const auto &w : suite.all()) {
         std::string name(w->name());
-        std::string path = (dir / (name + ".in0.trace")).string();
         ColumnarTraceBuilder builder;
         session.runTrace(*w, 0, &builder);
         ColumnarTrace trace = builder.take();
-        TraceIoStatus st = writeColumnarTraceFile(path, trace);
-        if (st != TraceIoStatus::Ok)
-            vpprof_fatal("cannot write format-stats scratch file (",
-                         traceIoStatusName(st), "): ", path);
 
         uint64_t records = trace.records;
         uint64_t blocks = trace.blocks;
         uint64_t fixed_bytes = 16 + 39 * records + 8;
-        std::error_code ec;
-        uint64_t v3_bytes = fs::file_size(path, ec);
-        if (ec)
-            vpprof_fatal("cannot stat format-stats scratch file: ",
-                         path);
+        uint64_t v3_bytes = kTraceFileHeaderBytes + trace.bytes.size();
 
         total_records += records;
         total_blocks += blocks;
@@ -318,7 +305,6 @@ cmdTraceFormatStats(Session &session, const WorkloadSuite &suite)
                 static_cast<unsigned long long>(total_v3),
                 static_cast<double>(total_v3) /
                     static_cast<double>(total_fixed));
-    fs::remove_all(dir);
     return 0;
 }
 
