@@ -12,13 +12,12 @@
  *     workload (ping/profile/evaluate/verify over two workloads); the
  *     raw response line of every (client, slot) is recorded.
  *
- *  2. CHAOS — a fresh daemon over the same warm cache with seeded
- *     faults armed on the accept path, the response-write path, the
- *     dispatch path (injected latency) and the trace-cache read path.
- *     Every client calls through callWithRetry (reconnect + seeded
- *     backoff). Gates: ZERO unanswered requests, every response line
- *     BIT-IDENTICAL to the baseline, at least one trace-read fault
- *     actually fired, and the recovery p99 rides the perf gate
+ *  2. CHAOS — a fresh daemon with seeded faults armed on the accept
+ *     path, the response-write path and the dispatch path (injected
+ *     latency). Every client calls through callWithRetry (reconnect +
+ *     seeded backoff). Gates: ZERO unanswered requests, every response
+ *     line BIT-IDENTICAL to the baseline, at least one fault actually
+ *     fired, and the recovery p99 rides the perf gate
  *     (BENCH_chaos.json vs golden/perf/BENCH_chaos.json).
  *
  *  3. SHED — a deliberately tiny daemon (queue 2, quota 1) with
@@ -35,7 +34,6 @@
 #include "bench_daemon_util.hh"
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -65,7 +63,7 @@ struct DrillScale
     size_t shedFixedJobs = 6;
     const char *faults =
         "daemon.accept:fail%0.05@5,daemon.write:fail%0.05@7,"
-        "daemon.dispatch:delay=2%0.25@9,trace_io.read:short%0.01@11";
+        "daemon.dispatch:delay=2%0.25@9";
     bool emitFiles = true;
 };
 
@@ -82,7 +80,7 @@ quickScale()
     // hold even in the smoke.
     s.faults =
         "daemon.accept:fail%0.1@5,daemon.write:fail%0.1@7,"
-        "daemon.dispatch:delay=2%0.5@9,trace_io.read:short%0.02@11";
+        "daemon.dispatch:delay=2%0.5@9";
     s.emitFiles = false;
     return s;
 }
@@ -185,15 +183,9 @@ main(int argc, char **argv)
     FailpointRegistry::instance().reset();
     uint64_t probe_triggered = runDeterminismProbe();
 
-    const std::string cache_dir =
-        std::filesystem::temp_directory_path().string() +
-        "/vpprof_bench_chaos";
-    std::filesystem::remove_all(cache_dir);
-
     // ---- Baseline phase (fault-free) -----------------------------
     DaemonConfig cfg;
     cfg.session.jobs = 4;
-    cfg.session.traceCacheDir = cache_dir;
 
     std::printf("baseline: %zu clients x %zu mixed requests, no "
                 "faults\n",
@@ -205,22 +197,6 @@ main(int argc, char **argv)
     auto wall_t0 = std::chrono::steady_clock::now();
     {
         RunningDaemon baseline(cfg, kSocketPrefix);
-        {
-            // Warm pass: populate the disk trace cache so both runs
-            // serve from the same persisted traces.
-            DaemonClient warm = baseline.client();
-            uint64_t id = 1;
-            for (const char *w : {"compress", "li"})
-                for (Command cmd :
-                     {Command::Profile, Command::Evaluate,
-                      Command::Verify}) {
-                    CallResult r = warm.call(id++, cmd, w, 0, 70.0,
-                                             kCallTimeoutMs);
-                    if (!r.ok)
-                        vpprof_panic("warm-up ", commandName(cmd), " ",
-                                     w, " failed: ", r.error);
-                }
-        }
         std::vector<std::thread> threads;
         for (size_t c = 0; c < scale.chaosClients; ++c)
             threads.emplace_back([&, c] {
@@ -244,7 +220,7 @@ main(int argc, char **argv)
     // ---- Chaos phase ---------------------------------------------
     std::printf("chaos: same workload, faults %s\n", scale.faults);
     std::vector<PhaseOutcome> per_client(scale.chaosClients);
-    uint64_t chaos_faults = 0, chaos_read_faults = 0;
+    uint64_t chaos_faults = 0;
     {
         RunningDaemon chaos(cfg, kSocketPrefix);
         {
@@ -291,11 +267,8 @@ main(int argc, char **argv)
         // The armed write/accept faults also hit the drain path;
         // disarm before stopping so the drain's flushes are clean.
         for (const char *site :
-             {"daemon.accept", "daemon.write", "daemon.dispatch",
-              "trace_io.read"})
+             {"daemon.accept", "daemon.write", "daemon.dispatch"})
             chaos_faults += FailpointRegistry::instance().triggered(site);
-        chaos_read_faults =
-            FailpointRegistry::instance().triggered("trace_io.read");
         FailpointRegistry::instance().reset();
         if (chaos.stop() != 0)
             vpprof_panic("chaos daemon did not drain cleanly");
@@ -316,12 +289,11 @@ main(int argc, char **argv)
     double chaos_p99 = percentile(chaos_latencies, 0.99);
     const uint64_t chaos_requests =
         scale.chaosClients * scale.requestsPerClient;
-    std::printf("chaos: %llu requests, %llu faults injected (%llu "
-                "trace reads), p99 %.2f ms, unanswered %llu, errors "
-                "%llu, mismatched %llu\n\n",
+    std::printf("chaos: %llu requests, %llu faults injected, p99 "
+                "%.2f ms, unanswered %llu, errors %llu, mismatched "
+                "%llu\n\n",
                 static_cast<unsigned long long>(chaos_requests),
                 static_cast<unsigned long long>(chaos_faults),
-                static_cast<unsigned long long>(chaos_read_faults),
                 chaos_p99,
                 static_cast<unsigned long long>(chaos_unanswered),
                 static_cast<unsigned long long>(chaos_errors),
@@ -339,7 +311,6 @@ main(int argc, char **argv)
     {
         DaemonConfig shed_cfg;
         shed_cfg.session.jobs = 1;
-        shed_cfg.session.traceCacheDir = cache_dir;  // warm
         shed_cfg.maxQueue = 2;
         shed_cfg.maxInflightPerClient = 1;
         RunningDaemon shed(shed_cfg, kSocketPrefix);
@@ -438,7 +409,6 @@ main(int argc, char **argv)
                 shed_completed_pct);
 
     double wall_ms = wallMsSince(wall_t0);
-    std::filesystem::remove_all(cache_dir);
 
     // ---- Report + gates ------------------------------------------
     if (scale.emitFiles) {
@@ -506,11 +476,6 @@ main(int argc, char **argv)
     if (chaos_faults == 0) {
         std::printf("FAIL: the chaos run injected no faults — the "
                     "drill proved nothing\n");
-        ok = false;
-    }
-    if (chaos_read_faults == 0) {
-        std::printf("FAIL: no trace_io.read fault fired — the daemon's "
-                    "replays never met the trace-cache read path\n");
         ok = false;
     }
     if (shed_fixed_rejected == 0) {

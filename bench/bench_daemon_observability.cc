@@ -46,7 +46,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -298,12 +297,11 @@ struct OverheadMeasure
  * time dispatch + telemetry, not first-touch VM work.
  */
 OverheadMeasure
-measureOverhead(const std::string &cache_dir)
+measureOverhead()
 {
     OverheadMeasure m;
     DaemonConfig cfg;
     cfg.session.jobs = 4;
-    cfg.session.traceCacheDir = cache_dir;
     RunningDaemon daemon(cfg, kSocketPrefix);
     {
         DaemonClient warm = daemon.client();
@@ -381,10 +379,6 @@ main()
            "beyond the paper -- the telemetry plane's acceptance "
            "gates");
 
-    const std::string cache_dir =
-        std::filesystem::temp_directory_path().string() +
-        "/vpprof_bench_observability";
-    std::filesystem::remove_all(cache_dir);
     auto bench_t0 = std::chrono::steady_clock::now();
 
     // ---- Phase 1: exposition agreement + tight-SLO burns ---------
@@ -397,7 +391,6 @@ main()
     {
         DaemonConfig cfg;
         cfg.session.jobs = 2;
-        cfg.session.traceCacheDir = cache_dir;
         std::string slo_error;
         auto slo = parseSloSpec("p99_ms=0.0001,error_rate=0", &slo_error);
         if (!slo)
@@ -516,7 +509,6 @@ main()
     {
         DaemonConfig cfg;
         cfg.session.jobs = 2;
-        cfg.session.traceCacheDir = cache_dir;
         std::string slo_error;
         auto slo =
             parseSloSpec("p99_ms=600000,error_rate=1", &slo_error);
@@ -557,7 +549,7 @@ main()
     }
 
     // ---- Phase 3: streaming overhead -----------------------------
-    OverheadMeasure overhead = measureOverhead(cache_dir);
+    OverheadMeasure overhead = measureOverhead();
     uint64_t steady_errors = overhead.errors;
     uint64_t steady_unanswered = overhead.unanswered;
     uint64_t stream_received = overhead.received;
@@ -570,7 +562,7 @@ main()
         std::printf("overhead: rps %.2f%% p99 %.2f%% is above the "
                     "quiet threshold — remeasuring (attempt %d/3)\n\n",
                     overhead.rpsPct(), overhead.p99Pct(), attempt);
-        OverheadMeasure again = measureOverhead(cache_dir);
+        OverheadMeasure again = measureOverhead();
         steady_errors += again.errors;
         steady_unanswered += again.unanswered;
         stream_received += again.received;
@@ -597,7 +589,6 @@ main()
     {
         DaemonConfig cfg;
         cfg.session.jobs = 2;
-        cfg.session.traceCacheDir = cache_dir;
         cfg.eventRingCap = 8;
         cfg.maxClientOutBufBytes = 4096;
         cfg.idleTimeoutMs = 0;  // the stalled subscriber must survive
@@ -644,7 +635,6 @@ main()
     }
 
     double wall_ms = wallMsSince(bench_t0);
-    std::filesystem::remove_all(cache_dir);
 
     // ---- Report + gates ------------------------------------------
     emitResult("observability", "overhead/rps_pct", rps_overhead_pct,

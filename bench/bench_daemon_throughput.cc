@@ -4,7 +4,7 @@
  * Unix-domain sockets and gates the serving layer's two contracts.
  *
  *  1. STEADY phase — 8 clients, each issuing a sequential mix of
- *     ping/stats/profile/evaluate/verify against a warm cache. With
+ *     ping/stats/profile/evaluate/verify over warm profiles. With
  *     one outstanding request per client the default admission bounds
  *     (queue 64, quota 8) are never hit, so every request must be
  *     answered `ok`: errors and unanswered requests are hard gates at
@@ -30,7 +30,6 @@
 #include "bench_daemon_util.hh"
 
 #include <algorithm>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <set>
@@ -98,20 +97,14 @@ main()
            "overload shedding",
            "beyond the paper -- the serving layer's acceptance gates");
 
-    const std::string cache_dir =
-        std::filesystem::temp_directory_path().string() +
-        "/vpprof_bench_daemon";
-    std::filesystem::remove_all(cache_dir);
-
     // ---- Steady phase --------------------------------------------
     DaemonConfig steady_cfg;
     steady_cfg.session.jobs = 4;
-    steady_cfg.session.traceCacheDir = cache_dir;
     RunningDaemon steady(steady_cfg, kSocketPrefix);
 
-    // Warm pass (unmeasured): populate the trace cache and the
-    // memoized profiles so the measured phase times the serving
-    // path, not first-touch VM interpretation.
+    // Warm pass (unmeasured): populate the memoized profiles so the
+    // measured phase times the serving path, not first-touch
+    // profiling.
     {
         DaemonClient warm = steady.client();
         uint64_t id = 1;
@@ -129,7 +122,7 @@ main()
 
     std::printf("steady: %zu clients x %zu requests "
                 "(ping/stats/profile/evaluate/verify mix, warm "
-                "cache)\n",
+                "profiles)\n",
                 kSteadyClients, kSteadyRequestsPerClient);
     std::vector<SteadyStats> per_client(kSteadyClients);
     auto steady_t0 = std::chrono::steady_clock::now();
@@ -192,7 +185,6 @@ main()
     // dropped requests.
     DaemonConfig burst_cfg;
     burst_cfg.session.jobs = 1;
-    burst_cfg.session.traceCacheDir = cache_dir;  // warm from phase 1
     burst_cfg.maxQueue = 2;
     burst_cfg.maxInflightPerClient = 1;
     RunningDaemon burst(burst_cfg, kSocketPrefix);
@@ -278,8 +270,6 @@ main()
                 static_cast<unsigned long long>(burst_rejected),
                 static_cast<unsigned long long>(burst_errors),
                 static_cast<unsigned long long>(burst_unanswered));
-
-    std::filesystem::remove_all(cache_dir);
 
     // ---- Report + gates ------------------------------------------
     emitResult("daemon", "steady/p50_ms", p50_ms, std::nullopt, "ms");

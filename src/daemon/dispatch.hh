@@ -7,9 +7,11 @@
  * The dispatcher is deliberately socket-free: the server hands it
  * admitted jobs from ExperimentRunner worker lanes, and the tests
  * drive it directly to pin the serving results bit-identical to the
- * CLI-batch pipelines (both run the very same Session methods —
- * collectProfile, annotatedProgram, evaluateClassification — over the
- * same flock-shared trace cache).
+ * CLI-batch pipelines. Every job is VM passes: profile and the
+ * training profiles behind annotatedProgram are Session's memoized
+ * VM-direct profiles, evaluate runs the test input once into both
+ * classifiers, and verify runs it bare. No job captures, reads or
+ * writes a trace, so the daemon keeps no files.
  *
  * Thread safety: execute() may be called concurrently from several
  * runner lanes. Session entry points are internally synchronized;

@@ -22,7 +22,6 @@ jobEventKindName(JobEventKind kind)
       case JobEventKind::Rejected: return "rejected";
       case JobEventKind::Cancelled: return "cancelled";
       case JobEventKind::Deadline: return "deadline";
-      case JobEventKind::Recovery: return "recovery";
     }
     return "?";
 }

@@ -49,7 +49,6 @@ enum class JobEventKind
     Rejected,  ///< shed at admission (overloaded/quota/draining)
     Cancelled, ///< removed from the queue (cancel command/disconnect)
     Deadline,  ///< answered deadline_exceeded (queued or completed late)
-    Recovery,  ///< trace-cache self-healing (quarantine/regeneration)
 };
 
 const char *jobEventKindName(JobEventKind kind);
@@ -60,12 +59,12 @@ struct JobEvent
     uint64_t seq = 0;          ///< EventRing::push stamps it, from 1
     uint64_t tsNs = 0;         ///< telemetry::nowNs() timestamp
     JobEventKind kind = JobEventKind::Received;
-    uint64_t requestId = 0;    ///< 0 for job-less events (recovery)
+    uint64_t requestId = 0;    ///< the request's `id`
     uint64_t traceId = 0;
     uint64_t clientSerial = 0;
     Command cmd = Command::Ping;
     std::string workload;
-    std::string detail;        ///< error text / recovery description
+    std::string detail;        ///< error, rejection or cancel reason
     uint64_t queued = 0;       ///< admission backlog at event time
 };
 

@@ -394,7 +394,6 @@ DaemonServer::run()
         }
 
         drainCompletions();
-        pollRecoveryEvents();
 
         if (unix_idx != SIZE_MAX && (fds[unix_idx].revents & POLLIN))
             acceptClients(listenFd_);
@@ -933,28 +932,6 @@ DaemonServer::pumpSubscriber(Client &client, bool bounded)
 }
 
 void
-DaemonServer::pollRecoveryEvents()
-{
-    // Trace-cache self-healing (PR 3's quarantine + regeneration)
-    // becomes visible in the event stream: any counter movement since
-    // the last look is narrated as one Recovery event.
-    TraceRepoStats stats = session_.traces().stats();
-    if (stats.regenerations == lastRegenerations_ &&
-        stats.corruptQuarantined == lastQuarantined_)
-        return;
-    JobEvent event;
-    event.kind = JobEventKind::Recovery;
-    std::ostringstream os;
-    os << "regenerations+" << (stats.regenerations - lastRegenerations_)
-       << " quarantined+"
-       << (stats.corruptQuarantined - lastQuarantined_);
-    event.detail = os.str();
-    lastRegenerations_ = stats.regenerations;
-    lastQuarantined_ = stats.corruptQuarantined;
-    recordJobEvent(std::move(event));
-}
-
-void
 DaemonServer::settleDeadJob(const Job &job, ErrorCode code,
                             const std::string &detail)
 {
@@ -1228,11 +1205,13 @@ DaemonServer::closeClient(int fd, bool counted_idle)
         return;
     uint64_t serial = it->second.serial;
     clientFdBySerial_.erase(serial);
-    ::close(fd);
-    clients_.erase(it);
+    // Count before closing: the peer may read the counters as soon as
+    // it sees EOF.
     counters_.disconnects.add();
     if (counted_idle)
         counters_.idleCloses.add();
+    ::close(fd);
+    clients_.erase(it);
 
     // Cancel the departed client's QUEUED jobs: nobody is left to
     // read the answers, so running them only burns lanes other

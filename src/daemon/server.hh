@@ -3,9 +3,9 @@
  * vpprofd's serving core: a single-threaded poll() event loop over a
  * Unix domain stream socket (plus an optional TCP front-end),
  * multiplexing profile/evaluate/verify jobs from many concurrent
- * clients onto ONE shared Session (one trace-once repository, one
- * memoized profile cache, one flock-serialized persistent trace
- * cache) through the existing ExperimentRunner thread pool.
+ * clients onto ONE shared Session (one memoized profile cache)
+ * through the existing ExperimentRunner thread pool. Every job is VM
+ * passes, so the daemon reads and writes no trace file.
  *
  * Threading model (DESIGN.md §13):
  *  - the EVENT LOOP thread owns every socket, every client buffer,
@@ -58,14 +58,11 @@
  *    delivered, not dropped at teardown), then
  *    flushes the telemetry outputs (--metrics-out / --trace-json
  *    survive a signal-initiated exit);
- *  - several daemons on one trace cache stay correct through the
- *    repository's advisory flock: a trace is captured once and every
- *    other process loads it (DESIGN.md §15);
+ *  - several daemons share nothing: each keeps its state in its own
+ *    process, so they answer byte-identically side by side
+ *    (DESIGN.md §15);
  *  - fault injection: `daemon.accept` and `daemon.write` failpoints
- *    make socket-level faults deterministic, and the trace-cache
- *    failpoint matrix applies unchanged under the daemon — a corrupt
- *    cache file mid-job means the client gets a completed result via
- *    quarantine + regeneration, not a hang.
+ *    make socket-level faults deterministic.
  */
 
 #ifndef VPPROF_DAEMON_SERVER_HH
@@ -102,7 +99,9 @@ struct DaemonConfig
     /** Unix-domain socket path (required; a stale file is replaced). */
     std::string socketPath;
 
-    /** The shared Session underneath (jobs, trace cache, budget). */
+    /** The shared Session underneath (runner width, memoized
+     *  profiles). No job replays a trace, so no file in its
+     *  traceCacheDir is ever read or written. */
     SessionConfig session;
 
     /** Event loops: must be 1 (start() fails otherwise). Kept only
@@ -351,8 +350,6 @@ class DaemonServer
      *  failed flush). */
     template <typename Fn>
     void forEachSubscriber(Fn fn);
-    /** Emit Recovery events for trace-cache healing since last check. */
-    void pollRecoveryEvents();
 
     // --- runner lanes (executor thread + runner workers) ------------
     /** Pull, run and answer admitted jobs one at a time until the
@@ -394,8 +391,6 @@ class DaemonServer
     EventRing events_;
     SloTracker slo_;
     uint64_t nextTraceId_ = 1;
-    uint64_t lastRegenerations_ = 0;
-    uint64_t lastQuarantined_ = 0;
 
     /** Watchdog view of the lanes: the start of each lane's running
      *  job (0 while idle); the event loop swaps a stuck job's stamp

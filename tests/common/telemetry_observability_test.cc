@@ -192,20 +192,31 @@ TEST(TelemetryRegistry, SnapshotUnderLoadIsMonotonic)
     // concurrently: every successive read of a counter must be
     // non-decreasing (counters are monotone; a racing snapshot may be
     // one event stale but never torn), and the final merge must be
-    // exact.
+    // exact. The owners meet the reader halfway: each waits after its
+    // first half until the reader has taken a snapshot with every
+    // owner parked there, and the reader only takes that snapshot
+    // after an earlier one. So at least two snapshots race live
+    // owners however the host schedules the threads.
     constexpr int kThreads = 4;
     constexpr uint64_t kPerThread = 50'000;
     const char *kName = "test.obs.snapshot_under_load";
     Counter counter(kName);
 
     std::atomic<bool> start{false};
+    std::atomic<int> halfway{0};
+    std::atomic<bool> released{false};
     std::atomic<int> done{0};
     std::vector<std::thread> owners;
     for (int t = 0; t < kThreads; ++t) {
         owners.emplace_back([&] {
-            while (!start.load(std::memory_order_acquire)) {
-            }
-            for (uint64_t i = 0; i < kPerThread; ++i)
+            while (!start.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            for (uint64_t i = 0; i < kPerThread / 2; ++i)
+                counter.add();
+            halfway.fetch_add(1, std::memory_order_release);
+            while (!released.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            for (uint64_t i = kPerThread / 2; i < kPerThread; ++i)
                 counter.add();
             done.fetch_add(1, std::memory_order_release);
         });
@@ -215,12 +226,20 @@ TEST(TelemetryRegistry, SnapshotUnderLoadIsMonotonic)
     uint64_t snapshots = 0;
     start.store(true, std::memory_order_release);
     while (done.load(std::memory_order_acquire) < kThreads) {
+        const bool parked = !released.load(std::memory_order_relaxed) &&
+                            halfway.load(std::memory_order_acquire) ==
+                                kThreads;
         MetricsSnapshot snap = snapshotMetrics();
         auto it = snap.counters.find(kName);
         uint64_t now = it == snap.counters.end() ? 0 : it->second;
         ASSERT_GE(now, prev) << "snapshot went backwards";
         ASSERT_LE(now, kThreads * kPerThread) << "snapshot overshot";
         prev = now;
+        if (parked && snapshots >= 1) {
+            // Every owner is parked with its first half added.
+            EXPECT_EQ(now, kThreads * kPerThread / 2);
+            released.store(true, std::memory_order_release);
+        }
         ++snapshots;
     }
     for (auto &t : owners)

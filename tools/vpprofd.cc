@@ -8,9 +8,10 @@
  * domain socket) until a graceful drain completes: SIGTERM/SIGINT or a
  * protocol `shutdown` command stops accepting work, finishes every
  * admitted job, flushes every client, writes the telemetry outputs and
- * exits 0. All long-lived state — the trace cache, memoized profiles,
- * the runner pool — is one shared Session, so N clients asking about
- * one workload cost one VM interpretation, not N.
+ * exits 0. All long-lived state — memoized profiles and the runner
+ * pool — is one shared Session, so N clients asking for one profile
+ * cost one VM interpretation, not N. Every job is VM passes: the
+ * daemon reads and writes no trace file.
  */
 
 #include <atomic>
@@ -46,8 +47,6 @@ usage()
         "(atomic);\n"
         "                       pairs with --listen 127.0.0.1:0\n"
         "  --jobs N             runner lanes (0 = all cores; default 2)\n"
-        "  --trace-cache DIR    persistent trace cache shared with the "
-        "CLI\n"
         "  --max-queue N        admitted-job bound; beyond it requests "
         "are\n"
         "                       rejected `overloaded` (default 64)\n"
@@ -145,10 +144,6 @@ main(int argc, char **argv)
         } else if (flag == "--jobs") {
             cfg.session.jobs = static_cast<unsigned>(
                 parseUintFlag("--jobs", value));
-        } else if (flag == "--trace-cache") {
-            if (!value)
-                vpprof_fatal("--trace-cache requires a directory");
-            cfg.session.traceCacheDir = value;
         } else if (flag == "--max-queue") {
             cfg.maxQueue = static_cast<size_t>(
                 parseUintFlag("--max-queue", value));
