@@ -6,6 +6,7 @@
 #include "core/session.hh"
 #include "predictors/stride_predictor.hh"
 #include "profile/profile_collector.hh"
+#include "vm/machine_loop.hh"
 
 namespace vpprof
 {
@@ -23,20 +24,45 @@ runTrace(const Workload &workload, size_t input_idx, TraceSink *sink)
     return defaultSession().runTrace(workload, input_idx, sink);
 }
 
+namespace
+{
+
+/** One VM run: `run(machine)` picks the loop's sink. */
+template <class Run>
 RunResult
-runProgram(const Program &program, const MemoryImage &image,
-           TraceSink *sink, uint64_t max_insts)
+interpret(const Program &program, const MemoryImage &image,
+          uint64_t max_insts, Run run)
 {
     // One coarse span per VM run — never per instruction.
     VPPROF_TIMED_SPAN("vm.interpret");
     static const telemetry::Counter vm_runs("vm.runs");
     vm_runs.add();
     Machine machine(program, image);
-    RunResult result = machine.run(sink, max_insts);
+    RunResult result = run(machine);
     if (!result.halted)
         vpprof_fatal("program '", program.name(),
                      "' hit the instruction limit (", max_insts, ")");
     return result;
+}
+
+} // namespace
+
+RunResult
+runProgram(const Program &program, const MemoryImage &image,
+           TraceSink *sink, uint64_t max_insts)
+{
+    return interpret(program, image, max_insts, [&](Machine &machine) {
+        return machine.run(sink, max_insts);
+    });
+}
+
+RunResult
+runProgram(const Program &program, const MemoryImage &image,
+           ProfileCollector &collector, uint64_t max_insts)
+{
+    return interpret(program, image, max_insts, [&](Machine &machine) {
+        return machine.runInto(collector, max_insts);
+    });
 }
 
 ProfileImage

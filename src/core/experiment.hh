@@ -31,6 +31,8 @@
 namespace vpprof
 {
 
+class ProfileCollector;
+
 /** Run input set `input_idx` of a workload, streaming into `sink`. */
 RunResult runTrace(const Workload &workload, size_t input_idx,
                    TraceSink *sink);
@@ -38,6 +40,15 @@ RunResult runTrace(const Workload &workload, size_t input_idx,
 /** Run an (possibly annotated) program on an input image. */
 RunResult runProgram(const Program &program, const MemoryImage &image,
                      TraceSink *sink,
+                     uint64_t max_insts = Machine::kDefaultMaxInsts);
+
+/**
+ * runProgram straight into a ProfileCollector: the VM loop is compiled
+ * for the concrete collector (Machine::runInto), so its record()
+ * inlines. Same span, counter and instruction-limit check as above.
+ */
+RunResult runProgram(const Program &program, const MemoryImage &image,
+                     ProfileCollector &collector,
                      uint64_t max_insts = Machine::kDefaultMaxInsts);
 
 /** Phase 2: collect the profile image of one run. */

@@ -469,7 +469,7 @@ Session::collectProfile(const Workload &workload, size_t input_idx)
             VPPROF_TIMED_SPAN("profile.collect");
             ProfileCollector collector(std::string(workload.name()));
             runProgram(workload.program(), workload.input(input_idx),
-                       &collector, workload.maxInstructions());
+                       collector, workload.maxInstructions());
             slot->image = collector.takeImage();
             slot->computed.store(true, std::memory_order_release);
         }

@@ -54,46 +54,6 @@ writesRegister(Opcode op)
 }
 
 bool
-isLoad(Opcode op)
-{
-    return op == Opcode::Ld || op == Opcode::Fld;
-}
-
-bool
-isStore(Opcode op)
-{
-    return op == Opcode::St || op == Opcode::Fst;
-}
-
-bool
-isFp(Opcode op)
-{
-    switch (op) {
-      case Opcode::Fadd: case Opcode::Fsub: case Opcode::Fmul:
-      case Opcode::Fdiv: case Opcode::Fmov: case Opcode::Fneg:
-      case Opcode::Fabs: case Opcode::Fmin: case Opcode::Fmax:
-      case Opcode::Fsqrt: case Opcode::Fld: case Opcode::Fst:
-      case Opcode::Itof: case Opcode::Fblt:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isControl(Opcode op)
-{
-    switch (op) {
-      case Opcode::Beq: case Opcode::Bne: case Opcode::Blt:
-      case Opcode::Bge: case Opcode::Bltu: case Opcode::Fblt:
-      case Opcode::Jmp: case Opcode::Call: case Opcode::JmpR:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 isConditionalBranch(Opcode op)
 {
     switch (op) {
@@ -103,27 +63,6 @@ isConditionalBranch(Opcode op)
       default:
         return false;
     }
-}
-
-OpClass
-classOf(Opcode op)
-{
-    if (op == Opcode::Ld)
-        return OpClass::IntLoad;
-    if (op == Opcode::Fld)
-        return OpClass::FpLoad;
-    if (isStore(op))
-        return OpClass::Store;
-    if (isControl(op)) {
-        // Call writes a register but is classified as control; its link
-        // value is still eligible for value prediction.
-        return OpClass::Control;
-    }
-    if (op == Opcode::Nop || op == Opcode::Halt)
-        return OpClass::Other;
-    if (isFp(op))
-        return OpClass::FpAlu;
-    return OpClass::IntAlu;
 }
 
 std::string_view

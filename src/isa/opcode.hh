@@ -68,22 +68,73 @@ unsigned numSources(Opcode op);
 bool writesRegister(Opcode op);
 
 /** True for Ld/Fld. */
-bool isLoad(Opcode op);
+constexpr bool
+isLoad(Opcode op)
+{
+    return op == Opcode::Ld || op == Opcode::Fld;
+}
 
 /** True for St/Fst. */
-bool isStore(Opcode op);
+constexpr bool
+isStore(Opcode op)
+{
+    return op == Opcode::St || op == Opcode::Fst;
+}
 
 /** True when destination and sources are FP registers. */
-bool isFp(Opcode op);
+constexpr bool
+isFp(Opcode op)
+{
+    switch (op) {
+      case Opcode::Fadd: case Opcode::Fsub: case Opcode::Fmul:
+      case Opcode::Fdiv: case Opcode::Fmov: case Opcode::Fneg:
+      case Opcode::Fabs: case Opcode::Fmin: case Opcode::Fmax:
+      case Opcode::Fsqrt: case Opcode::Fld: case Opcode::Fst:
+      case Opcode::Itof: case Opcode::Fblt:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True for all control-flow opcodes (branches, jumps, call). */
-bool isControl(Opcode op);
+constexpr bool
+isControl(Opcode op)
+{
+    switch (op) {
+      case Opcode::Beq: case Opcode::Bne: case Opcode::Blt:
+      case Opcode::Bge: case Opcode::Bltu: case Opcode::Fblt:
+      case Opcode::Jmp: case Opcode::Call: case Opcode::JmpR:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True for conditional branches only. */
 bool isConditionalBranch(Opcode op);
 
 /** The Table 2.1 category of an opcode. */
-OpClass classOf(Opcode op);
+constexpr OpClass
+classOf(Opcode op)
+{
+    if (op == Opcode::Ld)
+        return OpClass::IntLoad;
+    if (op == Opcode::Fld)
+        return OpClass::FpLoad;
+    if (isStore(op))
+        return OpClass::Store;
+    if (isControl(op)) {
+        // Call writes a register but is classified as control; its link
+        // value is still eligible for value prediction.
+        return OpClass::Control;
+    }
+    if (op == Opcode::Nop || op == Opcode::Halt)
+        return OpClass::Other;
+    if (isFp(op))
+        return OpClass::FpAlu;
+    return OpClass::IntAlu;
+}
 
 /** Mnemonic string, e.g. "addi". */
 std::string_view mnemonic(Opcode op);

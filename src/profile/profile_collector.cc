@@ -34,22 +34,13 @@ ProfileCollector::grow(uint64_t pc)
     slots_.resize(std::max<size_t>(pc + 1, 2 * slots_.size()));
 }
 
-void
-ProfileCollector::record(const TraceRecord &rec)
-{
-    if (!rec.writesReg)
-        return;
-    ++producersSeen_;
-    if (rec.pc >= slots_.size())
-        grow(rec.pc);
-    PcSlot &slot = slots_[rec.pc];
-    profileStep(slot.profile, slot.stride, rec);
-}
-
 ProfileImage
 ProfileCollector::snapshot() const
 {
     ProfileImage image(program_);
+    image.reserve(static_cast<size_t>(std::count_if(
+        slots_.begin(), slots_.end(),
+        [](const PcSlot &slot) { return slot.profile.executions > 0; })));
     for (size_t pc = 0; pc < slots_.size(); ++pc) {
         if (slots_[pc].profile.executions > 0)
             image.at(pc) = slots_[pc].profile;

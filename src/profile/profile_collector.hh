@@ -76,14 +76,29 @@ profileStep(PcProfile &prof, StrideState &state, const TraceRecord &rec)
  * lives in a flat array indexed by pc, grown on demand: one indexed
  * step per record, no hash or tree lookup. The ordered image is built
  * only when asked for.
+ *
+ * The class is `final` and record() is inline, so the VM loop
+ * instantiated on it (Machine::runInto, as Session::collectProfile
+ * runs it) inlines the step and builds only the record fields it
+ * reads; fed through a TraceSink pointer, it is an ordinary sink.
  */
-class ProfileCollector : public TraceSink
+class ProfileCollector final : public TraceSink
 {
   public:
     /** @param program_name Name recorded into the produced image. */
     explicit ProfileCollector(std::string program_name);
 
-    void record(const TraceRecord &rec) override;
+    void
+    record(const TraceRecord &rec) override
+    {
+        if (!rec.writesReg)
+            return;
+        ++producersSeen_;
+        if (rec.pc >= slots_.size())
+            grow(rec.pc);
+        PcSlot &slot = slots_[rec.pc];
+        profileStep(slot.profile, slot.stride, rec);
+    }
 
     /** A copy of the image accumulated so far. */
     ProfileImage snapshot() const;

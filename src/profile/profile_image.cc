@@ -1,5 +1,6 @@
 #include "profile/profile_image.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -32,18 +33,65 @@ DirectiveRule::scaledToSampling(double keptFraction) const
     return scaled;
 }
 
+namespace
+{
+
+/** The first entry whose pc is not below `pc`. */
+template <class Entries>
+auto
+lowerBound(Entries &entries, uint64_t pc)
+{
+    return std::lower_bound(
+        entries.begin(), entries.end(), pc,
+        [](const ProfileImage::Entry &e, uint64_t key) {
+            return e.first < key;
+        });
+}
+
+} // namespace
+
+PcProfile &
+ProfileImage::at(uint64_t pc)
+{
+    if (entries_.empty() || entries_.back().first < pc)
+        return entries_.emplace_back(pc, PcProfile{}).second;
+    auto it = lowerBound(entries_, pc);
+    if (it->first != pc)
+        it = entries_.emplace(it, pc, PcProfile{});
+    return it->second;
+}
+
 const PcProfile *
 ProfileImage::find(uint64_t pc) const
 {
-    auto it = entries_.find(pc);
-    return it == entries_.end() ? nullptr : &it->second;
+    auto it = lowerBound(entries_, pc);
+    return it == entries_.end() || it->first != pc ? nullptr
+                                                   : &it->second;
 }
 
 void
 ProfileImage::merge(const ProfileImage &other)
 {
+    // Both tables are sorted: one pass counts the pcs only `other`
+    // has, a second builds the union into exactly that much room.
+    size_t fresh = 0;
+    size_t i = 0;
+    for (const auto &entry : other.entries_) {
+        while (i < entries_.size() && entries_[i].first < entry.first)
+            ++i;
+        if (i == entries_.size() || entries_[i].first != entry.first)
+            ++fresh;
+    }
+
+    std::vector<Entry> merged;
+    merged.reserve(entries_.size() + fresh);
+    i = 0;
     for (const auto &[pc, prof] : other.entries_) {
-        PcProfile &mine = entries_[pc];
+        while (i < entries_.size() && entries_[i].first < pc)
+            merged.push_back(entries_[i++]);
+        PcProfile mine;
+        if (i < entries_.size() && entries_[i].first == pc)
+            mine = entries_[i++].second;
         mine.executions += prof.executions;
         mine.attempts += prof.attempts;
         mine.correct += prof.correct;
@@ -51,7 +99,10 @@ ProfileImage::merge(const ProfileImage &other)
         mine.lastValueCorrect += prof.lastValueCorrect;
         mine.lastValueAttempts += prof.lastValueAttempts;
         mine.opClass = prof.opClass;
+        merged.emplace_back(pc, mine);
     }
+    merged.insert(merged.end(), entries_.begin() + i, entries_.end());
+    entries_ = std::move(merged);
 }
 
 void
@@ -116,7 +167,7 @@ ProfileImage::load(std::istream &is)
                          line);
         }
         p.opClass = static_cast<OpClass>(cls);
-        image.entries_[pc] = p;
+        image.at(pc) = p;
     }
     if (!saw_header)
         vpprof_fatal("profile image missing 'program' header");

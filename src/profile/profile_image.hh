@@ -14,8 +14,8 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/directive.hh"
@@ -121,10 +121,17 @@ Directive classifyDirective(const PcProfile &profile,
 /**
  * A profile image: the per-pc table produced by one (or several merged)
  * profiling runs of one program.
+ *
+ * The table is one vector of (pc, profile) pairs sorted by pc: a
+ * memoized image costs its entries and no per-node overhead, and
+ * iteration runs in ascending pc order as the text format and
+ * profileDigest expect. Lookups are binary searches.
  */
 class ProfileImage
 {
   public:
+    using Entry = std::pair<uint64_t, PcProfile>;
+
     ProfileImage() = default;
 
     /** @param program Name of the profiled program. */
@@ -135,8 +142,17 @@ class ProfileImage
 
     const std::string &programName() const { return program_; }
 
-    /** Mutable per-pc record, created on first touch. */
-    PcProfile &at(uint64_t pc) { return entries_[pc]; }
+    /**
+     * Mutable per-pc record, created on first touch. A pc above every
+     * profiled one is appended; any other new pc is inserted in order.
+     * The reference stays valid until the next at() that creates an
+     * entry, or the next merge() or load() into this image: each may
+     * move the entries. at() on an existing pc moves nothing.
+     */
+    PcProfile &at(uint64_t pc);
+
+    /** Make room for `n` entries (an image built in one pass). */
+    void reserve(size_t n) { entries_.reserve(n); }
 
     /** Lookup; nullptr when the pc was never profiled. */
     const PcProfile *find(uint64_t pc) const;
@@ -145,11 +161,8 @@ class ProfileImage
     size_t size() const { return entries_.size(); }
     bool empty() const { return entries_.empty(); }
 
-    /** Ordered iteration over (pc, profile) pairs. */
-    const std::map<uint64_t, PcProfile> &entries() const
-    {
-        return entries_;
-    }
+    /** The (pc, profile) pairs in ascending pc order. */
+    const std::vector<Entry> &entries() const { return entries_; }
 
     /**
      * Merge another image of the same program by summing counters
@@ -175,7 +188,7 @@ class ProfileImage
 
   private:
     std::string program_;
-    std::map<uint64_t, PcProfile> entries_;
+    std::vector<Entry> entries_;  ///< sorted by pc, pcs distinct
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "profile/sampling/sketch_collector.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace vpprof
@@ -41,9 +43,17 @@ SketchProfileCollector::record(const TraceRecord &rec)
 ProfileImage
 SketchProfileCollector::takeImage()
 {
-    ProfileImage image(program_);
+    // The hot set is a hash map: sorting its pcs first makes every
+    // at() below an append rather than an insert into the middle.
+    std::vector<uint64_t> pcs;
+    pcs.reserve(hot_.size());
     for (const auto &[pc, entry] : hot_)
-        image.at(pc) = entry.profile;
+        pcs.push_back(pc);
+    std::sort(pcs.begin(), pcs.end());
+    ProfileImage image(program_);
+    image.reserve(pcs.size());
+    for (uint64_t pc : pcs)
+        image.at(pc) = hot_.at(pc).profile;
     hot_.clear();
     sketch_.reset();
     producersSeen_ = 0;

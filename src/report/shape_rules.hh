@@ -1,9 +1,10 @@
 /**
  * @file
  * Declarative shape rules: the machine-checked form of the
- * EXPERIMENTS.md verdicts. A golden spec (golden/shape/*.json) lists
- * rules over ResultRow cells; the engine evaluates them against the
- * RESULTS_<bench>.json files a bench run produced.
+ * EXPERIMENTS.md verdicts. A golden spec (one JSON file per
+ * experiment under golden/shape/) lists rules over ResultRow cells;
+ * the engine evaluates them against the RESULTS_<bench>.json files a
+ * bench run produced.
  *
  * Rule kinds:
  *  - ordering:  adjacent cells in `cells` must be non-increasing

@@ -1,9 +1,6 @@
 #include "vm/machine.hh"
 
-#include <bit>
-#include <cmath>
-
-#include "common/logging.hh"
+#include "vm/machine_loop.hh"
 
 namespace vpprof
 {
@@ -11,78 +8,24 @@ namespace vpprof
 namespace
 {
 
-/** Two's-complement wrapping add/sub/mul (no signed-overflow UB). */
-int64_t
-wrapAdd(int64_t a, int64_t b)
+/** The sink of a run with no consumer: the record it is handed is
+ *  dead, so the inlined loop never builds one. */
+struct NoTraceSink
 {
-    return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                                static_cast<uint64_t>(b));
-}
-
-int64_t
-wrapSub(int64_t a, int64_t b)
-{
-    return static_cast<int64_t>(static_cast<uint64_t>(a) -
-                                static_cast<uint64_t>(b));
-}
-
-int64_t
-wrapMul(int64_t a, int64_t b)
-{
-    return static_cast<int64_t>(static_cast<uint64_t>(a) *
-                                static_cast<uint64_t>(b));
-}
-
-/** Signed division with deterministic handling of the UB cases. */
-int64_t
-safeDiv(int64_t a, int64_t b)
-{
-    if (b == 0)
-        return 0;
-    if (a == INT64_MIN && b == -1)
-        return 0;
-    return a / b;
-}
-
-/** Signed remainder with deterministic handling of the UB cases. */
-int64_t
-safeRem(int64_t a, int64_t b)
-{
-    if (b == 0)
-        return 0;
-    if (a == INT64_MIN && b == -1)
-        return 0;
-    return a % b;
-}
-
-/** Truncating double->int64 conversion; NaN/out-of-range map to 0. */
-int64_t
-safeFtoi(double d)
-{
-    if (std::isnan(d) || d >= 9.223372036854776e18 ||
-        d <= -9.223372036854776e18) {
-        return 0;
-    }
-    return static_cast<int64_t>(d);
-}
-
-inline double
-asDouble(int64_t bits)
-{
-    return std::bit_cast<double>(bits);
-}
-
-inline int64_t
-asBits(double d)
-{
-    return std::bit_cast<int64_t>(d);
-}
+    void record(const TraceRecord &) {}
+};
 
 } // namespace
 
 Machine::Machine(Program program, const MemoryImage &image)
     : program_(std::move(program))
 {
+    traits_.reserve(program_.size());
+    for (const Instruction &inst : program_.instructions()) {
+        traits_.push_back(
+            {writesRegister(inst.op),
+             static_cast<uint8_t>(numSources(inst.op))});
+    }
     for (const auto &[addr, value] : image.words())
         memory_.store(addr, value);
     for (const auto &[reg, value] : image.registers())
@@ -92,195 +35,16 @@ Machine::Machine(Program program, const MemoryImage &image)
 double
 Machine::regDouble(RegId r) const
 {
-    return asDouble(reg(r));
+    return machine_detail::asDouble(reg(r));
 }
 
 RunResult
 Machine::run(TraceSink *sink, uint64_t max_insts)
 {
-    RunResult result;
-
-    while (result.instructionsExecuted < max_insts) {
-        if (pc_ >= program_.size())
-            vpprof_fatal("pc ", pc_, " fell off program '",
-                         program_.name(), "'");
-        const Instruction &inst = program_.at(pc_);
-
-        TraceRecord rec;
-        rec.seq = seq_;
-        rec.pc = pc_;
-        rec.op = inst.op;
-        rec.directive = inst.directive;
-        rec.writesReg = writesRegister(inst.op);
-        rec.dest = inst.dest;
-        rec.numSrcs = static_cast<uint8_t>(numSources(inst.op));
-        rec.srcs = {inst.src1, inst.src2};
-
-        uint64_t next_pc = pc_ + 1;
-        int64_t a = reg(inst.src1);
-        int64_t b = reg(inst.src2);
-        int64_t value = 0;
-
-        switch (inst.op) {
-          case Opcode::Add: value = wrapAdd(a, b); break;
-          case Opcode::Sub: value = wrapSub(a, b); break;
-          case Opcode::Mul: value = wrapMul(a, b); break;
-          case Opcode::Div: value = safeDiv(a, b); break;
-          case Opcode::Rem: value = safeRem(a, b); break;
-          case Opcode::And: value = a & b; break;
-          case Opcode::Or: value = a | b; break;
-          case Opcode::Xor: value = a ^ b; break;
-          case Opcode::Shl:
-            value = static_cast<int64_t>(
-                static_cast<uint64_t>(a) << (b & 63));
-            break;
-          case Opcode::Shr:
-            value = static_cast<int64_t>(
-                static_cast<uint64_t>(a) >> (b & 63));
-            break;
-          case Opcode::Sar: value = a >> (b & 63); break;
-          case Opcode::Slt: value = a < b ? 1 : 0; break;
-          case Opcode::Sltu:
-            value = static_cast<uint64_t>(a) < static_cast<uint64_t>(b)
-                ? 1 : 0;
-            break;
-
-          case Opcode::Addi: value = wrapAdd(a, inst.imm); break;
-          case Opcode::Subi: value = wrapSub(a, inst.imm); break;
-          case Opcode::Muli: value = wrapMul(a, inst.imm); break;
-          case Opcode::Divi: value = safeDiv(a, inst.imm); break;
-          case Opcode::Remi: value = safeRem(a, inst.imm); break;
-          case Opcode::Andi: value = a & inst.imm; break;
-          case Opcode::Ori: value = a | inst.imm; break;
-          case Opcode::Xori: value = a ^ inst.imm; break;
-          case Opcode::Shli:
-            value = static_cast<int64_t>(
-                static_cast<uint64_t>(a) << (inst.imm & 63));
-            break;
-          case Opcode::Shri:
-            value = static_cast<int64_t>(
-                static_cast<uint64_t>(a) >> (inst.imm & 63));
-            break;
-          case Opcode::Sari: value = a >> (inst.imm & 63); break;
-          case Opcode::Slti: value = a < inst.imm ? 1 : 0; break;
-
-          case Opcode::Mov: value = a; break;
-          case Opcode::Movi: value = inst.imm; break;
-
-          case Opcode::Ld:
-            rec.isMem = true;
-            rec.memAddr = static_cast<uint64_t>(wrapAdd(a, inst.imm));
-            value = memory_.load(rec.memAddr);
-            break;
-          case Opcode::St:
-            rec.isMem = true;
-            rec.memAddr = static_cast<uint64_t>(wrapAdd(a, inst.imm));
-            memory_.store(rec.memAddr, b);
-            break;
-
-          case Opcode::Fadd:
-            value = asBits(asDouble(a) + asDouble(b));
-            break;
-          case Opcode::Fsub:
-            value = asBits(asDouble(a) - asDouble(b));
-            break;
-          case Opcode::Fmul:
-            value = asBits(asDouble(a) * asDouble(b));
-            break;
-          case Opcode::Fdiv:
-            value = asBits(asDouble(a) / asDouble(b));
-            break;
-          case Opcode::Fmov: value = a; break;
-          case Opcode::Fneg: value = asBits(-asDouble(a)); break;
-          case Opcode::Fabs: value = asBits(std::fabs(asDouble(a))); break;
-          case Opcode::Fmin:
-            value = asBits(std::fmin(asDouble(a), asDouble(b)));
-            break;
-          case Opcode::Fmax:
-            value = asBits(std::fmax(asDouble(a), asDouble(b)));
-            break;
-          case Opcode::Fsqrt:
-            value = asBits(std::sqrt(asDouble(a)));
-            break;
-          case Opcode::Itof:
-            value = asBits(static_cast<double>(a));
-            break;
-          case Opcode::Ftoi:
-            value = safeFtoi(asDouble(a));
-            break;
-
-          case Opcode::Fld:
-            rec.isMem = true;
-            rec.memAddr = static_cast<uint64_t>(wrapAdd(a, inst.imm));
-            value = memory_.load(rec.memAddr);
-            break;
-          case Opcode::Fst:
-            rec.isMem = true;
-            rec.memAddr = static_cast<uint64_t>(wrapAdd(a, inst.imm));
-            memory_.store(rec.memAddr, b);
-            break;
-
-          case Opcode::Beq:
-            if (a == b)
-                next_pc = static_cast<uint64_t>(inst.imm);
-            break;
-          case Opcode::Bne:
-            if (a != b)
-                next_pc = static_cast<uint64_t>(inst.imm);
-            break;
-          case Opcode::Blt:
-            if (a < b)
-                next_pc = static_cast<uint64_t>(inst.imm);
-            break;
-          case Opcode::Bge:
-            if (a >= b)
-                next_pc = static_cast<uint64_t>(inst.imm);
-            break;
-          case Opcode::Bltu:
-            if (static_cast<uint64_t>(a) < static_cast<uint64_t>(b))
-                next_pc = static_cast<uint64_t>(inst.imm);
-            break;
-          case Opcode::Fblt:
-            if (asDouble(a) < asDouble(b))
-                next_pc = static_cast<uint64_t>(inst.imm);
-            break;
-          case Opcode::Jmp:
-            next_pc = static_cast<uint64_t>(inst.imm);
-            break;
-          case Opcode::Call:
-            value = static_cast<int64_t>(pc_ + 1);
-            next_pc = static_cast<uint64_t>(inst.imm);
-            break;
-          case Opcode::JmpR:
-            next_pc = static_cast<uint64_t>(a);
-            break;
-
-          case Opcode::Nop:
-            break;
-          case Opcode::Halt:
-            result.halted = true;
-            break;
-
-          case Opcode::NumOpcodes:
-            vpprof_panic("executing NumOpcodes");
-        }
-
-        if (rec.writesReg) {
-            rec.value = value;
-            setReg(inst.dest, value);
-        }
-
-        ++seq_;
-        ++result.instructionsExecuted;
-        if (sink)
-            sink->record(rec);
-
-        if (result.halted)
-            break;
-        pc_ = next_pc;
-    }
-
-    return result;
+    if (sink)
+        return runInto(*sink, max_insts);
+    NoTraceSink none;
+    return runInto(none, max_insts);
 }
 
 } // namespace vpprof

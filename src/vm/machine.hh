@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "isa/program.hh"
 #include "vm/memory.hh"
@@ -50,8 +51,22 @@ class Machine
      */
     Machine(Program program, const MemoryImage &image);
 
-    /** Execute from entry until Halt or max_insts retirements. */
+    /**
+     * Execute from entry until Halt or max_insts retirements, calling
+     * the sink through its virtual interface; a null sink builds no
+     * record at all.
+     */
     RunResult run(TraceSink *sink, uint64_t max_insts = kDefaultMaxInsts);
+
+    /**
+     * run() on a concrete sink type: the one interpreter loop is
+     * compiled for `Sink`, so a `final` sink's record() inlines into
+     * it. `Sink` needs only `void record(const TraceRecord &)`. The
+     * loop is defined in vm/machine_loop.hh, which a translation unit
+     * that instantiates it for a new sink type includes.
+     */
+    template <class Sink>
+    RunResult runInto(Sink &sink, uint64_t max_insts = kDefaultMaxInsts);
 
     /** Architectural register read (r0 reads zero). */
     int64_t reg(RegId r) const { return r == kZeroReg ? 0 : regs_[r]; }
@@ -75,7 +90,16 @@ class Machine
     static constexpr uint64_t kDefaultMaxInsts = 400'000'000ull;
 
   private:
+    /** The opcode traits the loop needs, decoded once per static
+     *  instruction when the machine is built. */
+    struct StaticTraits
+    {
+        bool writesReg = false;
+        uint8_t numSrcs = 0;
+    };
+
     Program program_;
+    std::vector<StaticTraits> traits_;  ///< indexed by pc
     Memory memory_;
     std::array<int64_t, kNumRegs> regs_{};
     uint64_t pc_ = 0;

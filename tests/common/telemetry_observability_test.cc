@@ -181,9 +181,11 @@ TEST(Prometheus, EmptySnapshotIsHeaderOnly)
     std::string text = prometheusText(MetricsSnapshot{});
     std::istringstream is(text);
     std::string line;
-    while (std::getline(is, line))
-        if (!line.empty())
+    while (std::getline(is, line)) {
+        if (!line.empty()) {
             EXPECT_EQ(line[0], '#') << line;
+        }
+    }
 }
 
 TEST(TelemetryRegistry, SnapshotUnderLoadIsMonotonic)
@@ -201,6 +203,15 @@ TEST(TelemetryRegistry, SnapshotUnderLoadIsMonotonic)
     constexpr uint64_t kPerThread = 50'000;
     const char *kName = "test.obs.snapshot_under_load";
     Counter counter(kName);
+    // The counter lives in the process-wide registry under a fixed
+    // name, so an earlier iteration (--gtest_repeat) left its total
+    // there: every read below is a delta from this baseline, taken
+    // before any owner thread exists.
+    auto countOf = [&](const MetricsSnapshot &snap) -> uint64_t {
+        auto it = snap.counters.find(kName);
+        return it == snap.counters.end() ? 0 : it->second;
+    };
+    const uint64_t baseline = countOf(snapshotMetrics());
 
     std::atomic<bool> start{false};
     std::atomic<int> halfway{0};
@@ -229,9 +240,7 @@ TEST(TelemetryRegistry, SnapshotUnderLoadIsMonotonic)
         const bool parked = !released.load(std::memory_order_relaxed) &&
                             halfway.load(std::memory_order_acquire) ==
                                 kThreads;
-        MetricsSnapshot snap = snapshotMetrics();
-        auto it = snap.counters.find(kName);
-        uint64_t now = it == snap.counters.end() ? 0 : it->second;
+        uint64_t now = countOf(snapshotMetrics()) - baseline;
         ASSERT_GE(now, prev) << "snapshot went backwards";
         ASSERT_LE(now, kThreads * kPerThread) << "snapshot overshot";
         prev = now;
@@ -246,7 +255,8 @@ TEST(TelemetryRegistry, SnapshotUnderLoadIsMonotonic)
         t.join();
 
     MetricsSnapshot final_snap = snapshotMetrics();
-    EXPECT_EQ(final_snap.counters.at(kName), kThreads * kPerThread);
+    EXPECT_EQ(final_snap.counters.at(kName) - baseline,
+              kThreads * kPerThread);
     // The reader must have genuinely raced the owners, not observed
     // one quiescent state.
     EXPECT_GE(snapshots, 2u);

@@ -508,8 +508,9 @@ TEST_F(DaemonServerTest, ProgressEventsStreamForSubscribedJobs)
         if (event->numberOr("trace_id", 0) != 57.0)
             continue;
         kinds.push_back(event->stringOr("kind", ""));
-        if (kinds.back() == "admitted")
+        if (kinds.back() == "admitted") {
             EXPECT_TRUE(event->get("queued")) << *line;
+        }
     }
     EXPECT_EQ(kinds, (std::vector<std::string>{"received", "admitted",
                                                "started", "completed"}));

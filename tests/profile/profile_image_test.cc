@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "profile/profile_image.hh"
 
@@ -95,6 +96,118 @@ TEST(ProfileImage, SaveLoadRoundTrip)
     EXPECT_EQ(q->lastValueAttempts, 99u);
     EXPECT_EQ(q->lastValueCorrect, 33u);
     EXPECT_EQ(q->opClass, OpClass::IntLoad);
+}
+
+/** The pcs of an image's entries, in iteration order. */
+std::vector<uint64_t>
+pcsOf(const ProfileImage &img)
+{
+    std::vector<uint64_t> pcs;
+    for (const auto &[pc, p] : img.entries())
+        pcs.push_back(pc);
+    return pcs;
+}
+
+PcProfile
+profileOf(uint64_t seed)
+{
+    PcProfile p;
+    p.executions = 10 * seed + 1;
+    p.attempts = 5 * seed;
+    p.correct = 3 * seed;
+    p.correctNonZeroStride = seed;
+    p.lastValueAttempts = 5 * seed;
+    p.lastValueCorrect = 2 * seed;
+    p.opClass = seed % 2 ? OpClass::IntLoad : OpClass::FpAlu;
+    return p;
+}
+
+TEST(ProfileImage, AtOutOfOrderKeepsEntriesAscending)
+{
+    // SketchProfileCollector's hot set and a hand-written image file
+    // both hand at() pcs in no particular order.
+    ProfileImage img("p");
+    for (uint64_t pc : {9, 3, 7, 1, 12, 5, 0})
+        img.at(pc) = profileOf(pc);
+    EXPECT_EQ(pcsOf(img), (std::vector<uint64_t>{0, 1, 3, 5, 7, 9, 12}));
+
+    // Touching an existing pc creates nothing and finds its counters.
+    EXPECT_EQ(img.at(7), profileOf(7));
+    EXPECT_EQ(img.size(), 7u);
+    for (const auto &[pc, p] : img.entries())
+        EXPECT_EQ(p, profileOf(pc)) << "pc " << pc;
+}
+
+TEST(ProfileImage, MergeEqualsTheEntryByEntrySum)
+{
+    auto sum = [](PcProfile a, const PcProfile &b) {
+        a.executions += b.executions;
+        a.attempts += b.attempts;
+        a.correct += b.correct;
+        a.correctNonZeroStride += b.correctNonZeroStride;
+        a.lastValueCorrect += b.lastValueCorrect;
+        a.lastValueAttempts += b.lastValueAttempts;
+        a.opClass = b.opClass;
+        return a;
+    };
+    ProfileImage a("p"), b("p"), disjoint("p");
+    for (uint64_t pc : {1, 4, 6, 10})
+        a.at(pc) = profileOf(pc);
+    for (uint64_t pc : {2, 4, 10, 20})
+        b.at(pc) = profileOf(pc + 100);
+    for (uint64_t pc : {0, 30, 40})
+        disjoint.at(pc) = profileOf(pc + 7);
+
+    ProfileImage overlapping = a;
+    overlapping.merge(b);
+    ASSERT_EQ(pcsOf(overlapping),
+              (std::vector<uint64_t>{1, 2, 4, 6, 10, 20}));
+    for (const auto &[pc, p] : overlapping.entries()) {
+        const PcProfile *mine = a.find(pc);
+        const PcProfile *theirs = b.find(pc);
+        PcProfile expected = mine ? *mine : PcProfile{};
+        if (theirs)
+            expected = sum(expected, *theirs);
+        EXPECT_EQ(p, expected) << "pc " << pc;
+    }
+
+    ProfileImage apart = a;
+    apart.merge(disjoint);
+    ASSERT_EQ(pcsOf(apart), (std::vector<uint64_t>{0, 1, 4, 6, 10, 30, 40}));
+    for (const auto &[pc, p] : apart.entries()) {
+        const PcProfile *mine = a.find(pc);
+        EXPECT_EQ(p, mine ? *mine : *disjoint.find(pc)) << "pc " << pc;
+    }
+
+    ProfileImage fresh("p");
+    fresh.merge(b);
+    EXPECT_TRUE(fresh == b);
+    fresh.merge(ProfileImage("p"));
+    EXPECT_TRUE(fresh == b);
+}
+
+TEST(ProfileImage, SaveTextIsByteIdenticalThroughLoad)
+{
+    ProfileImage img("bytes");
+    for (uint64_t pc : {42, 7, 300})
+        img.at(pc) = profileOf(pc % 10);
+    const std::string expected =
+        "# vpprof profile image v1\n"
+        "program bytes\n"
+        "# pc executions attempts correct correctNonZeroStride"
+        " lvAttempts lvCorrect opclass\n"
+        "7 71 35 21 7 35 14 1\n"
+        "42 21 10 6 2 10 4 2\n"
+        "300 1 0 0 0 0 0 2\n";
+    std::stringstream first;
+    img.save(first);
+    EXPECT_EQ(first.str(), expected);
+
+    ProfileImage loaded = ProfileImage::load(first);
+    EXPECT_TRUE(loaded == img);
+    std::stringstream second;
+    loaded.save(second);
+    EXPECT_EQ(second.str(), expected);
 }
 
 TEST(ProfileImage, LoadRejectsMissingHeader)

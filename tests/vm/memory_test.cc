@@ -98,8 +98,9 @@ TEST(Memory, PagedTableMatchesHashMapReference)
                       it == reference.end() ? 0 : it->second)
                 << "addr " << addr << " op " << op;
         }
-        if (op % 1000 == 0)
+        if (op % 1000 == 0) {
             ASSERT_EQ(memory.footprint(), reference.size()) << op;
+        }
     }
     EXPECT_EQ(memory.footprint(), reference.size());
     for (const auto &[addr, value] : reference)
